@@ -2,7 +2,7 @@
 
 The two routes share nothing but the energy definition: one integrates the
 force-balance recursion, the other minimizes the energy with projected
-gradient steps.  Their fixed points should coincide to tight tolerance,
+Newton steps.  Their fixed points should coincide to tight tolerance,
 and the analytic gradient should match finite differences.
 """
 

@@ -9,7 +9,7 @@ renormalized external force, by three complementary routes:
 * :mod:`coulomb_chain.closed_form` -- exact constant-force formulas: gap
   sequences, the half-line model, the wall-departure (critical) force and
   the four asymptotic density phases.
-* :mod:`coulomb_chain.minimizer` -- projected gradient descent on the energy,
+* :mod:`coulomb_chain.minimizer` -- projected Newton descent on the energy,
   the independent oracle, which also handles non-monotone profiles with
   several local minima.
 
@@ -47,7 +47,6 @@ from .errors import (
     DegenerateConfigurationError,
     MonotonicityViolation,
     NoConvergence,
-    OrderingBreach,
     PositivityError,
 )
 from .minimizer import (
@@ -97,7 +96,6 @@ __all__ = [
     "MonotonicityViolation",
     "NoConvergence",
     "NonuniquenessProfile",
-    "OrderingBreach",
     "Phase",
     "PhaseReport",
     "PiecewiseLinear",

@@ -167,12 +167,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("oracle", help="projected-gradient energy minimization")
+    p = sub.add_parser("oracle", help="projected Newton energy minimization")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=float, default=1.0)
     _add_force_flags(p)
     p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--step-init", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=500_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -398,7 +397,6 @@ def _cmd_converge(args):
 def _oracle_settings(args, params) -> MinimizeSettings:
     base = default_settings(params, seed=args.seed)
     return MinimizeSettings(
-        step_init=args.step_init if args.step_init is not None else base.step_init,
         grad_tol=args.grad_tol if args.grad_tol is not None else base.grad_tol,
         max_iter=args.max_iter,
         seed=args.seed,
@@ -431,7 +429,6 @@ def _cmd_nonunique(args):
         settings = default_settings(params, seed=args.seed)
         if args.grad_tol is not None:
             settings = MinimizeSettings(
-                step_init=settings.step_init,
                 grad_tol=args.grad_tol,
                 max_iter=settings.max_iter,
                 seed=args.seed,
@@ -495,8 +492,11 @@ def main(argv=None) -> int:
         else:
             text = _render_json(payload)
     except (CoulombChainError, ValueError, TypeError) as exc:
-        error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error) + "\n")
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        for name in ("iterations", "grad_norm"):
+            if getattr(exc, name, None) is not None:
+                error[name] = getattr(exc, name)
+        sys.stdout.write(json.dumps({"error": error}) + "\n")
         return 1
     _write_out(text, args.output)
     return 0

@@ -141,32 +141,17 @@ def critical_force(n: int, L: float) -> CriticalForce:
 def phase2_scaling_factor(c: float, L: float) -> float:
     """Continuum limit of delta_1 * N / L in the pinned linear-force regime.
 
-    Solves the normalization 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1 by
-    bisection on b to 1e-12.  Defined for 0 < c <= 4/L**2; at the upper end
-    the solution is exactly 1/2, and b -> 1 as c -> 0 recovers the uniform
-    chain.
+    The normalization 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1 is solved exactly
+    by b = 4 / (4 + c L**2): square sqrt(1 - b**2 c L**2) = 2 b - 1.
+    Defined for 0 < c <= 4/L**2; at the upper end b = 1/2, and b -> 1 as
+    c -> 0 recovers the uniform chain.
     """
     if L <= 0.0:
         raise ValueError(f"segment length must be positive, got {L}")
     ccr = c_critical(L)
     if not (0.0 < c <= ccr * (1.0 + 1e-12)):
         raise ValueError(f"scaling coefficient must lie in (0, {ccr}], got {c}")
-
-    def residual(b: float) -> float:
-        s = min(b * b * c * L * L, 1.0)
-        return 2.0 * b / (1.0 + math.sqrt(1.0 - s)) - 1.0
-
-    lo = 1e-12
-    hi = min(1.0, 1.0 / (L * math.sqrt(c)))
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 4.0 / (4.0 + c * L * L)
 
 
 @dataclass(frozen=True)

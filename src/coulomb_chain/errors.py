@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class CoulombChainError(Exception):
     """Base class for all library-specific errors."""
@@ -18,15 +20,22 @@ class MonotonicityViolation(CoulombChainError):
 
 
 class NoConvergence(CoulombChainError):
-    """An iterative solve exhausted its iteration budget."""
+    """An iterative solve exhausted its iteration budget or stalled.
 
-
-class OrderingBreach(CoulombChainError):
-    """A descent step crossed particles even at the backtracking floor.
-
-    Usually means the initial step size is far too large for the problem
-    scale.
+    The descent oracle sets ``iterations`` (accepted steps) and
+    ``grad_norm`` (the last projected-gradient max-norm); other solvers
+    leave them None.
     """
+
+    def __init__(
+        self,
+        message: str,
+        iterations: int | None = None,
+        grad_norm: float | None = None,
+    ):
+        self.iterations = iterations
+        self.grad_norm = grad_norm
+        super().__init__(message)
 
 
 class PositivityError(CoulombChainError):

@@ -1,11 +1,13 @@
 """Direct energy minimization over ordered positions.
 
-An independent route to fixed points: projected gradient descent with
-backtracking on the total energy, with the walls enforced by clamping the
-end particles into [-L, 0] after every step.  Slower than shooting but it
-needs no monotonicity from the force profile, so it doubles as the oracle
-for solver verification and as the probe for non-monotone profiles where
-several local minima coexist.
+An independent route to fixed points: projected Newton descent on the total
+energy, with the walls enforced by clamping the end particles into [-L, 0].
+The energy couples only nearest neighbours, so its Hessian is tridiagonal
+and each Newton step is an O(N) LDL^T (Thomas) solve over the free
+particles; where the Hessian is not positive definite (a rising force), a
+diagonal shift restores a descent direction.  It needs no monotonicity from
+the force profile, so it doubles as the oracle for solver verification and
+as the probe for non-monotone profiles where several local minima coexist.
 
 ``minimize`` is a pure function of (params, start, settings); the
 multi-start search is seeded and sorts before deduplicating, so its output
@@ -14,15 +16,15 @@ does not depend on evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OrderingBreach
+from .errors import NoConvergence
 from .model import (
     Classification,
     Configuration,
-    Constant,
     FixedPointResult,
     ModelParams,
     PiecewiseLinear,
@@ -42,36 +44,28 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
-_BACKTRACK_FLOOR = 2.0 ** -100
 
 
 @dataclass(frozen=True)
 class MinimizeSettings:
-    """Step, tolerance and iteration budget of the descent."""
+    """Tolerance, iteration budget and multi-start seed of the descent."""
 
-    step_init: float
     grad_tol: float
     max_iter: int = 500_000
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.step_init > 0.0):
-            raise ValueError(f"step_init must be positive, got {self.step_init}")
         if not (self.grad_tol > 0.0):
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 def default_settings(params: ModelParams, seed: int = 0) -> MinimizeSettings:
-    """Scale-aware defaults: lengths ~ L/N, pressures ~ (N/L)**2."""
+    """Scale-aware defaults: pressures ~ (N/L)**2."""
     scale = params.L / params.n_gaps
-    return MinimizeSettings(
-        step_init=scale ** 3,
-        grad_tol=1e-10 / scale ** 2,
-        seed=seed,
-    )
+    return MinimizeSettings(grad_tol=1e-10 / scale ** 2, seed=seed)
 
 
-def _gradient_raw(x: np.ndarray, profile, fv: np.ndarray) -> np.ndarray:
+def _gradient_raw(x: np.ndarray, fv: np.ndarray) -> np.ndarray:
     d = x[:-1] - x[1:]
     f = d ** -2.0
     g = np.empty_like(x)
@@ -92,7 +86,72 @@ def energy_gradient(positions, params: ModelParams) -> np.ndarray:
     x = positions.positions if isinstance(positions, Configuration) else np.asarray(positions, dtype=float)
     profile = params.resolved_force()
     fv = np.asarray(profile.force_at(x), dtype=float)
-    return _gradient_raw(x, profile, fv)
+    return _gradient_raw(x, fv)
+
+
+def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal energy Hessian.
+
+    Each gap d contributes 2/d**3 to the diagonal entries of its two
+    particles and -2/d**3 to the entry coupling them; the external work adds
+    -F'(x_i) to the diagonal.
+    """
+    c = 2.0 * (x[:-1] - x[1:]) ** -3.0
+    diag = -np.asarray(slope, dtype=float).copy()
+    diag[:-1] += c
+    diag[1:] += c
+    return diag, -c
+
+
+def _ldl_solve(diag: list, off: list, rhs: list, shift: float) -> list | None:
+    """Solve (T + shift*I) p = rhs for symmetric tridiagonal T by LDL^T.
+
+    Returns None as soon as a pivot is not positive, i.e. when the shifted
+    matrix is not positive definite.
+    """
+    n = len(diag)
+    pivots = [0.0] * n
+    ratios = [0.0] * n
+    z = [0.0] * n
+    pivot = diag[0] + shift
+    if not pivot > 0.0:
+        return None
+    pivots[0] = pivot
+    z[0] = rhs[0]
+    for i in range(1, n):
+        r = off[i - 1] / pivot
+        pivot = diag[i] + shift - r * off[i - 1]
+        if not pivot > 0.0:
+            return None
+        ratios[i - 1] = r
+        pivots[i] = pivot
+        z[i] = rhs[i] - r * z[i - 1]
+    # back substitution, in place: z becomes the solution
+    z[-1] /= pivots[-1]
+    for i in range(n - 2, -1, -1):
+        z[i] = z[i] / pivots[i] - ratios[i] * z[i + 1]
+    return z
+
+
+def _newton_direction(x: np.ndarray, g: np.ndarray, slope: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Projected Newton direction: zero outside the free range [lo, hi).
+
+    The diagonal shift starts at zero and, while the factorization fails,
+    doubles from a thousandth of the stiffest coupling 2/d**3, so the
+    direction is always one of descent.
+    """
+    diag, off = _hessian_bands(x, slope)
+    diag_free = diag[lo:hi].tolist()
+    off_free = off[lo:hi - 1].tolist()
+    rhs = (-g[lo:hi]).tolist()
+    shift = 0.0
+    while (p_free := _ldl_solve(diag_free, off_free, rhs, shift)) is None:
+        shift = 2.0 * shift if shift else -1e-3 * float(np.min(off))
+        if not math.isfinite(shift):
+            raise NoConvergence("Hessian is not finite: particles nearly coincide")
+    p = np.zeros_like(x)
+    p[lo:hi] = p_free
+    return p
 
 
 def _energy_raw(x: np.ndarray, profile, L: float) -> float:
@@ -100,26 +159,7 @@ def _energy_raw(x: np.ndarray, profile, L: float) -> float:
     return float(np.sum(1.0 / d) - np.sum(profile.integral_from_wall(x, L)))
 
 
-def _integral_between(profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-particle integral of the force from a_i to b_i, cancellation-free.
-
-    Whenever both endpoints fall in the same linear (or flat-extension)
-    region the trapezoid rule is exact and involves no large-value
-    cancellation, which keeps tiny-move energy deltas accurate; endpoints in
-    different regions are far apart, where the plain difference of
-    antiderivatives is already well conditioned.
-    """
-    if isinstance(profile, Constant):
-        return profile.value * (b - a)
-    bx = profile.breakpoints
-    ra = np.searchsorted(bx, a, side="right") - 1
-    rb = np.searchsorted(bx, b, side="right") - 1
-    trapezoid = 0.5 * (profile.force_at(a) + profile.force_at(b)) * (b - a)
-    far = profile._integral_from_first_node(b) - profile._integral_from_first_node(a)
-    return np.where(ra == rb, trapezoid, far)
-
-
-def _delta_energy(x: np.ndarray, trial: np.ndarray, profile, L: float) -> float:
+def _delta_energy(x: np.ndarray, trial: np.ndarray, profile) -> float:
     """Energy change U(trial) - U(x), accurate at the scale of the move.
 
     Small moves make the direct difference of two O(U) energies pure
@@ -132,17 +172,8 @@ def _delta_energy(x: np.ndarray, trial: np.ndarray, profile, L: float) -> float:
     dt = trial[:-1] - trial[1:]
     mdiff = move[:-1] - move[1:]  # equals dt - d exactly
     interaction = -float(np.sum(mdiff / (d * dt)))
-    external = float(np.sum(_integral_between(profile, x, trial)))
+    external = float(np.sum(profile.integral_between(x, trial)))
     return interaction - external
-
-
-def _projected_gradient(x: np.ndarray, g: np.ndarray, L: float) -> np.ndarray:
-    pg = g.copy()
-    if x[0] >= 0.0:
-        pg[0] = max(g[0], 0.0)
-    if x[-1] <= -L:
-        pg[-1] = min(g[-1], 0.0)
-    return pg
 
 
 def minimize(
@@ -153,13 +184,21 @@ def minimize(
 ) -> FixedPointResult:
     """Descend the energy from ``start`` until the projected gradient is flat.
 
-    Backtracking halves the step until the trial keeps strict ordering and
-    achieves sufficient decrease, so the energy is monotone along accepted
-    steps.  Walls act through clamping of the two end particles.  Raises
-    OrderingBreach if ordering cannot be restored even at the backtracking
-    floor (step_init far too large) and NoConvergence when the iteration
-    budget runs out.  ``on_step(iteration, energy)`` is invoked after every
-    accepted step.
+    Each iteration takes a projected Newton step.  An end particle that sits
+    on its wall with the gradient pushing it into the wall is held fixed;
+    the tridiagonal Hessian over the other particles, shifted along its
+    diagonal when it is not positive definite, is solved by LDL^T.  The step
+    is backtracked by halving from its full length along the wall-clamped
+    path until the trial keeps strict ordering and achieves Armijo
+    decrease, so the energy is monotone along accepted steps.  The descent
+    stops when the max-norm of the projected gradient is at most
+    ``settings.grad_tol``.  ``on_step(iteration, energy)`` is invoked after
+    every accepted step and ``iterations`` counts accepted steps.
+
+    Raises NoConvergence, carrying ``iterations`` and the last projected
+    gradient norm ``grad_norm``, when the line search can make no further
+    progress (the tolerance lies below the floating-point floor of the
+    gradient) or the iteration budget runs out.
     """
     if settings is None:
         settings = default_settings(params)
@@ -172,61 +211,47 @@ def minimize(
 
     x = start.positions.copy()
     u = _energy_raw(x, profile, L)
-    step = settings.step_init
     iterations = 0
-    prev_x = prev_g = None
 
     while True:
-        fv = np.asarray(profile.force_at(x), dtype=float)
-        g = _gradient_raw(x, profile, fv)
-        pg = _projected_gradient(x, g, L)
-        if float(np.max(np.abs(pg))) <= settings.grad_tol:
+        g = _gradient_raw(x, np.asarray(profile.force_at(x), dtype=float))
+        # an end particle on its wall, pushed into it, is not free to move
+        lo = 1 if x[0] >= 0.0 and g[0] < 0.0 else 0
+        hi = x.size - 1 if x[-1] <= -L and g[-1] > 0.0 else x.size
+        grad_norm = float(np.max(np.abs(g[lo:hi]), initial=0.0))
+        if grad_norm <= settings.grad_tol:
             break
         if iterations >= settings.max_iter:
             raise NoConvergence(
                 f"descent did not reach grad_tol={settings.grad_tol} "
-                f"in {settings.max_iter} iterations"
+                f"in {settings.max_iter} iterations",
+                iterations=iterations,
+                grad_norm=grad_norm,
             )
 
-        # Spectral (Barzilai-Borwein, alternating long/short) trial step;
-        # backtracking keeps the iteration monotone, so stiff chains converge
-        # in far fewer steps than a fixed-step descent would need.
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = float(s @ s) / sy if iterations % 2 == 0 else sy / float(y @ y)
-            else:
-                step *= 2.0
-        prev_x, prev_g = x, g
-
-        accepted = False
-        ordered_ever = False
-        while step >= settings.step_init * _BACKTRACK_FLOOR:
-            trial = x - step * g
+        p = _newton_direction(x, g, np.asarray(profile.slope_at(x), dtype=float), lo, hi)
+        t = 1.0
+        while True:
+            trial = x + t * p
             if trial[0] > 0.0:
                 trial[0] = 0.0
             if trial[-1] < -L:
                 trial[-1] = -L
-            diffs = trial[:-1] - trial[1:]
-            if np.all(diffs > 0.0):
-                ordered_ever = True
-                move = trial - x
-                du = _delta_energy(x, trial, profile, L)
-                if du <= -(_ARMIJO / step) * float(move @ move):
-                    x = trial
-                    u += du
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            if not ordered_ever:
-                raise OrderingBreach(
-                    "could not restore particle ordering while backtracking; "
-                    "step_init is too large for this problem scale"
+            move = trial - x
+            if not np.any(move):
+                raise NoConvergence(
+                    f"line search stalled at projected gradient {grad_norm:.3g} "
+                    f"above grad_tol={settings.grad_tol}",
+                    iterations=iterations,
+                    grad_norm=grad_norm,
                 )
-            raise NoConvergence("backtracking line search stalled")
+            if np.all(trial[:-1] > trial[1:]):
+                du = _delta_energy(x, trial, profile)
+                if du <= _ARMIJO * float(g @ move):
+                    break
+            t *= 0.5
+        x = trial
+        u += du
         iterations += 1
         if on_step is not None:
             on_step(iterations, u)

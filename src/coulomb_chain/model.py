@@ -74,6 +74,18 @@ class ForceProfile:
         """Exact integral of the force from -L up to x."""
         raise NotImplementedError
 
+    def integral_between(self, a, b):
+        """Exact integral of the force from a to b, elementwise.
+
+        Accurate at the scale of b - a, so that the energy change of a tiny
+        move keeps its digits.
+        """
+        raise NotImplementedError
+
+    def slope_at(self, x):
+        """Derivative F'(x); at a breakpoint, the slope of the segment to its right."""
+        raise NotImplementedError
+
     def scale(self, factor: float) -> "ForceProfile":
         raise NotImplementedError
 
@@ -111,6 +123,14 @@ class Constant(ForceProfile):
     def integral_from_wall(self, x, L):
         x = np.asarray(x, dtype=float)
         out = self.value * (x + L)
+        return float(out) if out.ndim == 0 else out
+
+    def integral_between(self, a, b):
+        out = self.value * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    def slope_at(self, x):
+        out = np.zeros_like(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def scale(self, factor):
@@ -194,6 +214,26 @@ class PiecewiseLinear(ForceProfile):
     def integral_from_wall(self, x, L):
         out = self._integral_from_first_node(x) - self._integral_from_first_node(-L)
         return float(out) if np.ndim(out) == 0 else out
+
+    def integral_between(self, a, b):
+        # With both endpoints in one linear (or flat-extension) region the
+        # trapezoid rule is exact and free of large-value cancellation;
+        # endpoints in different regions are far apart, where the plain
+        # difference of antiderivatives is already well conditioned.
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        same = np.searchsorted(self._bx, a, side="right") == np.searchsorted(self._bx, b, side="right")
+        trapezoid = 0.5 * (np.interp(a, self._bx, self._by) + np.interp(b, self._bx, self._by)) * (b - a)
+        far = self._integral_from_first_node(b) - self._integral_from_first_node(a)
+        out = np.where(same, trapezoid, far)
+        return float(out) if out.ndim == 0 else out
+
+    def slope_at(self, x):
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self._bx, x, side="right") - 1
+        inside = (j >= 0) & (j < len(self._bx) - 1)
+        out = np.where(inside, self._slopes[np.clip(j, 0, len(self._slopes) - 1)], 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def scale(self, factor):
         return PiecewiseLinear([(p, v * factor) for p, v in self.points])

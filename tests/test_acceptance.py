@@ -99,8 +99,7 @@ def test_criterion_02_oracle_equivalence():
                 sol = solve_fixed_point(params)
                 base = default_settings(params)
                 settings = MinimizeSettings(
-                    step_init=base.step_init, grad_tol=1e-9 * n * n,
-                    max_iter=base.max_iter,
+                    grad_tol=1e-9 * n * n, max_iter=base.max_iter,
                 )
                 orc = minimize(params, uniform_configuration(params), settings)
                 diff = float(np.max(np.abs(sol.config.positions - orc.config.positions)))

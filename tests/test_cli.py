@@ -181,6 +181,16 @@ class TestOracleCommand:
         )
         assert "energy" in payload
 
+    def test_stall_error_carries_descent_state(self, capsys):
+        code, out = run_cli(
+            capsys, "oracle", "--n", "50", "--force", "800", "--grad-tol", "1e-30"
+        )
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "NoConvergence"
+        assert 0 < error["iterations"] < 100
+        assert error["grad_norm"] > 1e-30
+
 
 class TestNonuniqueCommand:
     def test_finds_multiple_minima_on_small_chain(self, capsys):

@@ -1,7 +1,10 @@
-"""Descent oracle: gradient, convergence, certificates, multi-start."""
+"""Descent oracle: gradient, Hessian, convergence, certificates, multi-start."""
+
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coulomb_chain import (
     Classification,
@@ -9,8 +12,9 @@ from coulomb_chain import (
     Constant,
     MinimizeSettings,
     ModelParams,
+    NoConvergence,
     NonuniquenessProfile,
-    OrderingBreach,
+    critical_force_exact,
     default_settings,
     energy,
     energy_gradient,
@@ -22,6 +26,7 @@ from coulomb_chain import (
     solve_fixed_point,
     uniform_configuration,
 )
+from coulomb_chain.minimizer import _hessian_bands
 
 
 def random_interior_config(rng, n, L=1.0, fill=0.85):
@@ -52,6 +57,37 @@ class TestGradient:
                 ) / (2 * h)
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-10)
             assert np.max(rel) < 1e-5
+
+    @pytest.mark.parametrize(
+        "force",
+        [Constant(1.0), nonuniqueness_params(1.0, 2.0, 4.0, 10).force],
+        ids=["constant", "tent"],
+    )
+    def test_hessian_matches_central_differences(self, force):
+        rng = np.random.default_rng(77)
+        n, L = 10, 2.0
+        p = ModelParams(L=L, n_gaps=n, force=force)
+        bx = p.force.breakpoints if hasattr(p.force, "breakpoints") else np.array([])
+        h = 1e-6 * L / n
+        checked = 0
+        while checked < 50:
+            config = random_interior_config(rng, n, L)
+            x = config.positions
+            # stay a step away from the profile's kinks, where F' jumps
+            if bx.size and np.min(np.abs(x[:, None] - bx[None, :])) <= 2 * h:
+                continue
+            diag, off = _hessian_bands(x, p.force.slope_at(x))
+            hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            fd = np.empty_like(hess)
+            for i in range(n + 1):
+                up = x.copy()
+                dn = x.copy()
+                up[i] += h
+                dn[i] -= h
+                fd[:, i] = (energy_gradient(up, p) - energy_gradient(dn, p)) / (2 * h)
+            scale = np.maximum(np.abs(fd), np.max(np.abs(fd)) * 1e-12)
+            assert np.max(np.abs(hess - fd) / scale) < 1e-5
+            checked += 1
 
     def test_interior_gradient_is_negated_residual(self):
         rng = np.random.default_rng(4)
@@ -105,6 +141,39 @@ class TestMinimize:
         assert np.all(diffs <= 0.0)
         assert np.any(diffs < 0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 2000),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jittered_start_matches_shooting(self, n, log_length, ratio, seed):
+        L = 10.0 ** log_length
+        p = ModelParams(L=L, n_gaps=n, force=Constant(ratio * critical_force_exact(n, L)))
+        x = np.linspace(0.0, -L, n + 1)
+        x[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 1) * L / n
+        orc = minimize(p, Configuration(x))
+        sol = solve_fixed_point(p)
+        assert np.max(np.abs(orc.config.positions - sol.config.positions)) <= 1e-6 * L / n
+        # Near F_cr the terminal slack, about (ratio - 1) * 4N/L**2, falls
+        # below the descent's gradient tolerance 1e-10 * (N/L)**2, and either
+        # label is a fixed point to that tolerance.
+        if abs(ratio - 1.0) > 1e-6:
+            assert orc.classification is sol.classification
+
+    def test_large_supercritical_chain(self):
+        n = 10 ** 4
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(2.0 * critical_force_exact(n, 1.0)))
+        t0 = time.perf_counter()
+        orc = minimize(p, uniform_configuration(p))
+        elapsed = time.perf_counter() - t0
+        sol = solve_fixed_point(p)
+        assert np.max(np.abs(orc.config.positions - sol.config.positions)) <= 1e-6 / n
+        assert orc.classification is Classification.INTERIOR
+        assert orc.iterations <= 50
+        assert elapsed < 10.0
+
     def test_residuals_meet_fixed_point_conditions(self):
         p = ModelParams(L=1.0, n_gaps=6, force=Constant(3.0))
         settings = default_settings(p)
@@ -115,17 +184,25 @@ class TestMinimize:
         else:
             assert abs(result.terminal_slack) <= 10 * settings.grad_tol
 
-    def test_ordering_breach_on_absurd_step(self):
-        p = ModelParams(L=1.0, n_gaps=3, force=Constant(1.0))
-        settings = MinimizeSettings(step_init=1e280, grad_tol=1e-10, max_iter=10)
-        with pytest.raises(OrderingBreach):
-            minimize(p, uniform_configuration(p), settings)
-
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            MinimizeSettings(step_init=0.0, grad_tol=1e-8)
-        with pytest.raises(ValueError):
-            MinimizeSettings(step_init=1.0, grad_tol=0.0)
+            MinimizeSettings(grad_tol=0.0)
+
+    def test_stalls_fast_below_the_float_floor(self):
+        n = 1000
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(2.0 * critical_force_exact(n, 1.0)))
+        settings = MinimizeSettings(grad_tol=1e-30)
+        with pytest.raises(NoConvergence) as info:
+            minimize(p, uniform_configuration(p), settings)
+        assert info.value.iterations < 100
+        assert info.value.grad_norm > settings.grad_tol
+
+    def test_overflowing_hessian_raises(self):
+        # a 1e-120 gap is a valid configuration, but 2/d**3 overflows
+        p = ModelParams(L=1.0, n_gaps=3, force=Constant(1.0))
+        start = Configuration([-1e-200, -1e-120, -0.5, -1.0])
+        with pytest.warns(RuntimeWarning), pytest.raises(NoConvergence):
+            minimize(p, start)
 
     def test_mismatched_start_rejected(self):
         p = ModelParams(L=1.0, n_gaps=4, force=Constant(0.0))

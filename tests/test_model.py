@@ -63,6 +63,33 @@ class TestForceProfiles:
                 expected, _ = quad(f.force_at, -2.0, x, points=xs.tolist())
                 assert f.integral_from_wall(float(x), 2.0) == pytest.approx(expected, abs=1e-12)
 
+    def test_integral_between_matches_quadrature(self):
+        rng = np.random.default_rng(43)
+        f = PiecewiseLinear([(-2.0, 4.0), (-1.0, -1.0), (-0.5, 2.0), (0.0, 0.5)])
+        a = rng.uniform(-2.5, 0.5, size=20)
+        b = rng.uniform(-2.5, 0.5, size=20)
+        got = f.integral_between(a, b)
+        for ai, bi, gi in zip(a, b, got):
+            expected, _ = quad(f.force_at, ai, bi, points=f.breakpoints.tolist())
+            assert gi == pytest.approx(expected, abs=1e-12)
+        assert Constant(3.0).integral_between(-0.5, 0.25) == pytest.approx(2.25)
+
+    def test_integral_between_keeps_digits_of_tiny_moves(self):
+        # a difference of antiderivatives would lose about 12 of 16 digits here
+        f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 1.0)])
+        x, h = -1.5, 1e-12
+        exact = h * (3.0 - 0.5 * 2.0 * h)  # F(-1.5) = 3, slope -2
+        assert f.integral_between(x, x + h) == pytest.approx(exact, rel=1e-14)
+
+    def test_slope_at(self):
+        f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 3.0)])
+        np.testing.assert_array_equal(
+            f.slope_at(np.array([-2.5, -1.5, -1.0, -0.5, 0.0, 0.5])),
+            [0.0, -2.0, 1.0, 1.0, 0.0, 0.0],  # a breakpoint takes its right segment
+        )
+        assert f.slope_at(-1.5) == -2.0
+        assert Constant(3.0).slope_at(-0.5) == 0.0
+
     def test_piecewise_monotonicity_probe(self):
         down = PiecewiseLinear([(-1.0, 2.0), (0.0, 1.0)])
         up = PiecewiseLinear([(-1.0, 1.0), (-0.5, 3.0), (0.0, 0.0)])
