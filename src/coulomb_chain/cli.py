@@ -494,8 +494,9 @@ def main(argv=None) -> int:
     except (CoulombChainError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         for name in ("iterations", "grad_norm"):
-            if getattr(exc, name, None) is not None:
-                error[name] = getattr(exc, name)
+            value = getattr(exc, name, None)
+            if value is not None:
+                error[name] = value
         sys.stdout.write(json.dumps({"error": error}) + "\n")
         return 1
     _write_out(text, args.output)

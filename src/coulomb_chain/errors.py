@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class CoulombChainError(Exception):
     """Base class for all library-specific errors."""

@@ -16,7 +16,6 @@ does not depend on evaluation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,7 @@ def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.nda
     -F'(x_i) to the diagonal.
     """
     c = 2.0 * (x[:-1] - x[1:]) ** -3.0
-    diag = -np.asarray(slope, dtype=float).copy()
+    diag = -np.asarray(slope, dtype=float)
     diag[:-1] += c
     diag[1:] += c
     return diag, -c
@@ -147,7 +146,7 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, slope: np.ndarray, lo: int, 
     shift = 0.0
     while (p_free := _ldl_solve(diag_free, off_free, rhs, shift)) is None:
         shift = 2.0 * shift if shift else -1e-3 * float(np.min(off))
-        if not math.isfinite(shift):
+        if not np.isfinite(shift):
             raise NoConvergence("Hessian is not finite: particles nearly coincide")
     p = np.zeros_like(x)
     p[lo:hi] = p_free

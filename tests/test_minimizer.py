@@ -4,7 +4,8 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import hypothesis
+from hypothesis import strategies as st
 
 from coulomb_chain import (
     Classification,
@@ -14,6 +15,7 @@ from coulomb_chain import (
     ModelParams,
     NoConvergence,
     NonuniquenessProfile,
+    PiecewiseLinear,
     critical_force_exact,
     default_settings,
     energy,
@@ -67,7 +69,7 @@ class TestGradient:
         rng = np.random.default_rng(77)
         n, L = 10, 2.0
         p = ModelParams(L=L, n_gaps=n, force=force)
-        bx = p.force.breakpoints if hasattr(p.force, "breakpoints") else np.array([])
+        bx = p.force.breakpoints if isinstance(p.force, PiecewiseLinear) else np.array([])
         h = 1e-6 * L / n
         checked = 0
         while checked < 50:
@@ -141,8 +143,8 @@ class TestMinimize:
         assert np.all(diffs <= 0.0)
         assert np.any(diffs < 0.0)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(
         n=st.integers(2, 2000),
         log_length=st.floats(-3.0, 3.0),
         ratio=st.floats(0.0, 3.0),
