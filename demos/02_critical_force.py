@@ -1,26 +1,34 @@
-"""The wall-departure force: numeric bisection vs the exact sum formula.
+"""The wall-departure force: the classification flips at the exact sum formula.
 
 The force at which the left particle detaches equals
 (sum_{k=1..N} k**-0.5 / L)**2 exactly, and grows like (4/L**2) N for large
-chains.  This script confirms both facts numerically.
+chains.  This script solves just below and just above that force to show
+the pinned/interior flip, then checks the large-N trend and the L scaling.
 """
 
 from coulomb_chain import (
+    Classification,
     Constant,
     ModelParams,
     c_critical,
     critical_force_exact,
-    wall_force,
+    solve_fixed_point,
 )
 
 L = 1.0
 
-print(f"{'N':>6} {'bisection':>14} {'exact sum':>14} {'rel diff':>10}")
+print("Shooting solves at F_cr * (1 -+ 1e-6): pinned below, interior above")
+print(f"{'N':>6} {'exact F_cr':>14} {'below':>16} {'above':>10}")
 for n in (1, 2, 10, 50, 100):
-    params = ModelParams(L=L, n_gaps=n, force=Constant(1.0))
-    numeric = wall_force(params, tol_rel=1e-10)
     exact = critical_force_exact(n, L)
-    print(f"{n:>6} {numeric:>14.6f} {exact:>14.6f} {abs(numeric / exact - 1):>10.2e}")
+    below, above = (
+        solve_fixed_point(ModelParams(L=L, n_gaps=n, force=Constant(exact * factor)))
+        for factor in (1 - 1e-6, 1 + 1e-6)
+    )
+    print(f"{n:>6} {exact:>14.6f} {below.classification.value:>16} "
+          f"{above.classification.value:>10}")
+    assert below.classification is Classification.BOUNDARY_PINNED
+    assert above.classification is Classification.INTERIOR
 
 print()
 print(f"Large-N trend: F_cr / N should approach c_cr = 4/L^2 = {c_critical(L)}")

@@ -30,13 +30,11 @@ from .analysis import (
 )
 from .closed_form import (
     AsymptoticDensity,
-    CriticalForce,
     Phase,
     asymptotic_density,
     aux_model_extent,
     aux_model_gaps,
     c_critical,
-    critical_force,
     critical_force_exact,
     gaps_constant_force,
     inverse_sqrt_sum,
@@ -51,7 +49,6 @@ from .errors import (
 )
 from .minimizer import (
     MinimizeSettings,
-    NonuniquenessProfile,
     default_settings,
     energy_gradient,
     local_minimality_certificate,
@@ -75,7 +72,7 @@ from .model import (
     residuals,
     uniform_configuration,
 )
-from .shooting import ShootingOutcome, shoot, solve_fixed_point, wall_force
+from .shooting import ShootingOutcome, shoot, solve_fixed_point
 
 __version__ = "0.1.0"
 
@@ -86,7 +83,6 @@ __all__ = [
     "Constant",
     "ConvergenceRow",
     "CoulombChainError",
-    "CriticalForce",
     "DegenerateConfigurationError",
     "DensityHistogram",
     "FixedPointResult",
@@ -95,7 +91,6 @@ __all__ = [
     "ModelParams",
     "MonotonicityViolation",
     "NoConvergence",
-    "NonuniquenessProfile",
     "Phase",
     "PhaseReport",
     "PiecewiseLinear",
@@ -110,7 +105,6 @@ __all__ = [
     "c_critical",
     "classify_phase",
     "convergence_study",
-    "critical_force",
     "critical_force_exact",
     "default_settings",
     "energy",
@@ -130,5 +124,4 @@ __all__ = [
     "solve_fixed_point",
     "sweep",
     "uniform_configuration",
-    "wall_force",
 ]

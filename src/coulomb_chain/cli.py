@@ -4,18 +4,16 @@ Subcommands map one-to-one onto the library surface: ``solve`` (shooting
 solver), ``critical`` (exact wall-departure force), ``density`` (histogram
 plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 ``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
-tent profile).  Output is JSON or CSV with full round-trip float precision;
-model errors exit 1 with a machine-readable JSON error object, usage errors
-exit 2.
-
-Environment overrides (flags still win): COULOMB_CHAIN_TOL_REL and
-COULOMB_CHAIN_MAX_ITER set the solver tolerance defaults.
+tent profile).  Output is compact JSON or CSV with full round-trip float
+precision; model errors, and an ``--output`` path that cannot be written,
+exit 1 with a machine-readable JSON error object, usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,7 +23,7 @@ import tempfile
 import numpy as np
 
 from .analysis import convergence_study, histogram, sweep
-from .closed_form import Phase, asymptotic_density, critical_force
+from .closed_form import Phase, asymptotic_density, c_critical, critical_force_exact
 from .errors import CoulombChainError
 from .minimizer import (
     MinimizeSettings,
@@ -52,16 +50,6 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # Parsing helpers
 # ---------------------------------------------------------------------------
-
-
-def _env_float(name, fallback):
-    raw = os.environ.get(name)
-    return float(raw) if raw else fallback
-
-
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
 
 
 def _parse_piecewise(text: str) -> PiecewiseLinear:
@@ -110,13 +98,13 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--tol-rel",
         type=float,
-        default=_env_float("COULOMB_CHAIN_TOL_REL", 1e-12),
+        default=1e-12,
         help="relative bisection tolerance on the first gap",
     )
     p.add_argument(
         "--max-iter",
         type=int,
-        default=_env_int("COULOMB_CHAIN_MAX_ITER", 200),
+        default=200,
         help="shooting evaluation budget",
     )
 
@@ -200,28 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _pyval(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_pyval(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_pyval(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _pyval(x) for k, x in v.items()}
-    return v
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
+def _csv_cell(v):
+    # The csv module writes None as "" and a Python float by its round-trip
+    # repr, so rows are built from plain Python values (ndarray.tolist()).
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return v
 
 
 def _render_csv(header, rows) -> str:
@@ -234,7 +206,8 @@ def _render_csv(header, rows) -> str:
 
 
 def _render_json(payload) -> str:
-    return json.dumps(_pyval(payload), indent=2, allow_nan=False) + "\n"
+    # Arrays and numpy scalars reach ``default``; floats keep their repr.
+    return json.dumps(payload, default=lambda v: v.tolist(), allow_nan=False) + "\n"
 
 
 def _write_out(text: str, path: str | None):
@@ -298,15 +271,12 @@ def _solution_table(payload: dict, extra: dict | None = None):
         payload["params"]["n_gaps"],
         payload["params"]["length"],
     ] + list(extra.values())
-    rows = []
-    positions = payload["positions"]
-    gaps = payload["gaps"]
-    pressures = payload["pressures"]
-    for i, pos in enumerate(positions):
-        gap = gaps[i - 1] if i > 0 else None
-        pressure = pressures[i - 1] if i > 0 else None
-        rows.append([i, float(pos), gap if gap is None else float(gap),
-                     pressure if pressure is None else float(pressure)] + scalars)
+    columns = zip(
+        payload["positions"].tolist(),
+        [None] + payload["gaps"].tolist(),
+        [None] + payload["pressures"].tolist(),
+    )
+    rows = [[i, x, d, f] + scalars for i, (x, d, f) in enumerate(columns)]
     return header, rows
 
 
@@ -323,12 +293,11 @@ def _cmd_solve(args):
 
 
 def _cmd_critical(args):
-    cf = critical_force(args.n, args.length)
     payload = {
         "n_gaps": args.n,
         "length": args.length,
-        "exact": cf.exact,
-        "asymptotic_coefficient": cf.asymptotic_coefficient,
+        "exact": critical_force_exact(args.n, args.length),
+        "asymptotic_coefficient": c_critical(args.length),
     }
     header = list(payload)
     return payload, (header, [[payload[k] for k in header]])
@@ -351,16 +320,9 @@ def _cmd_density(args):
         "prediction": prediction,
     }
     header = ["bin_left", "bin_right", "mass", "prediction"]
-    rows = []
-    for i in range(hist.n_bins):
-        rows.append(
-            [
-                float(hist.bin_edges[i]),
-                float(hist.bin_edges[i + 1]),
-                float(hist.mass[i]),
-                None if prediction is None else float(prediction[i]),
-            ]
-        )
+    edges = hist.bin_edges.tolist()
+    predicted = [None] * hist.n_bins if prediction is None else prediction.tolist()
+    rows = [list(row) for row in zip(edges[:-1], edges[1:], hist.mass.tolist(), predicted)]
     return payload, (header, rows)
 
 
@@ -394,12 +356,12 @@ def _cmd_converge(args):
     return payload, (columns, table)
 
 
-def _oracle_settings(args, params) -> MinimizeSettings:
-    base = default_settings(params, seed=args.seed)
-    return MinimizeSettings(
-        grad_tol=args.grad_tol if args.grad_tol is not None else base.grad_tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
+def _descent_settings(args, params) -> MinimizeSettings:
+    settings = default_settings(params, seed=args.seed)
+    return dataclasses.replace(
+        settings,
+        grad_tol=settings.grad_tol if args.grad_tol is None else args.grad_tol,
+        max_iter=getattr(args, "max_iter", settings.max_iter),  # nonunique has no --max-iter
     )
 
 
@@ -412,7 +374,7 @@ def _cmd_oracle(args):
         room = args.jitter * params.L / params.n_gaps
         pos[1:-1] += rng.uniform(-room, room, size=params.n_gaps - 1)
         start = Configuration(np.sort(pos)[::-1])
-    result = minimize(params, start, _oracle_settings(args, params))
+    result = minimize(params, start, _descent_settings(args, params))
     payload = _solution_payload(params, result)
     payload["energy"] = energy(result.config, params)
     return payload, _solution_table(payload, extra={"energy": payload["energy"]})
@@ -426,14 +388,7 @@ def _cmd_nonunique(args):
     chosen_params = None
     for c in c_grid:
         params = nonuniqueness_params(args.a, args.b, c, args.n)
-        settings = default_settings(params, seed=args.seed)
-        if args.grad_tol is not None:
-            settings = MinimizeSettings(
-                grad_tol=args.grad_tol,
-                max_iter=settings.max_iter,
-                seed=args.seed,
-            )
-        results = multi_start_fixed_points(params, args.n_starts, settings)
+        results = multi_start_fixed_points(params, args.n_starts, _descent_settings(args, params))
         counts_by_c.append([c, len(results)])
         if len(results) >= 2 and c_found is None:
             c_found = c
@@ -464,10 +419,11 @@ def _cmd_nonunique(args):
         ],
     }
     header = ["c_found", "minimum", "energy", "particle", "position"]
-    rows = []
-    for j, m in enumerate(payload["minima"]):
-        for i, pos in enumerate(m["positions"]):
-            rows.append([c_found, j, float(m["energy"]), i, float(pos)])
+    rows = [
+        [c_found, j, m["energy"], i, x]
+        for j, m in enumerate(payload["minima"])
+        for i, x in enumerate(m["positions"].tolist())
+    ]
     return payload, (header, rows)
 
 
@@ -491,7 +447,8 @@ def main(argv=None) -> int:
             text = _render_csv(header, rows)
         else:
             text = _render_json(payload)
-    except (CoulombChainError, ValueError, TypeError) as exc:
+        _write_out(text, args.output)
+    except (CoulombChainError, OSError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         for name in ("iterations", "grad_norm"):
             value = getattr(exc, name, None)
@@ -499,7 +456,6 @@ def main(argv=None) -> int:
                 error[name] = value
         sys.stdout.write(json.dumps({"error": error}) + "\n")
         return 1
-    _write_out(text, args.output)
     return 0
 
 

@@ -41,13 +41,11 @@ from .errors import PositivityError
 
 __all__ = [
     "AsymptoticDensity",
-    "CriticalForce",
     "Phase",
     "asymptotic_density",
     "aux_model_extent",
     "aux_model_gaps",
     "c_critical",
-    "critical_force",
     "critical_force_exact",
     "gaps_constant_force",
     "inverse_sqrt_sum",
@@ -122,20 +120,6 @@ def c_critical(L: float) -> float:
     if L <= 0.0:
         raise ValueError(f"segment length must be positive, got {L}")
     return 4.0 / (L * L)
-
-
-@dataclass(frozen=True)
-class CriticalForce:
-    """Exact finite-N wall-departure force and its large-N coefficient."""
-
-    exact: float
-    asymptotic_coefficient: float
-
-
-def critical_force(n: int, L: float) -> CriticalForce:
-    return CriticalForce(
-        exact=critical_force_exact(n, L), asymptotic_coefficient=c_critical(L)
-    )
 
 
 def phase2_scaling_factor(c: float, L: float) -> float:

@@ -33,7 +33,6 @@ from .model import (
 
 __all__ = [
     "MinimizeSettings",
-    "NonuniquenessProfile",
     "default_settings",
     "energy_gradient",
     "local_minimality_certificate",
@@ -59,9 +58,17 @@ class MinimizeSettings:
 
 
 def default_settings(params: ModelParams, seed: int = 0) -> MinimizeSettings:
-    """Scale-aware defaults: pressures ~ (N/L)**2."""
+    """Scale-aware defaults: pressures ~ (N/L)**2.
+
+    ``grad_tol`` is 1e-10 (N/L)**2, or 32 eps N (N/L)**2 where that is larger
+    (N above about 1.4e4).  Positions rounded to eps L leave each gap, and so
+    each pressure, uncertain by about eps N relative, and the projected
+    gradient of a descent stalls at a few times eps N (N/L)**2: about 6x at
+    F = 2 F_cr for N from 1e3 to 3e5.
+    """
     scale = params.L / params.n_gaps
-    return MinimizeSettings(grad_tol=1e-10 / scale ** 2, seed=seed)
+    rounding_floor = 32.0 * np.finfo(float).eps * params.n_gaps
+    return MinimizeSettings(grad_tol=max(1e-10, rounding_floor) / scale ** 2, seed=seed)
 
 
 def _gradient_raw(x: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -83,8 +90,7 @@ def energy_gradient(positions, params: ModelParams) -> np.ndarray:
     gradient is exactly the interior force-balance condition.
     """
     x = positions.positions if isinstance(positions, Configuration) else np.asarray(positions, dtype=float)
-    profile = params.resolved_force()
-    fv = np.asarray(profile.force_at(x), dtype=float)
+    fv = np.asarray(params.profile.force_at(x), dtype=float)
     return _gradient_raw(x, fv)
 
 
@@ -194,6 +200,11 @@ def minimize(
     ``settings.grad_tol``.  ``on_step(iteration, energy)`` is invoked after
     every accepted step and ``iterations`` counts accepted steps.
 
+    The chain is labelled pinned when x_N <= -L + 1e-12 L at the stop.  For
+    a constant force within |F/F_cr - 1| <= 1e-10 of the critical force the
+    terminal slack lies below ``grad_tol``, both labels are fixed points to
+    that tolerance, and this label can differ from ``solve_fixed_point``'s.
+
     Raises NoConvergence, carrying ``iterations`` and the last projected
     gradient norm ``grad_norm``, when the line search can make no further
     progress (the tolerance lies below the floating-point floor of the
@@ -202,7 +213,7 @@ def minimize(
     if settings is None:
         settings = default_settings(params)
     L = params.L
-    profile = params.resolved_force()
+    profile = params.profile
     if start.n_gaps != params.n_gaps:
         raise ValueError("start configuration size does not match params")
     if start.positions[-1] < -L:
@@ -283,7 +294,7 @@ def local_minimality_certificate(
     L = params.L
     if eps is None:
         eps = 1e-6 * L / params.n_gaps
-    profile = params.resolved_force()
+    profile = params.profile
     x = config.positions
     u0 = _energy_raw(x, profile, L)
     guard = 1e-12 * max(1.0, abs(u0))
@@ -310,47 +321,28 @@ def local_minimality_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonuniquenessProfile:
-    """Tent-shaped base force with a single interior maximum.
-
-    On the canonical segment [-2, 0] the base force rises linearly from
-    a - 2b at the left wall to the peak value a at x = -1, then falls to -a
-    at the right wall (the parameters must satisfy b > a > 0).  It is
-    positive only around the peak, so once multiplied by a strong coupling
-    the chain splits into clusters separated by force barriers and many
-    distinct local energy minima appear.
-    """
-
-    a_slopepeak: float
-    b_slope: float
-
-    def __post_init__(self):
-        if not (self.b_slope > self.a_slopepeak > 0.0):
-            raise ValueError(
-                f"need b > a > 0, got a={self.a_slopepeak}, b={self.b_slope}"
-            )
-
-    def base_profile(self) -> PiecewiseLinear:
-        a, b = self.a_slopepeak, self.b_slope
-        return PiecewiseLinear([(-2.0, a - 2.0 * b), (-1.0, a), (0.0, -a)])
-
-    def scaled_profile(self, coupling: float) -> PiecewiseLinear:
-        return self.base_profile().scale(coupling)
-
-
 def nonuniqueness_params(
     a: float, b: float, c: float, n_gaps: int
 ) -> ModelParams:
-    """Chain on [-2, 0] driven by the tent profile with coupling c * N."""
-    profile = NonuniquenessProfile(a_slopepeak=a, b_slope=b)
-    return ModelParams(L=2.0, n_gaps=n_gaps, force=profile.scaled_profile(c * n_gaps))
+    """Chain on [-2, 0] driven by the tent profile with coupling c * N.
+
+    The tent-shaped base force rises linearly from a - 2b at the left wall
+    to the peak value a at x = -1, then falls to -a at the right wall (the
+    parameters must satisfy b > a > 0).  It is positive only around the
+    peak, so once multiplied by a strong coupling the chain splits into
+    clusters separated by force barriers and many distinct local energy
+    minima appear.
+    """
+    if not (b > a > 0.0):
+        raise ValueError(f"need b > a > 0, got a={a}, b={b}")
+    base = PiecewiseLinear([(-2.0, a - 2.0 * b), (-1.0, a), (0.0, -a)])
+    return ModelParams(L=2.0, n_gaps=n_gaps, force=base.scale(c * n_gaps))
 
 
 def _force_peak(params: ModelParams) -> float:
     """Interior abscissa of the largest force value, used to stratify starts."""
     L = params.L
-    profile = params.resolved_force()
+    profile = params.profile
     peak = -0.5 * L
     if isinstance(profile, PiecewiseLinear):
         bx, by = profile.breakpoints, profile.values

@@ -21,7 +21,7 @@ so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -89,14 +89,7 @@ class ForceProfile:
     def scale(self, factor: float) -> "ForceProfile":
         raise NotImplementedError
 
-    def resolve(self, n_gaps: int) -> "ForceProfile":
-        """Concrete profile for a chain with ``n_gaps`` gaps."""
-        return self
-
     def min_on(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def max_on(self, a: float, b: float) -> float:
         raise NotImplementedError
 
     def non_increasing_on(self, a: float, b: float) -> bool:
@@ -137,9 +130,6 @@ class Constant(ForceProfile):
         return Constant(self.value * factor)
 
     def min_on(self, a, b):
-        return self.value
-
-    def max_on(self, a, b):
         return self.value
 
     def non_increasing_on(self, a, b):
@@ -238,16 +228,9 @@ class PiecewiseLinear(ForceProfile):
     def scale(self, factor):
         return PiecewiseLinear([(p, v * factor) for p, v in self.points])
 
-    def _node_values_on(self, a, b):
-        inner = self._by[(self._bx > a) & (self._bx < b)]
-        ends = np.array([self.force_at(a), self.force_at(b)])
-        return np.concatenate((ends, inner))
-
     def min_on(self, a, b):
-        return float(np.min(self._node_values_on(a, b)))
-
-    def max_on(self, a, b):
-        return float(np.max(self._node_values_on(a, b)))
+        inner = self._by[(self._bx > a) & (self._bx < b)]
+        return float(min(self.force_at(a), self.force_at(b), np.min(inner, initial=np.inf)))
 
     def non_increasing_on(self, a, b):
         overlap = (self._bx[:-1] < b) & (self._bx[1:] > a)
@@ -258,8 +241,9 @@ class PiecewiseLinear(ForceProfile):
 class Scaled(ForceProfile):
     """Constant force that grows with the chain size as c * N**gamma.
 
-    Stays symbolic until resolved against a particular gap count, which is
-    what lets phase sweeps declare a scaling once and reuse it across N.
+    Stays symbolic: ``ModelParams`` resolves it against its gap count into
+    ``ModelParams.profile``, which is what lets phase sweeps declare a
+    scaling once and reuse it across N.  It cannot be evaluated itself.
     """
 
     c: float
@@ -269,29 +253,8 @@ class Scaled(ForceProfile):
         if not (self.c > 0.0) or not (self.gamma > 0.0):
             raise ValueError("scaled force needs c > 0 and gamma > 0")
 
-    def resolve(self, n_gaps: int) -> Constant:
-        return Constant(self.c * float(n_gaps) ** self.gamma)
-
     def scale(self, factor):
         return Scaled(self.c * factor, self.gamma)
-
-    def _unresolved(self):
-        raise RuntimeError("scaled profile must be resolved against a gap count first")
-
-    def force_at(self, x):
-        self._unresolved()
-
-    def integral_from_wall(self, x, L):
-        self._unresolved()
-
-    def min_on(self, a, b):
-        self._unresolved()
-
-    def max_on(self, a, b):
-        self._unresolved()
-
-    def non_increasing_on(self, a, b):
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +267,14 @@ class ModelParams:
     """Segment length, gap count and force profile of one chain instance.
 
     ``n_gaps`` is the number of gaps N; the chain has N + 1 particles.
+    ``force`` is kept as declared; ``profile`` is the evaluable force, with a
+    ``Scaled(c, gamma)`` declaration resolved to ``Constant(c * N**gamma)``.
     """
 
     L: float
     n_gaps: int
     force: ForceProfile
+    profile: ForceProfile = field(init=False, compare=False)
 
     def __post_init__(self):
         if not (float(self.L) > 0.0) or not math.isfinite(float(self.L)):
@@ -326,13 +292,14 @@ class ModelParams:
                     f"piecewise profile must cover [-L, 0] = [{-self.L}, 0], "
                     f"got [{bx[0]}, {bx[-1]}]"
                 )
+        profile = self.force
+        if isinstance(profile, Scaled):
+            profile = Constant(profile.c * float(self.n_gaps) ** profile.gamma)
+        object.__setattr__(self, "profile", profile)
 
     @property
     def n_particles(self) -> int:
         return self.n_gaps + 1
-
-    def resolved_force(self) -> ForceProfile:
-        return self.force.resolve(self.n_gaps)
 
     @classmethod
     def from_physical(
@@ -451,8 +418,7 @@ def interaction_energy(config: Configuration) -> float:
 def external_energy(config: Configuration, params: ModelParams) -> float:
     """Work term sum_i integral_{-L}^{x_i} F(x) dx, evaluated in closed form."""
     _check_fits(config, params)
-    profile = params.resolved_force()
-    return float(np.sum(profile.integral_from_wall(config.positions, params.L)))
+    return float(np.sum(params.profile.integral_from_wall(config.positions, params.L)))
 
 
 def energy(config: Configuration, params: ModelParams) -> float:
@@ -463,9 +429,8 @@ def energy(config: Configuration, params: ModelParams) -> float:
 def residuals(config: Configuration, params: ModelParams) -> Residuals:
     """Interior force-balance residuals and the terminal slack."""
     _check_fits(config, params)
-    profile = params.resolved_force()
     f = config.pressures
-    fv = np.asarray(profile.force_at(config.positions), dtype=float)
+    fv = np.asarray(params.profile.force_at(config.positions), dtype=float)
     interior = f[1:] + fv[1:-1] - f[:-1]
     slack = float(f[-1] - fv[-1])
     return Residuals(interior=interior, terminal_slack=slack)

@@ -21,7 +21,6 @@ concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .model import (
     residuals,
 )
 
-__all__ = ["ShootingOutcome", "shoot", "solve_fixed_point", "wall_force"]
+__all__ = ["ShootingOutcome", "shoot", "solve_fixed_point"]
 
 # Safe lower end for the first-gap bracket: small enough that the predicate
 # is provably true, large enough that delta**-2 stays below overflow.
@@ -153,7 +152,7 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     """
     if not (delta1 > 0.0):
         raise ValueError(f"first gap must be positive, got {delta1}")
-    profile = params.resolved_force()
+    profile = params.profile
     if isinstance(profile, Constant):
         return _shoot_constant(float(delta1), profile.value, params.n_gaps)
     if isinstance(profile, PiecewiseLinear):
@@ -186,14 +185,14 @@ def solve_fixed_point(
     2 N eps relative to the pressure scale) instead of tol_rel * N.
 
     Args:
-        params: chain parameters; the resolved force must be continuous,
+        params: chain parameters; ``params.profile`` must be continuous,
             non-negative and non-increasing, otherwise MonotonicityViolation.
         tol_rel: relative bracket width on the first gap at which bisection
             stops.
         max_iter: shooting-evaluation budget; NoConvergence when exceeded
             before the tolerance is met.
     """
-    profile = params.resolved_force()
+    profile = params.profile
     _validate_monotone(profile, params.L)
     L, n = params.L, params.n_gaps
 
@@ -291,43 +290,3 @@ def solve_fixed_point(
         terminal_slack=res.terminal_slack,
     )
 
-
-def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:
-    """Constant-force threshold at which the left particle leaves the wall.
-
-    Outer bisection over the force magnitude: below the returned value the
-    solver classifies the fixed point as pinned, above it as interior.  Only
-    meaningful for constant profiles; the magnitude stored in ``params`` is
-    ignored.
-    """
-    if not isinstance(params.resolved_force(), Constant):
-        raise TypeError("wall_force is defined for constant force profiles only")
-
-    def interior(F: float) -> bool:
-        p = dataclasses.replace(params, force=Constant(F))
-        sol = solve_fixed_point(p)
-        return sol.classification is Classification.INTERIOR
-
-    f_lo = 0.0  # F = 0 is always pinned
-    f_hi = 1.0 / params.L ** 2
-    growth = 0
-    while not interior(f_hi):
-        f_lo = f_hi
-        f_hi *= 4.0
-        growth += 1
-        if growth > 200:
-            raise NoConvergence("could not bracket the wall-departure force")
-
-    it = 0
-    while f_hi - f_lo > tol_rel * f_hi:
-        if it >= max_iter:
-            raise NoConvergence("force bisection exceeded its iteration budget")
-        mid = 0.5 * (f_lo + f_hi)
-        if mid <= f_lo or mid >= f_hi:
-            break
-        if interior(mid):
-            f_hi = mid
-        else:
-            f_lo = mid
-        it += 1
-    return 0.5 * (f_lo + f_hi)

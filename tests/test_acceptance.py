@@ -31,9 +31,9 @@ from coulomb_chain import (
     phase2_scaling_factor,
     solve_fixed_point,
     uniform_configuration,
-    wall_force,
 )
 from coulomb_chain.closed_form import Phase
+from reference import wall_force
 
 
 class criterion:

@@ -87,9 +87,19 @@ class TestSolveCommand:
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
 
-    def test_env_var_overrides_tolerance_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("COULOMB_CHAIN_MAX_ITER", "3")
-        code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0")
+    @pytest.mark.parametrize("target", ["missing/out.json", "taken"])
+    def test_unwritable_output_is_an_error_object(self, tmp_path, capsys, target):
+        (tmp_path / "taken").mkdir()  # a file cannot replace a directory
+        code, out = run_cli(
+            capsys, "solve", "--n", "5", "--force", "0", "--output", str(tmp_path / target)
+        )
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] in ("FileNotFoundError", "IsADirectoryError")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
+
+    def test_exhausted_shot_budget_is_an_error_object(self, capsys):
+        code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0", "--max-iter", "3")
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "NoConvergence"
 

@@ -15,7 +15,6 @@ from coulomb_chain import (
     aux_model_extent,
     aux_model_gaps,
     c_critical,
-    critical_force,
     critical_force_exact,
     gaps_constant_force,
     inverse_sqrt_sum,
@@ -115,11 +114,6 @@ class TestCriticalForce:
     def test_coefficient(self):
         assert c_critical(1.0) == 4.0
         assert c_critical(2.0) == 1.0
-
-    def test_bundle(self):
-        cf = critical_force(100, 1.0)
-        assert cf.exact == pytest.approx(345.5733703624297, rel=1e-12)
-        assert cf.asymptotic_coefficient == 4.0
 
     def test_ratio_approaches_coefficient_from_below(self):
         prev = 0.0

@@ -14,8 +14,8 @@ from coulomb_chain import (
     MinimizeSettings,
     ModelParams,
     NoConvergence,
-    NonuniquenessProfile,
     PiecewiseLinear,
+    aux_model_gaps,
     critical_force_exact,
     default_settings,
     energy,
@@ -176,6 +176,23 @@ class TestMinimize:
         assert orc.iterations <= 50
         assert elapsed < 10.0
 
+    def test_default_tolerance_clears_the_rounding_floor_at_large_n(self):
+        # 1e-10 (N/L)**2 lies below the gradient's rounding floor here; the
+        # default must follow the floor so that the descent converges.
+        n = 10 ** 5
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(2.0 * critical_force_exact(n, 1.0)))
+        orc = minimize(p, uniform_configuration(p))
+        exact = -np.concatenate(([0.0], np.cumsum(aux_model_gaps(p.profile.value, n))))
+        assert np.max(np.abs(orc.config.positions - exact)) <= 1e-6 / n
+        # tol_rel = 1e-12 leaves shooting's own positions 3e-6 mean gaps off
+        # at this size, so the first gap is bracketed tighter for the check.
+        sol = solve_fixed_point(p, tol_rel=1e-14)
+        assert np.max(np.abs(orc.config.positions - sol.config.positions)) <= 1e-6 / n
+        assert orc.classification is sol.classification is Classification.INTERIOR
+        for m in (1, 31, 200, 10 ** 4):
+            small = ModelParams(L=0.3, n_gaps=m, force=Constant(0.0))
+            assert default_settings(small).grad_tol == 1e-10 / (0.3 / m) ** 2
+
     def test_residuals_meet_fixed_point_conditions(self):
         p = ModelParams(L=1.0, n_gaps=6, force=Constant(3.0))
         settings = default_settings(p)
@@ -226,7 +243,7 @@ class TestCertificate:
 
 class TestNonuniquenessProfile:
     def test_shape_and_translation(self):
-        prof = NonuniquenessProfile(a_slopepeak=1.0, b_slope=2.0).base_profile()
+        prof = nonuniqueness_params(1.0, 2.0, 1.0, 1).profile  # coupling c * N = 1
         assert prof.force_at(-1.0) == pytest.approx(1.0)  # peak
         assert prof.force_at(-2.0) == pytest.approx(-3.0)  # a - 2b
         assert prof.force_at(0.0) == pytest.approx(-1.0)  # -a
@@ -234,14 +251,14 @@ class TestNonuniquenessProfile:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            NonuniquenessProfile(a_slopepeak=2.0, b_slope=1.0)
+            nonuniqueness_params(2.0, 1.0, 1.0, 5)
         with pytest.raises(ValueError):
-            NonuniquenessProfile(a_slopepeak=-1.0, b_slope=2.0)
+            nonuniqueness_params(-1.0, 2.0, 1.0, 5)
 
     def test_params_builder_scales_by_c_times_n(self):
         p = nonuniqueness_params(1.0, 2.0, 4.0, 25)
         assert p.L == 2.0
-        assert p.resolved_force().force_at(-1.0) == pytest.approx(4.0 * 25)
+        assert p.profile.force_at(-1.0) == pytest.approx(4.0 * 25)
 
 
 class TestMultiStart:

