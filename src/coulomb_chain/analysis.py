@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import AsymptoticDensity, Phase, asymptotic_density
 from .errors import CoulombChainError
 from .model import Configuration, Constant, FixedPointResult, ModelParams, Scaled
-from .shooting import solve_fixed_point
+from .shooting import MAX_ITER, TOL_REL, solve_fixed_point
 
 __all__ = [
     "ConvergenceRow",
@@ -177,8 +177,8 @@ class SweepRow:
 def sweep(
     grid,
     n_bins: int | None = None,
-    tol_rel: float = 1e-12,
-    max_iter: int = 200,
+    tol_rel: float = TOL_REL,
+    max_iter: int = MAX_ITER,
 ) -> list[SweepRow]:
     """Solve and classify every (N, L, c, gamma) grid point.
 
@@ -233,7 +233,7 @@ class ConvergenceRow:
 
 
 def convergence_study(
-    c: float, gamma: float, L: float, n_list, tol_rel: float = 1e-12
+    c: float, gamma: float, L: float, n_list, tol_rel: float = TOL_REL
 ) -> list[ConvergenceRow]:
     """Track solver output across increasing N for one force scaling.
 

@@ -42,7 +42,7 @@ from .model import (
     energy,
     uniform_configuration,
 )
-from .shooting import solve_fixed_point
+from .shooting import MAX_ITER, TOL_REL, solve_fixed_point
 
 __all__ = ["main"]
 
@@ -98,13 +98,13 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--tol-rel",
         type=float,
-        default=1e-12,
-        help="relative bisection tolerance on the first gap",
+        default=TOL_REL,
+        help="relative bracket width on the first gap at which the root-find stops",
     )
     p.add_argument(
         "--max-iter",
         type=int,
-        default=200,
+        default=MAX_ITER,
         help="shooting evaluation budget",
     )
 
@@ -289,7 +289,7 @@ def _cmd_solve(args):
     params = ModelParams(L=args.length, n_gaps=args.n, force=_parse_force(args))
     result = solve_fixed_point(params, tol_rel=args.tol_rel, max_iter=args.max_iter)
     payload = _solution_payload(params, result)
-    return payload, _solution_table(payload)
+    return payload, lambda: _solution_table(payload)
 
 
 def _cmd_critical(args):
@@ -299,8 +299,7 @@ def _cmd_critical(args):
         "exact": critical_force_exact(args.n, args.length),
         "asymptotic_coefficient": c_critical(args.length),
     }
-    header = list(payload)
-    return payload, (header, [[payload[k] for k in header]])
+    return payload, lambda: (list(payload), [list(payload.values())])
 
 
 def _cmd_density(args):
@@ -319,11 +318,14 @@ def _cmd_density(args):
         "mass": hist.mass,
         "prediction": prediction,
     }
-    header = ["bin_left", "bin_right", "mass", "prediction"]
-    edges = hist.bin_edges.tolist()
-    predicted = [None] * hist.n_bins if prediction is None else prediction.tolist()
-    rows = [list(row) for row in zip(edges[:-1], edges[1:], hist.mass.tolist(), predicted)]
-    return payload, (header, rows)
+
+    def table():
+        edges = hist.bin_edges.tolist()
+        predicted = [None] * hist.n_bins if prediction is None else prediction.tolist()
+        rows = [list(row) for row in zip(edges[:-1], edges[1:], hist.mass.tolist(), predicted)]
+        return ["bin_left", "bin_right", "mass", "prediction"], rows
+
+    return payload, table
 
 
 _SWEEP_COLUMNS = [
@@ -344,7 +346,7 @@ def _cmd_sweep(args):
     rows = sweep(grid, n_bins=args.bins, tol_rel=args.tol_rel, max_iter=args.max_iter)
     table = [[getattr(r, col) for col in _SWEEP_COLUMNS] for r in rows]
     payload = {"columns": _SWEEP_COLUMNS, "rows": table}
-    return payload, (_SWEEP_COLUMNS, table)
+    return payload, lambda: (_SWEEP_COLUMNS, table)
 
 
 def _cmd_converge(args):
@@ -353,7 +355,7 @@ def _cmd_converge(args):
     columns = ["n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev"]
     table = [[getattr(r, col) for col in columns] for r in rows]
     payload = {"columns": columns, "rows": table}
-    return payload, (columns, table)
+    return payload, lambda: (columns, table)
 
 
 def _descent_settings(args, params) -> MinimizeSettings:
@@ -377,7 +379,7 @@ def _cmd_oracle(args):
     result = minimize(params, start, _descent_settings(args, params))
     payload = _solution_payload(params, result)
     payload["energy"] = energy(result.config, params)
-    return payload, _solution_table(payload, extra={"energy": payload["energy"]})
+    return payload, lambda: _solution_table(payload, extra={"energy": payload["energy"]})
 
 
 def _cmd_nonunique(args):
@@ -418,13 +420,16 @@ def _cmd_nonunique(args):
             for r in minima
         ],
     }
-    header = ["c_found", "minimum", "energy", "particle", "position"]
-    rows = [
-        [c_found, j, m["energy"], i, x]
-        for j, m in enumerate(payload["minima"])
-        for i, x in enumerate(m["positions"].tolist())
-    ]
-    return payload, (header, rows)
+
+    def table():
+        rows = [
+            [c_found, j, m["energy"], i, x]
+            for j, m in enumerate(payload["minima"])
+            for i, x in enumerate(m["positions"].tolist())
+        ]
+        return ["c_found", "minimum", "energy", "particle", "position"], rows
+
+    return payload, table
 
 
 _COMMANDS = {
@@ -442,15 +447,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, (header, rows) = _COMMANDS[args.command](args)
-        if args.format == "csv":
-            text = _render_csv(header, rows)
-        else:
-            text = _render_json(payload)
+        # A command returns its payload and a thunk for the CSV table, which
+        # is built only when CSV is asked for.
+        payload, table = _COMMANDS[args.command](args)
+        text = _render_csv(*table()) if args.format == "csv" else _render_json(payload)
         _write_out(text, args.output)
     except (CoulombChainError, OSError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
-        for name in ("iterations", "grad_norm"):
+        for name in ("iterations", "grad_norm", "bracket"):
             value = getattr(exc, name, None)
             if value is not None:
                 error[name] = value

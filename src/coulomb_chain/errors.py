@@ -20,9 +20,11 @@ class MonotonicityViolation(CoulombChainError):
 class NoConvergence(CoulombChainError):
     """An iterative solve exhausted its iteration budget or stalled.
 
-    The descent oracle sets ``iterations`` (accepted steps) and
-    ``grad_norm`` (the last projected-gradient max-norm); other solvers
-    leave them None.
+    ``iterations`` is the work spent: accepted steps for the descent oracle,
+    shots for the shooting solver.  The descent oracle also sets
+    ``grad_norm`` (the last projected-gradient max-norm), the shooting solver
+    ``bracket`` (the last first-gap sign bracket ``(lo, hi)``); unset fields
+    are None.
     """
 
     def __init__(
@@ -30,9 +32,11 @@ class NoConvergence(CoulombChainError):
         message: str,
         iterations: int | None = None,
         grad_norm: float | None = None,
+        bracket: tuple[float, float] | None = None,
     ):
         self.iterations = iterations
         self.grad_norm = grad_norm
+        self.bracket = bracket
         super().__init__(message)
 
 

@@ -4,15 +4,22 @@ Given the first gap delta_1, the whole chain follows by induction: f_1 =
 delta_1**-2, then f_{k+1} = f_k - F(x_k), delta_{k+1} = f_{k+1}**-0.5,
 x_{k+1} = x_k - delta_{k+1}, with x_0 = 0.  For a non-negative, non-increasing
 force every generated quantity is monotone in delta_1 (pressures and
-positions decrease, gaps increase), so the terminal conditions can be located
-by bisection on a single boolean predicate:
+positions decrease, gaps increase), so both terminal conditions fold into
+one continuous, decreasing terminal function
 
-    P(delta_1) = shoot completes  and  x_N > -L  and  f_N - F(x_N) > 0
+    h(delta_1) = min((x_N + L) / L, (f_N - F(x_N)) / (N/L)**2),
 
-P is true for tiny delta_1 and false for delta_1 >= L/N; the fixed point sits
-at the switch.  Whichever terminal condition crossed first there decides the
-classification: the wall (left particle pinned at -L with non-negative slack)
-or the exact terminal balance f_N = F(x_N) in the interior.
+with a collapsed shot (some pressure hits zero) counted as negative: the
+positions run to -inf as a pressure nears zero, so a collapse is the limit
+h -> -inf.  h > 0 for tiny delta_1 and h <= 0 for delta_1 >= L/N; the fixed
+point is its root, located by a safeguarded Brent root-find.  Whichever
+terminal condition crossed first there decides the classification: the
+wall (left particle pinned at -L with non-negative slack) or the exact
+terminal balance f_N = F(x_N) in the interior.
+
+Positions are the cumulative sum of the gaps, so they carry a rounding error
+of about N eps L, and ``max_residual`` of a solve sits at that floor: at
+most about 2 N eps times the largest pressure, pinned and interior alike.
 
 All functions are pure and reentrant; each solve is sequential internally
 (the recursion is inherently ordered in k) but independent solves can run
@@ -21,7 +28,9 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +46,24 @@ from .model import (
     residuals,
 )
 
-__all__ = ["ShootingOutcome", "shoot", "solve_fixed_point"]
+__all__ = ["MAX_ITER", "TOL_REL", "ShootingOutcome", "shoot", "solve_fixed_point"]
 
-# Safe lower end for the first-gap bracket: small enough that the predicate
-# is provably true, large enough that delta**-2 stays below overflow.
+# Defaults of solve_fixed_point, also used by the analysis helpers and the CLI.
+TOL_REL = 1e-14
+MAX_ITER = 200
+
+# Safe lower end for the first-gap bracket: small enough that h is provably
+# positive, large enough that delta**-2 stays below overflow.
 _TINY_DELTA1 = 1e-150
+_EPS = float(np.finfo(float).eps)
+
+
+class _Probe(NamedTuple):
+    """One shot of the root-find: first gap, squashed h, and the outcome."""
+
+    d1: float
+    h: float
+    out: ShootingOutcome
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,72 +193,123 @@ def _validate_monotone(profile: ForceProfile, L: float):
 
 
 def solve_fixed_point(
-    params: ModelParams, tol_rel: float = 1e-12, max_iter: int = 200
+    params: ModelParams, tol_rel: float = TOL_REL, max_iter: int = MAX_ITER
 ) -> FixedPointResult:
     """Locate the unique fixed point for a non-increasing, non-negative force.
 
-    Bisects the predicate described in the module docstring over the first
-    gap.  The bracket is rigorous: the predicate holds at a machine-tiny gap,
-    and fails at L/N * (1 + eps) because gaps never shrink along the chain
-    (for constant force the collapse bound ((N-1) F)**-0.5 tightens it).
-    When the run lands on the pinned branch, the bracket is refined down to
-    floating-point exhaustion before snapping x_N to -L, which keeps the one
-    residual perturbed by the snap at the double-precision floor (about
-    2 N eps relative to the pressure scale) instead of tol_rel * N.
+    Brent's root-find (zeroin) on the terminal function h of the module
+    docstring, over the first gap.  The sign bracket is rigorous: h > 0 at a
+    machine-tiny gap, and h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9),
+    because gaps never shrink along the chain (so x_N <= -N delta_1) and no
+    force term is below F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0)).
+    Each step interpolates (secant or inverse quadratic) and falls back to
+    bisection whenever the interpolant leaves the bracket or does not shrink
+    it fast enough.  The search sees h / (1 + |h|), which has the same sign
+    and root, reads -1 at a collapse and stays finite for interpolation.
+
+    On the pinned branch the chain of the bracket's positive end (x_N just
+    above -L) is stretched so that x_N = -L exactly.  That spreads the wall
+    correction over all gaps instead of dumping the summation error into
+    the last one.  ``max_residual`` then sits at the rounding floor of
+    positions summed from gaps: at most 1.95 N eps times the largest
+    pressure in constant-force checks from N = 10 to 10**7 and L = 1e-3 to
+    1e3, which at F = 0 is a scaled residual ``max_residual / (N/L)**2`` of
+    about N eps.  Interior positions are the shot of the bracket end with
+    the smaller terminal imbalance.
 
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
             non-negative and non-increasing, otherwise MonotonicityViolation.
-        tol_rel: relative bracket width on the first gap at which bisection
-            stops.
-        max_iter: shooting-evaluation budget; NoConvergence when exceeded
-            before the tolerance is met.
+        tol_rel: relative bracket width on the first gap at which the
+            search stops (at least 4 eps is used).
+        max_iter: shooting-evaluation budget, the two bracket ends included;
+            NoConvergence, carrying the shots spent and the last bracket,
+            when exceeded before the tolerance is met.
     """
     profile = params.profile
     _validate_monotone(profile, params.L)
     L, n = params.L, params.n_gaps
+    pressure_scale = (n / L) ** 2
+    shots = 0
 
-    def predicate(out: ShootingOutcome) -> bool:
-        return out.complete and out.x_terminal > -L and out.terminal_slack > 0.0
+    def probe(d1: float) -> _Probe:
+        nonlocal shots
+        shots += 1
+        out = shoot(d1, params)
+        if not out.complete:
+            return _Probe(d1, -1.0, out)
+        h = min((out.x_terminal + L) / L, out.terminal_slack / pressure_scale)
+        return _Probe(d1, h / (1.0 + abs(h)), out)
 
-    hi = (L / n) * (1.0 + 1e-9)
-    if isinstance(profile, Constant) and profile.value > 0.0 and n > 1:
-        hi = min(hi, ((n - 1) * profile.value) ** -0.5)
-    lo = _TINY_DELTA1
-    if lo >= hi:
+    hi = L / n
+    force_min = profile.force_at(0.0)  # no F(x_k) is smaller, x_k <= 0
+    if force_min > 0.0:
+        hi = min(hi, (n * force_min) ** -0.5)
+    hi *= 1.0 + 1e-9
+    if _TINY_DELTA1 >= hi:
         raise ValueError("segment too short per gap to bracket the first gap")
-
-    iterations = 0
-    out_lo = shoot(lo, params)
-    iterations += 1
-    if not predicate(out_lo):
-        raise NoConvergence("predicate false at the lower bracket end")
-    out_hi = shoot(hi, params)
-    iterations += 1
-    while predicate(out_hi):
+    a, b = probe(_TINY_DELTA1), probe(hi)
+    if not a.h > 0.0:
+        raise NoConvergence(
+            "terminal function not positive at the lower bracket end",
+            iterations=shots, bracket=(a.d1, b.d1),
+        )
+    while b.h > 0.0:
         # Cannot happen for a valid profile; defensive geometric growth.
-        lo, out_lo = hi, out_hi
-        hi *= 2.0
-        out_hi = shoot(hi, params)
-        iterations += 1
-        if iterations >= max_iter:
-            raise NoConvergence("could not bracket the terminal conditions")
-
-    while hi - lo > tol_rel * hi:
-        if iterations >= max_iter:
+        if shots >= max_iter:
             raise NoConvergence(
-                f"first-gap bisection did not reach tol_rel={tol_rel} "
-                f"within {max_iter} evaluations"
+                "could not bracket the terminal conditions",
+                iterations=shots, bracket=(a.d1, b.d1),
             )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket no longer resolvable in float64
-        out_mid = shoot(mid, params)
-        iterations += 1
-        if predicate(out_mid):
-            lo, out_lo = mid, out_mid
+        a, b = b, probe(2.0 * b.d1)
+
+    # Brent (1973), zeroin: b is the best estimate, c the other end of the
+    # sign bracket, a the previous b; d is the last step, e the one before.
+    c = a
+    d = e = b.d1 - a.d1
+    half_width = max(0.5 * tol_rel, 2.0 * _EPS)
+    while True:
+        if (b.h > 0.0) == (c.h > 0.0):
+            c = a
+            d = e = b.d1 - a.d1
+        if abs(c.h) < abs(b.h):
+            a, b, c = b, c, b
+        tol = half_width * b.d1
+        m = 0.5 * (c.d1 - b.d1)
+        if abs(m) <= tol:
+            break
+        if shots >= max_iter:
+            raise NoConvergence(
+                f"first-gap search did not reach tol_rel={tol_rel} "
+                f"within {max_iter} shots",
+                iterations=shots, bracket=tuple(sorted((b.d1, c.d1))),
+            )
+        if b.h == 0.0:
+            # b is a root to rounding: the minimum step toward c closes the
+            # bracket (Brent stops here, but tol_rel bounds the bracket).
+            e, d = d, 0.0
+        elif abs(e) >= tol and abs(a.h) > abs(b.h):
+            s = b.h / a.h
+            if a is c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = a.h / c.h, b.h / c.h
+                p = s * (2.0 * m * q * (q - r) - (b.d1 - a.d1) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, out_hi = mid, out_mid
+            d = e = m
+        a = b
+        b = probe(b.d1 + (d if abs(d) > tol else math.copysign(tol, m)))
+
+    lo, hi = (b, c) if b.h > 0.0 else (c, b)
+    out_lo, out_hi = lo.out, hi.out
 
     def is_pinned(out: ShootingOutcome) -> bool:
         # Collapse inside the final bracket means the wall was crossed there
@@ -248,24 +321,8 @@ def solve_fixed_point(
         # pinned branch of the critical-force dichotomy.
         return out.x_terminal <= -L
 
-    pinned = is_pinned(out_hi)
-
-    if pinned:
-        # Refine to float exhaustion so the snap below stays benign.
-        while iterations < max_iter + 80:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            out_mid = shoot(mid, params)
-            iterations += 1
-            if predicate(out_mid):
-                lo, out_lo = mid, out_mid
-            else:
-                hi, out_hi = mid, out_mid
-        pinned = is_pinned(out_hi)
-
-    if pinned:
-        positions = out_lo.positions.copy()
+    if is_pinned(out_hi):
+        positions = out_lo.positions * (-L / out_lo.x_terminal)
         positions[-1] = -L
         classification = Classification.BOUNDARY_PINNED
     else:
@@ -284,9 +341,8 @@ def solve_fixed_point(
     return FixedPointResult(
         config=config,
         classification=classification,
-        delta1=float(lo),
+        delta1=float(lo.d1),
         max_residual=max_residual,
-        iterations=iterations,
+        iterations=shots,
         terminal_slack=res.terminal_slack,
     )
-

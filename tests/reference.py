@@ -2,12 +2,27 @@
 
 ``wall_force`` finds the wall-departure force by bisection over full
 shooting solves, without using the exact sum formula that
-``critical_force_exact`` evaluates.
+``critical_force_exact`` evaluates.  ``bisect_fixed_point`` is the
+shooting solver's earlier search: plain bisection on the terminal predicate,
+refined to float exhaustion on the pinned branch, where only the last
+position is snapped to -L.
 """
 
 import dataclasses
 
-from coulomb_chain import Classification, Constant, ModelParams, NoConvergence, solve_fixed_point
+import numpy as np
+
+from coulomb_chain import (
+    Classification,
+    Configuration,
+    Constant,
+    FixedPointResult,
+    ModelParams,
+    NoConvergence,
+    residuals,
+    shoot,
+    solve_fixed_point,
+)
 
 
 def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:
@@ -49,3 +64,73 @@ def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) 
             f_lo = mid
         it += 1
     return 0.5 * (f_lo + f_hi)
+
+
+def bisect_fixed_point(
+    params: ModelParams, tol_rel: float = 1e-14, max_iter: int = 200
+) -> FixedPointResult:
+    """Fixed point by bisection on the first gap.
+
+    The predicate "the shot completes with x_N > -L and positive terminal
+    slack" holds at a machine-tiny first gap and fails at L/N (1 + 1e-9);
+    bisection stops at a relative bracket width ``tol_rel``.
+    """
+    profile = params.profile
+    L, n = params.L, params.n_gaps
+
+    def predicate(out) -> bool:
+        return out.complete and out.x_terminal > -L and out.terminal_slack > 0.0
+
+    def bisect(lo, out_lo, hi, out_hi, iterations, budget, width):
+        while hi - lo > width * hi and iterations < budget:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            out_mid = shoot(mid, params)
+            iterations += 1
+            if predicate(out_mid):
+                lo, out_lo = mid, out_mid
+            else:
+                hi, out_hi = mid, out_mid
+        return lo, out_lo, hi, out_hi, iterations
+
+    hi = (L / n) * (1.0 + 1e-9)
+    if isinstance(profile, Constant) and profile.value > 0.0 and n > 1:
+        hi = min(hi, ((n - 1) * profile.value) ** -0.5)
+    lo = 1e-150
+    out_lo, out_hi = shoot(lo, params), shoot(hi, params)
+    if not predicate(out_lo) or predicate(out_hi):
+        raise NoConvergence("first-gap bracket does not hold")
+    lo, out_lo, hi, out_hi, iterations = bisect(lo, out_lo, hi, out_hi, 2, max_iter, tol_rel)
+    if hi - lo > tol_rel * hi and iterations >= max_iter:
+        raise NoConvergence(f"bisection did not reach tol_rel={tol_rel}")
+
+    def is_pinned(out) -> bool:
+        return not out.complete or out.x_terminal <= -L
+
+    if is_pinned(out_hi):
+        lo, out_lo, hi, out_hi, iterations = bisect(
+            lo, out_lo, hi, out_hi, iterations, max_iter + 80, 0.0
+        )
+    if is_pinned(out_hi):
+        positions = out_lo.positions.copy()
+        positions[-1] = -L
+        classification = Classification.BOUNDARY_PINNED
+    else:
+        best = out_lo
+        if out_hi.complete and out_hi.x_terminal > -L:
+            if abs(out_hi.terminal_slack) < abs(out_lo.terminal_slack):
+                best = out_hi
+        positions = best.positions
+        classification = Classification.INTERIOR
+
+    config = Configuration(positions)
+    res = residuals(config, params)
+    return FixedPointResult(
+        config=config,
+        classification=classification,
+        delta1=float(lo),
+        max_residual=float(np.max(np.abs(res.interior))) if res.interior.size else 0.0,
+        iterations=iterations,
+        terminal_slack=res.terminal_slack,
+    )

@@ -101,7 +101,11 @@ class TestSolveCommand:
     def test_exhausted_shot_budget_is_an_error_object(self, capsys):
         code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0", "--max-iter", "3")
         assert code == 1
-        assert json.loads(out)["error"]["kind"] == "NoConvergence"
+        error = json.loads(out)["error"]
+        assert error["kind"] == "NoConvergence"
+        assert error["iterations"] == 3
+        lo, hi = error["bracket"]
+        assert lo < 1.0 / 40 < hi
 
 
 class TestCriticalCommand:

@@ -184,9 +184,7 @@ class TestMinimize:
         orc = minimize(p, uniform_configuration(p))
         exact = -np.concatenate(([0.0], np.cumsum(aux_model_gaps(p.profile.value, n))))
         assert np.max(np.abs(orc.config.positions - exact)) <= 1e-6 / n
-        # tol_rel = 1e-12 leaves shooting's own positions 3e-6 mean gaps off
-        # at this size, so the first gap is bracketed tighter for the check.
-        sol = solve_fixed_point(p, tol_rel=1e-14)
+        sol = solve_fixed_point(p)
         assert np.max(np.abs(orc.config.positions - sol.config.positions)) <= 1e-6 / n
         assert orc.classification is sol.classification is Classification.INTERIOR
         for m in (1, 31, 200, 10 ** 4):

@@ -1,4 +1,4 @@
-"""Shooting recursion, fixed-point bisection and the wall-departure force."""
+"""Shooting recursion, the fixed-point root-find and the wall-departure force."""
 
 import hypothesis
 import numpy as np
@@ -12,13 +12,16 @@ from coulomb_chain import (
     MonotonicityViolation,
     NoConvergence,
     PiecewiseLinear,
+    aux_model_gaps,
     critical_force_exact,
     gaps_constant_force,
     residuals,
     shoot,
     solve_fixed_point,
 )
-from reference import wall_force
+from reference import bisect_fixed_point, wall_force
+
+EPS = np.finfo(float).eps
 
 
 def params(n, L=1.0, force=None):
@@ -149,7 +152,7 @@ class TestSolveFixedPoint:
         n, L = 35, 1.0
         sol = solve_fixed_point(params(n, L, Constant(50.0)))
         out = shoot(sol.delta1, params(n, L, Constant(50.0)))
-        # pinned results snap only the last particle
+        # a pinned result is the re-shot chain stretched by 1 + O(tol_rel)
         np.testing.assert_allclose(
             out.positions[:-1], sol.config.positions[:-1],
             atol=10 * np.finfo(float).eps * n * L,
@@ -193,8 +196,52 @@ class TestSolveFixedPoint:
             solve_fixed_point(params(5, force=f))
 
     def test_iteration_budget_enforced(self):
-        with pytest.raises(NoConvergence):
-            solve_fixed_point(params(10), max_iter=5)
+        # At F = 0 the terminal function is linear in the first gap and the
+        # search needs only a handful of shots; constant force is nonlinear.
+        p = params(35, force=Constant(50.0))
+        root = solve_fixed_point(p).delta1
+        with pytest.raises(NoConvergence) as info:
+            solve_fixed_point(p, max_iter=5)
+        assert info.value.iterations == 5
+        lo, hi = info.value.bracket
+        assert lo <= root <= hi
+        assert hi - lo > 1e-14 * hi
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda fcr: Constant(0.5 * fcr),
+            lambda fcr: Constant(2.0 * fcr),
+            lambda fcr: PiecewiseLinear([(-1.0, 0.8 * fcr), (-0.5, 0.6 * fcr), (0.0, 0.3 * fcr)]),
+            lambda fcr: PiecewiseLinear([(-1.0, 2.5 * fcr), (-0.3, 1.6 * fcr), (0.0, 1.2 * fcr)]),
+        ],
+        ids=["constant-pinned", "constant-interior", "piecewise-pinned", "piecewise-interior"],
+    )
+    def test_root_find_beats_bisection_on_shots(self, profile):
+        # Bisection needs 49-55 shots here; a silent fall back to it fails.
+        n = 10 ** 4
+        p = params(n, force=profile(critical_force_exact(n, 1.0)))
+        sol = solve_fixed_point(p)
+        assert sol.iterations <= 25
+        assert sol.classification is bisect_fixed_point(p).classification
+
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_pinned_residual_at_the_rounding_floor(self, n, ratio):
+        # Positions summed from gaps carry about N eps L of rounding; the
+        # pinned chain must not concentrate it in the last gap.
+        sol = solve_fixed_point(params(n, force=Constant(ratio * critical_force_exact(n, 1.0))))
+        assert sol.classification is Classification.BOUNDARY_PINNED
+        assert sol.config.positions[-1] == -1.0
+        assert sol.max_residual / n ** 2 <= 4 * n * EPS
+
+    def test_default_tolerance_resolves_interior_positions_at_large_n(self):
+        n = 10 ** 5
+        F = 2.0 * critical_force_exact(n, 1.0)
+        sol = solve_fixed_point(params(n, force=Constant(F)))
+        exact = -np.concatenate(([0.0], np.cumsum(aux_model_gaps(F, n))))
+        assert sol.classification is Classification.INTERIOR
+        assert np.max(np.abs(sol.config.positions - exact)) <= 1e-7 / n
 
     def test_residuals_recompute_to_reported_value(self):
         p = params(64, 1.0, Constant(100.0))
@@ -220,6 +267,38 @@ class TestLengthSymmetry:
         gap = np.max(np.abs(stretched.config.positions / lam - sol.config.positions))
         assert gap <= 1e-8 * L / n
         assert stretched.classification is sol.classification
+
+
+@st.composite
+def monotone_profiles(draw, fcr, L):
+    """Constant r F_cr away from r = 1, or a 3-4 node non-increasing profile."""
+    if draw(st.booleans()):
+        ratio = draw(st.floats(0.0, 3.0).filter(lambda r: abs(r - 1.0) > 1e-6))
+        return Constant(ratio * fcr)
+    k = draw(st.integers(3, 4))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2, unique=True))
+    ratios = draw(
+        st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k).filter(
+            lambda rs: any(abs(r - 1.0) > 1e-6 for r in rs)
+        )
+    )
+    xs = [-L, *sorted(-L * u for u in inner), 0.0]
+    return PiecewiseLinear(list(zip(xs, sorted((r * fcr for r in ratios), reverse=True))))
+
+
+class TestAgainstBisection:
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=st.integers(1, 3000), log_length=st.floats(-3.0, 3.0), data=st.data())
+    def test_root_find_matches_the_bisection_reference(self, n, log_length, data):
+        L = 10.0 ** log_length
+        force = data.draw(monotone_profiles(critical_force_exact(n, L), L))
+        p = params(n, L, force)
+        sol, ref = solve_fixed_point(p), bisect_fixed_point(p)
+        assert sol.classification is ref.classification
+        # Both stop at a first-gap bracket of 1e-14 (relative); that moves
+        # x_N by at most ~1.3 N**1.5 * 1e-14 mean gaps (2e-9 at N = 3000).
+        gap = np.max(np.abs(sol.config.positions - ref.config.positions))
+        assert gap <= 1e-8 * L / n
 
 
 class TestWallForce:
