@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -188,21 +189,52 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(v):
-    # The csv module writes None as "" and a Python float by its round-trip
-    # repr, so rows are built from plain Python values (ndarray.tolist()).
+def _csv_quote(text: str) -> str:
+    # csv's own minimal quoting rather than a copy of its rules, which have
+    # corners (Python 3.11 leaves a "\r" unquoted under lineterminator "\n").
+    # The second, empty field keeps an empty text from being quoted as a
+    # lone field.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _csv_cell(v) -> str:
+    """One value as ``csv.writer`` writes it, with bools as ``true``/``false``."""
+    if isinstance(v, float):
+        return float.__repr__(v)
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    return v
+    if isinstance(v, str):
+        return _csv_quote(v)
+    return str(v)
 
 
-def _render_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
+def _render_csv(header, columns) -> str:
+    """Render a column-wise table as CSV, byte for byte as ``csv.writer`` would.
+
+    ``columns`` holds one entry per name in ``header``: a list with one value
+    per row, or a single scalar that is the same on every row.  All lists
+    have the same length, which is the row count; a table of scalars only has
+    one row.  Values are plain Python values (``ndarray.tolist()``): None is
+    an empty cell, a float is written by its round-trip repr, a bool as
+    ``true``/``false``, and strings get csv's minimal quoting.  Each list is
+    formatted once per value and each scalar once per table.
+    """
+    n_rows = max((len(col) for col in columns if isinstance(col, list)), default=1)
+    cells = []
+    for name, col in zip(header, columns, strict=True):
+        if isinstance(col, list):
+            body = map(_csv_cell, col)
+        else:
+            body = itertools.repeat(_csv_cell(col), n_rows)
+        cells.append(itertools.chain((_csv_cell(name),), body))
+    lines = map(",".join, zip(*cells, strict=True))
+    if len(cells) == 1:  # csv quotes a lone empty field so the line is not blank
+        lines = (line or '""' for line in lines)
+    return "\n".join(lines) + "\n"
 
 
 def _render_json(payload) -> str:
@@ -263,7 +295,11 @@ def _solution_table(payload: dict, extra: dict | None = None):
          "max_residual", "iterations", "n_gaps", "length"]
         + list(extra)
     )
-    scalars = [
+    columns = [
+        list(range(len(payload["positions"]))),
+        payload["positions"].tolist(),
+        [None] + payload["gaps"].tolist(),
+        [None] + payload["pressures"].tolist(),
         payload["classification"],
         payload["delta1"],
         payload["max_residual"],
@@ -271,13 +307,7 @@ def _solution_table(payload: dict, extra: dict | None = None):
         payload["params"]["n_gaps"],
         payload["params"]["length"],
     ] + list(extra.values())
-    columns = zip(
-        payload["positions"].tolist(),
-        [None] + payload["gaps"].tolist(),
-        [None] + payload["pressures"].tolist(),
-    )
-    rows = [[i, x, d, f] + scalars for i, (x, d, f) in enumerate(columns)]
-    return header, rows
+    return header, columns
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +329,7 @@ def _cmd_critical(args):
         "exact": critical_force_exact(args.n, args.length),
         "asymptotic_coefficient": c_critical(args.length),
     }
-    return payload, lambda: (list(payload), [list(payload.values())])
+    return payload, lambda: (list(payload), list(payload.values()))
 
 
 def _cmd_density(args):
@@ -321,9 +351,9 @@ def _cmd_density(args):
 
     def table():
         edges = hist.bin_edges.tolist()
-        predicted = [None] * hist.n_bins if prediction is None else prediction.tolist()
-        rows = [list(row) for row in zip(edges[:-1], edges[1:], hist.mass.tolist(), predicted)]
-        return ["bin_left", "bin_right", "mass", "prediction"], rows
+        predicted = None if prediction is None else prediction.tolist()
+        columns = [edges[:-1], edges[1:], hist.mass.tolist(), predicted]
+        return ["bin_left", "bin_right", "mass", "prediction"], columns
 
     return payload, table
 
@@ -344,18 +374,18 @@ def _cmd_sweep(args):
         n, L, c, gamma = (float(part) for part in chunk.split(","))
         grid.append((int(n), L, c, gamma))
     rows = sweep(grid, n_bins=args.bins, tol_rel=args.tol_rel, max_iter=args.max_iter)
-    table = [[getattr(r, col) for col in _SWEEP_COLUMNS] for r in rows]
-    payload = {"columns": _SWEEP_COLUMNS, "rows": table}
-    return payload, lambda: (_SWEEP_COLUMNS, table)
+    columns = [[getattr(r, col) for r in rows] for col in _SWEEP_COLUMNS]
+    payload = {"columns": _SWEEP_COLUMNS, "rows": [list(row) for row in zip(*columns)]}
+    return payload, lambda: (_SWEEP_COLUMNS, columns)
 
 
 def _cmd_converge(args):
     n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     rows = convergence_study(args.c, args.gamma, args.length, n_list, tol_rel=args.tol_rel)
-    columns = ["n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev"]
-    table = [[getattr(r, col) for col in columns] for r in rows]
-    payload = {"columns": columns, "rows": table}
-    return payload, lambda: (columns, table)
+    header = ["n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev"]
+    columns = [[getattr(r, col) for r in rows] for col in header]
+    payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
+    return payload, lambda: (header, columns)
 
 
 def _descent_settings(args, params) -> MinimizeSettings:
@@ -422,12 +452,16 @@ def _cmd_nonunique(args):
     }
 
     def table():
-        rows = [
-            [c_found, j, m["energy"], i, x]
-            for j, m in enumerate(payload["minima"])
-            for i, x in enumerate(m["positions"].tolist())
+        minima = payload["minima"]
+        chains = [m["positions"].tolist() for m in minima]
+        columns = [
+            c_found,
+            [j for j, xs in enumerate(chains) for _ in xs],
+            [m["energy"] for m, xs in zip(minima, chains) for _ in xs],
+            [i for xs in chains for i in range(len(xs))],
+            [x for xs in chains for x in xs],
         ]
-        return ["c_found", "minimum", "energy", "particle", "position"], rows
+        return ["c_found", "minimum", "energy", "particle", "position"], columns
 
     return payload, table
 

@@ -58,17 +58,22 @@ class MinimizeSettings:
 
 
 def default_settings(params: ModelParams, seed: int = 0) -> MinimizeSettings:
-    """Scale-aware defaults: pressures ~ (N/L)**2.
+    """Scale-aware defaults: pressures ~ (N/L)**2 plus the force on the chain.
 
-    ``grad_tol`` is 1e-10 (N/L)**2, or 32 eps N (N/L)**2 where that is larger
-    (N above about 1.4e4).  Positions rounded to eps L leave each gap, and so
-    each pressure, uncertain by about eps N relative, and the projected
-    gradient of a descent stalls at a few times eps N (N/L)**2: about 6x at
-    F = 2 F_cr for N from 1e3 to 3e5.
+    ``grad_tol`` is 1e-10 (N/L)**2, or 4 eps N P where that is larger, with
+    P = (N/L)**2 + (N/L) max(0, integral of F over [-L, 0]) the scale of the
+    largest pressure.  Positions rounded to eps L leave each gap, and so each
+    pressure, uncertain by about eps N relative, and the projected gradient
+    of a descent stalls at 0.56 to 1.0 eps N P (constant force 0 to 100 F_cr,
+    N from 5e3 to 1e5, uniform and jittered starts).  At F = r F_cr the first
+    term decides while N (1 + 4 r) is below about 1.1e5.
     """
-    scale = params.L / params.n_gaps
-    rounding_floor = 32.0 * np.finfo(float).eps * params.n_gaps
-    return MinimizeSettings(grad_tol=max(1e-10, rounding_floor) / scale ** 2, seed=seed)
+    L, n = params.L, params.n_gaps
+    scale = L / n
+    push = max(0.0, params.profile.integral_between(-L, 0.0))
+    pressure = (1.0 + scale * push) / scale ** 2
+    rounding_floor = 4.0 * np.finfo(float).eps * n * pressure
+    return MinimizeSettings(grad_tol=max(1e-10 / scale ** 2, rounding_floor), seed=seed)
 
 
 def _gradient_raw(x: np.ndarray, fv: np.ndarray) -> np.ndarray:

@@ -115,12 +115,16 @@ def _shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
     if not f1 > 0.0:
         return _collapse(1)
     # Constant force decouples the pressure recursion from positions, so the
-    # induction unrolls to f_k = f_1 - (k-1) F and vectorizes.
-    f = f1 - F * np.arange(n, dtype=float)
-    bad = f <= 0.0
-    if bad.any():
-        return _collapse(int(np.argmax(bad)) + 1)
-    gaps = f ** -0.5
+    # induction unrolls to f_k = f_1 - (k-1) F and vectorizes.  Built in
+    # place, (k-1) * -F + f_1 is bitwise f_1 - (k-1) F.
+    f = np.arange(n, dtype=float)
+    f *= -F
+    f += f1
+    f_terminal = float(f[-1])
+    # F >= 0 makes f non-increasing, so a pressure hits zero iff the last does.
+    if f_terminal <= 0.0:
+        return _collapse(int(np.argmax(f <= 0.0)) + 1)
+    gaps = np.power(f, -0.5, out=f)
     positions = np.empty(n + 1)
     positions[0] = 0.0
     np.cumsum(gaps, out=positions[1:])
@@ -128,7 +132,7 @@ def _shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
     return ShootingOutcome(
         positions=positions,
         collapse_index=None,
-        f_terminal=float(f[-1]),
+        f_terminal=f_terminal,
         force_at_terminal=F,
     )
 

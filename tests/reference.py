@@ -5,10 +5,15 @@ shooting solves, without using the exact sum formula that
 ``critical_force_exact`` evaluates.  ``bisect_fixed_point`` is the
 shooting solver's earlier search: plain bisection on the terminal predicate,
 refined to float exhaustion on the pinned branch, where only the last
-position is snapped to -L.
+position is snapped to -L.  ``shoot_constant`` is the constant-force shot as
+first vectorized, one fresh array per intermediate.  ``render_csv_rows`` is
+the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
+row.
 """
 
+import csv
 import dataclasses
+import io
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from coulomb_chain import (
     FixedPointResult,
     ModelParams,
     NoConvergence,
+    ShootingOutcome,
     residuals,
     shoot,
     solve_fixed_point,
@@ -134,3 +140,36 @@ def bisect_fixed_point(
         iterations=iterations,
         terminal_slack=res.terminal_slack,
     )
+
+
+def shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
+    """Constant-force shot: pressures f_k = f_1 - (k-1) F, gaps f_k**-0.5."""
+    f1 = delta1 ** -2.0
+    if not f1 > 0.0:
+        return ShootingOutcome(None, 1, None, None)
+    f = f1 - F * np.arange(n, dtype=float)
+    bad = f <= 0.0
+    if bad.any():
+        return ShootingOutcome(None, int(np.argmax(bad)) + 1, None, None)
+    gaps = f ** -0.5
+    positions = np.empty(n + 1)
+    positions[0] = 0.0
+    np.cumsum(gaps, out=positions[1:])
+    np.negative(positions[1:], out=positions[1:])
+    return ShootingOutcome(positions, None, float(f[-1]), F)
+
+
+def table_rows(columns) -> list[list]:
+    """Rows of a column-wise CLI table: a scalar column repeats on every row."""
+    n_rows = max((len(col) for col in columns if isinstance(col, list)), default=1)
+    return [[col[i] if isinstance(col, list) else col for col in columns] for i in range(n_rows)]
+
+
+def render_csv_rows(header, rows) -> str:
+    """CSV by ``csv.writer`` row by row, bools written as true/false."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
+    return buf.getvalue()

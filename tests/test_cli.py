@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import types
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from coulomb_chain import Configuration, Constant, ModelParams, residuals
-from coulomb_chain.cli import main
+from coulomb_chain import Configuration, Constant, ModelParams, analysis, residuals
+from coulomb_chain.cli import _render_csv, main
+from reference import render_csv_rows, table_rows
 
 
 def run_cli(capsys, *argv):
@@ -218,3 +222,116 @@ class TestNonuniqueCommand:
         assert payload["distinct_count"] >= 2
         assert len(payload["minima"]) == payload["distinct_count"]
         assert payload["minima"][0]["energy"] <= payload["minima"][-1]["energy"]
+
+
+# Cells that stress csv.writer: signed zero, subnormals, extremes, integral
+# floats, float subclasses, ints, None, bools, and strings that need quoting.
+cell_values = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, 1e-300, 2.0, -7.0, 1e16]),
+    st.floats().map(np.float64),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.none(),
+    st.booleans(),
+    st.text(alphabet='ab ,"\n\r\t', max_size=6),
+)
+
+
+@st.composite
+def column_tables(draw):
+    n_rows = draw(st.integers(0, 5))
+    n_cols = draw(st.integers(1, 4))
+    names = st.text(alphabet='xy ,"\n\r', max_size=4)
+    header = draw(st.lists(names, min_size=n_cols, max_size=n_cols))
+    scalar = draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
+    columns = [
+        draw(cell_values) if s else draw(st.lists(cell_values, min_size=n_rows, max_size=n_rows))
+        for s in scalar
+    ]
+    return header, columns
+
+
+class TestRenderCsv:
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(column_tables())
+    def test_matches_the_row_wise_csv_writer(self, table):
+        header, columns = table
+        assert _render_csv(header, columns) == render_csv_rows(header, table_rows(columns))
+
+    @pytest.mark.parametrize("table", [
+        (["a"], [[None, "", 1.5]]),
+        (["a", "b"], [[0.1, -0.0], "x,y"]),
+        (["a", "b"], [[], 3]),
+        (["a", "b"], [True, None]),
+    ], ids=["lone-empty-cells", "scalar-string", "no-rows", "scalars-only"])
+    def test_edge_tables(self, table):
+        header, columns = table
+        assert _render_csv(header, columns) == render_csv_rows(header, table_rows(columns))
+
+
+# The CSV schema of each command, read back from its JSON payload.
+def solution_rows(p, extra=()):
+    scalars = [p["classification"], p["delta1"], p["max_residual"], p["iterations"],
+               p["params"]["n_gaps"], p["params"]["length"]] + [p[k] for k in extra]
+    header = ["index", "position", "gap", "pressure", "classification", "delta1",
+              "max_residual", "iterations", "n_gaps", "length", *extra]
+    columns = zip(p["positions"], [None] + p["gaps"], [None] + p["pressures"])
+    return header, [[i, x, d, f, *scalars] for i, (x, d, f) in enumerate(columns)]
+
+
+def density_rows(p):
+    edges, mass = p["bin_edges"], p["mass"]
+    predicted = p["prediction"] or [None] * len(mass)
+    return (["bin_left", "bin_right", "mass", "prediction"],
+            [list(row) for row in zip(edges[:-1], edges[1:], mass, predicted)])
+
+
+def nonunique_rows(p):
+    rows = [[p["c_found"], j, m["energy"], i, x]
+            for j, m in enumerate(p["minima"]) for i, x in enumerate(m["positions"])]
+    return ["c_found", "minimum", "energy", "particle", "position"], rows
+
+
+def listed_rows(p):
+    return p["columns"], p["rows"]
+
+
+COMMAND_TABLES = {
+    "solve-pinned": (["solve", "--n", "60", "--force", "0"], solution_rows),
+    "solve-piecewise": (
+        ["solve", "--n", "80", "--force-piecewise=-1:300,-0.5:100,0:0"], solution_rows
+    ),
+    "critical": (
+        ["critical", "--n", "100", "--length", "0.3"], lambda p: (list(p), [list(p.values())])
+    ),
+    "density-scaled": (
+        ["density", "--n", "400", "--force-scaled", "16,1", "--bins", "12"], density_rows
+    ),
+    "density-constant": (["density", "--n", "50", "--force", "10"], density_rows),
+    "sweep": (["sweep", "--grid", "200,1,2,1;200,1,16,1"], listed_rows),
+    "sweep-errors": (["sweep", "--grid", "200,1,2,1;50,1,0,1", "--max-iter", "2"], listed_rows),
+    "converge": (["converge", "--c", "16", "--n-list", "10,40"], listed_rows),
+    "oracle": (
+        ["oracle", "--n", "8", "--force", "40", "--jitter", "0.3"],
+        lambda p: solution_rows(p, extra=("energy",)),
+    ),
+    "nonunique": (
+        ["nonunique", "--n", "21", "--c-grid", "1,8", "--n-starts", "4"], nonunique_rows
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COMMAND_TABLES))
+def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys, monkeypatch):
+    # A still clock makes sweep's timing column the same in both runs.
+    monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    argv, rows_of = COMMAND_TABLES[case]
+    code, jout = run_cli(capsys, *argv)
+    assert code == 0
+    code, cout = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(jout)
+    if case == "sweep-errors":
+        error = payload["columns"].index("error")
+        assert all(row[error] for row in payload["rows"])
+    assert cout == render_csv_rows(*rows_of(payload))

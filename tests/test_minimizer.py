@@ -191,6 +191,41 @@ class TestMinimize:
             small = ModelParams(L=0.3, n_gaps=m, force=Constant(0.0))
             assert default_settings(small).grad_tol == 1e-10 / (0.3 / m) ** 2
 
+    @pytest.mark.parametrize("ratio", [30.0, 100.0])
+    def test_default_tolerance_follows_the_force(self, ratio):
+        # With a floor of 32 eps N (N/L)**2, blind to the force, the default
+        # descent stalled here (N = 5480 is the smallest N where it did at
+        # 30 F_cr): projected gradient 3.03e-3 and 9.98e-3 against 3.0e-3.
+        n = 5480
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(ratio * critical_force_exact(n, 1.0)))
+        orc = minimize(p, uniform_configuration(p))
+        sol = solve_fixed_point(p)
+        assert np.max(np.abs(orc.config.positions - sol.config.positions)) <= 1e-6 / n
+        assert orc.classification is sol.classification is Classification.INTERIOR
+
+    def test_default_tolerance_is_unchanged_where_the_first_term_decides(self):
+        eps = np.finfo(float).eps
+
+        def force_blind(p):
+            return max(1e-10, 32.0 * eps * p.n_gaps) / (p.L / p.n_gaps) ** 2
+
+        cases = [
+            ModelParams(L=L, n_gaps=n, force=Constant(r * critical_force_exact(n, L)))
+            for n in (1, 2, 5, 31, 50, 100, 200, 2000)
+            for L in (1e-3, 0.3, 1.0, 1e3)
+            for r in (0.0, 0.5, 1.0, 2.0, 3.0)
+        ]
+        n = 10 ** 4
+        force = Constant(2.0 * critical_force_exact(n, 1.0))
+        cases.append(ModelParams(L=1.0, n_gaps=n, force=force))
+        cases += [
+            nonuniqueness_params(1.0, 2.0, c, n)
+            for n in (15, 21, 31, 51)
+            for c in (2.0, 4.0, 8.0, 16.0, 32.0)
+        ]
+        for p in cases:
+            assert default_settings(p).grad_tol == force_blind(p)
+
     def test_residuals_meet_fixed_point_conditions(self):
         p = ModelParams(L=1.0, n_gaps=6, force=Constant(3.0))
         settings = default_settings(p)

@@ -19,7 +19,7 @@ from coulomb_chain import (
     shoot,
     solve_fixed_point,
 )
-from reference import bisect_fixed_point, wall_force
+from reference import bisect_fixed_point, shoot_constant, wall_force
 
 EPS = np.finfo(float).eps
 
@@ -70,6 +70,25 @@ class TestShoot:
         out = shoot(1.0, p)
         assert not out.complete
         assert out.collapse_index == 2  # f_2 = 1 - 5 < 0 immediately
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 5000),
+        log_force=st.floats(-3.0, 6.0),
+        collapse=st.booleans(),
+        data=st.data(),
+    )
+    def test_constant_shot_is_bitwise_the_reference(self, n, log_force, collapse, data):
+        F = 10.0 ** log_force
+        # The last pressure d1**-2 - (n-1) F is <= 0 iff d1 >= ((n-1) F)**-0.5.
+        ratio = data.draw(st.floats(1.001, 5.0) if collapse else st.floats(0.01, 0.999))
+        d1 = ratio * ((n - 1) * F) ** -0.5 if n > 1 else ratio
+        out, ref = shoot(d1, params(n, force=Constant(F))), shoot_constant(d1, F, n)
+        assert out.complete is ref.complete is not (collapse and n > 1)
+        assert out.collapse_index == ref.collapse_index
+        if ref.complete:
+            assert out.positions.tobytes() == ref.positions.tobytes()
+            assert out.f_terminal == ref.f_terminal
 
     def test_rejects_nonpositive_first_gap(self):
         with pytest.raises(ValueError):
