@@ -45,5 +45,7 @@ for j, r in enumerate(results):
 
 print()
 print("Each minimum balances the same forces but splits the particles")
-print("differently across the repelling region left of the peak; moving a")
-print("particle between clusters costs energy, so all are genuine local minima.")
+print("differently across the repelling region left of the peak.  Each is")
+print("certified in O(N): the gradient over the particles free to move is")
+print("within 10 grad_tol, and the Hessian over them is positive definite")
+print("(every LDL^T pivot positive), so all are strict local minima.")

@@ -8,6 +8,9 @@ particles; where the Hessian is not positive definite (a rising force), a
 diagonal shift restores a descent direction.  It needs no monotonicity from
 the force profile, so it doubles as the oracle for solver verification and
 as the probe for non-monotone profiles where several local minima coexist.
+``local_minimality_certificate`` certifies a returned point as a strict
+local minimum at O(N) cost: a gradient within tolerance over the particles
+free to move, and positive LDL^T pivots of the Hessian block over them.
 
 ``minimize`` is a pure function of (params, start, settings); the
 multi-start search is seeded and sorts before deduplicating, so its output
@@ -143,6 +146,17 @@ def _ldl_solve(diag: list, off: list, rhs: list, shift: float) -> list | None:
     return z
 
 
+def _free_range(x: np.ndarray, g: np.ndarray, L: float, tol: float) -> tuple[int, int]:
+    """Range [lo, hi) of particles free to move.
+
+    An end particle is held when it sits on its wall and the gradient pushes
+    it into that wall by more than ``tol``.
+    """
+    lo = 1 if x[0] >= 0.0 and g[0] < -tol else 0
+    hi = x.size - 1 if x[-1] <= -L and g[-1] > tol else x.size
+    return lo, hi
+
+
 def _newton_direction(x: np.ndarray, g: np.ndarray, slope: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Projected Newton direction: zero outside the free range [lo, hi).
 
@@ -230,9 +244,7 @@ def minimize(
 
     while True:
         g = _gradient_raw(x, np.asarray(profile.force_at(x), dtype=float))
-        # an end particle on its wall, pushed into it, is not free to move
-        lo = 1 if x[0] >= 0.0 and g[0] < 0.0 else 0
-        hi = x.size - 1 if x[-1] <= -L and g[-1] > 0.0 else x.size
+        lo, hi = _free_range(x, g, L, 0.0)
         grad_norm = float(np.max(np.abs(g[lo:hi]), initial=0.0))
         if grad_norm <= settings.grad_tol:
             break
@@ -288,37 +300,34 @@ def minimize(
 
 
 def local_minimality_certificate(
-    config: Configuration, params: ModelParams, eps: float | None = None
+    config: Configuration, params: ModelParams, grad_tol: float | None = None
 ) -> bool:
-    """Check that every feasible +-eps single-particle move raises the energy.
+    """Second-order sufficient test for a strict local minimum, at O(N) cost.
 
-    A cheap coordinate-wise certificate, not a Hessian test; ``eps`` defaults
-    to 1e-6 * L / N.  Moves that would break ordering or leave the segment
-    are skipped.
+    An end particle is held when it sits on its wall and the gradient pushes
+    it into that wall by more than ``grad_tol``; every other particle is
+    free.  The configuration is certified when the max-norm of the gradient
+    over the free particles is at most ``grad_tol`` and every LDL^T pivot of
+    the tridiagonal Hessian over the free particles is positive, i.e. that
+    block is positive definite (Nocedal & Wright, *Numerical Optimization*,
+    Thm 12.6).  With no free particle (N = 1, both ends held) it is
+    certified.  ``grad_tol`` defaults to 10 times
+    ``default_settings(params).grad_tol``, the residual bound
+    ``multi_start_fixed_points`` accepts.
     """
-    L = params.L
-    if eps is None:
-        eps = 1e-6 * L / params.n_gaps
+    if grad_tol is None:
+        grad_tol = 10.0 * default_settings(params).grad_tol
     profile = params.profile
     x = config.positions
-    u0 = _energy_raw(x, profile, L)
-    guard = 1e-12 * max(1.0, abs(u0))
-    for i in range(x.size):
-        for s in (eps, -eps):
-            xi = x[i] + s
-            if i == 0 and xi > 0.0:
-                continue
-            if i == x.size - 1 and xi < -L:
-                continue
-            if i > 0 and xi >= x[i - 1]:
-                continue
-            if i < x.size - 1 and xi <= x[i + 1]:
-                continue
-            trial = x.copy()
-            trial[i] = xi
-            if _energy_raw(trial, profile, L) < u0 - guard:
-                return False
-    return True
+    g = _gradient_raw(x, np.asarray(profile.force_at(x), dtype=float))
+    lo, hi = _free_range(x, g, params.L, grad_tol)
+    if float(np.max(np.abs(g[lo:hi]), initial=0.0)) > grad_tol:
+        return False
+    if lo >= hi:
+        return True
+    diag, off = _hessian_bands(x, np.asarray(profile.slope_at(x), dtype=float))
+    zeros = [0.0] * (hi - lo)  # only the pivots matter
+    return _ldl_solve(diag[lo:hi].tolist(), off[lo:hi - 1].tolist(), zeros, 0.0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +391,10 @@ def multi_start_fixed_points(
     Starts vary how many particles begin to the right of the force peak.
     Results are deduplicated on max-abs position distance below 1e-3 * L / N
     (well under the one-gap separation of genuinely distinct minima, well
-    over the convergence scatter of one basin), then each survivor must pass
-    the residual check and the coordinate-perturbation certificate.  Output
+    over the convergence scatter of one basin), then each survivor must have
+    ``max_residual`` at most 10 ``settings.grad_tol`` and pass
+    ``local_minimality_certificate`` at that same tolerance (free gradient
+    within it, reduced Hessian positive definite; O(N) per survivor).  Output
     order is by increasing energy; ties break on positions, so the result is
     independent of scheduling.
     """
@@ -419,7 +430,7 @@ def multi_start_fixed_points(
     for _, result in distinct:
         if result.max_residual > tol_res:
             continue
-        if not local_minimality_certificate(result.config, params):
+        if not local_minimality_certificate(result.config, params, tol_res):
             continue
         verified.append(result)
     return verified

@@ -297,10 +297,6 @@ class ModelParams:
             profile = Constant(profile.c * float(self.n_gaps) ** profile.gamma)
         object.__setattr__(self, "profile", profile)
 
-    @property
-    def n_particles(self) -> int:
-        return self.n_gaps + 1
-
     @classmethod
     def from_physical(
         cls,
@@ -391,7 +387,7 @@ class FixedPointResult:
 
 def uniform_configuration(params: ModelParams) -> Configuration:
     """Equally spaced chain filling the whole segment."""
-    return Configuration(np.linspace(0.0, -params.L, params.n_particles))
+    return Configuration(np.linspace(0.0, -params.L, params.n_gaps + 1))
 
 
 # ---------------------------------------------------------------------------

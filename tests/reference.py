@@ -8,7 +8,9 @@ refined to float exhaustion on the pinned branch, where only the last
 position is snapped to -L.  ``shoot_constant`` is the constant-force shot as
 first vectorized, one fresh array per intermediate.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
-row.
+row.  ``coordinate_certificate`` is the descent oracle's earlier minimality
+check: every feasible +-eps single-particle move must raise the energy, at
+2 (N + 1) full energy evaluations.
 """
 
 import csv
@@ -29,6 +31,7 @@ from coulomb_chain import (
     shoot,
     solve_fixed_point,
 )
+from coulomb_chain.minimizer import _energy_raw
 
 
 def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:
@@ -173,3 +176,37 @@ def render_csv_rows(header, rows) -> str:
     for row in rows:
         writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
+
+
+def coordinate_certificate(
+    config: Configuration, params: ModelParams, eps: float | None = None
+) -> bool:
+    """Check that every feasible +-eps single-particle move raises the energy.
+
+    A cheap coordinate-wise certificate, not a Hessian test; ``eps`` defaults
+    to 1e-6 * L / N.  Moves that would break ordering or leave the segment
+    are skipped.
+    """
+    L = params.L
+    if eps is None:
+        eps = 1e-6 * L / params.n_gaps
+    profile = params.profile
+    x = config.positions
+    u0 = _energy_raw(x, profile, L)
+    guard = 1e-12 * max(1.0, abs(u0))
+    for i in range(x.size):
+        for s in (eps, -eps):
+            xi = x[i] + s
+            if i == 0 and xi > 0.0:
+                continue
+            if i == x.size - 1 and xi < -L:
+                continue
+            if i > 0 and xi >= x[i - 1]:
+                continue
+            if i < x.size - 1 and xi <= x[i + 1]:
+                continue
+            trial = x.copy()
+            trial[i] = xi
+            if _energy_raw(trial, profile, L) < u0 - guard:
+                return False
+    return True

@@ -28,7 +28,9 @@ from coulomb_chain import (
     solve_fixed_point,
     uniform_configuration,
 )
+from coulomb_chain import minimizer
 from coulomb_chain.minimizer import _hessian_bands
+from reference import coordinate_certificate
 
 
 def random_interior_config(rng, n, L=1.0, fill=0.85):
@@ -271,7 +273,74 @@ class TestCertificate:
     def test_fails_away_from_equilibrium(self):
         p = ModelParams(L=1.0, n_gaps=4, force=Constant(0.0))
         skew = Configuration([0.0, -0.05, -0.1, -0.15, -1.0])
-        assert not local_minimality_certificate(skew, p, eps=1e-4)
+        assert not local_minimality_certificate(skew, p)
+
+    def test_rejects_a_stationary_saddle(self):
+        # Both ends are held and the middle particle is stationary, but its
+        # Hessian entry is 2/d**3 + 2/d**3 - F' = 32 - 100 < 0: a strict local
+        # maximum along its free direction.  The +-eps energy drop, about
+        # -8.5e-12, lies under the coordinate check's 1e-12 |U| guard.
+        p = ModelParams(L=1.0, n_gaps=2, force=PiecewiseLinear([(-1.0, -50.0), (0.0, 50.0)]))
+        saddle = Configuration([0.0, -0.5, -1.0])
+        g = energy_gradient(saddle, p)
+        assert g[1] == 0.0 and g[0] < 0.0 < g[2]
+        assert not local_minimality_certificate(saddle, p)
+        assert coordinate_certificate(saddle, p)
+
+    def test_rejects_an_end_particle_pulled_off_its_wall(self):
+        # x_0 sits on its wall but the gradient pulls it off (g_0 = 96 > 0),
+        # so it is free, and its gradient fails the first-order test.
+        force = PiecewiseLinear([(-1.0, 0.0), (-0.5, 0.0), (0.0, -100.0)])
+        p = ModelParams(L=1.0, n_gaps=2, force=force)
+        config = Configuration([0.0, -0.5, -1.0])
+        np.testing.assert_array_equal(energy_gradient(config, p), [96.0, 0.0, 4.0])
+        assert not local_minimality_certificate(config, p)
+
+    def test_single_gap_with_both_ends_held(self):
+        p = ModelParams(L=1.0, n_gaps=1, force=Constant(0.0))
+        assert local_minimality_certificate(Configuration([0.0, -1.0]), p)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3000),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.0, 3.0),
+    )
+    def test_certifies_shooting_solutions(self, n, log_length, ratio):
+        hypothesis.assume(abs(ratio - 1.0) > 1e-6)
+        L = 10.0 ** log_length
+        p = ModelParams(L=L, n_gaps=n, force=Constant(ratio * critical_force_exact(n, L)))
+        assert local_minimality_certificate(solve_fixed_point(p).config, p)
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_certifies_a_large_shooting_solution(self, ratio):
+        n = 10 ** 5
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(ratio * critical_force_exact(n, 1.0)))
+        sol = solve_fixed_point(p)
+        t0 = time.perf_counter()
+        assert local_minimality_certificate(sol.config, p)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_agrees_with_the_coordinate_check_on_every_tent_descent(self, monkeypatch):
+        # Every descent, not only the deduplicated survivors: 4 sizes x 5
+        # couplings x 6 seeds x 8 starts.
+        descents = []
+
+        def recording_minimize(params, start, settings=None, on_step=None):
+            result = minimize(params, start, settings, on_step)
+            descents.append((params, settings, result))
+            return result
+
+        monkeypatch.setattr(minimizer, "minimize", recording_minimize)
+        for n in (15, 21, 31, 51):
+            for c in (2.0, 4.0, 8.0, 16.0, 32.0):
+                params = nonuniqueness_params(1.0, 2.0, c, n)
+                for seed in range(6):
+                    multi_start_fixed_points(params, 8, default_settings(params, seed))
+        assert len(descents) == 960
+        for params, settings, result in descents:
+            new = local_minimality_certificate(result.config, params, 10.0 * settings.grad_tol)
+            assert new == coordinate_certificate(result.config, params)
 
 
 class TestNonuniquenessProfile:
