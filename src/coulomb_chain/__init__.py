@@ -13,6 +13,10 @@ renormalized external force, by three complementary routes:
   the independent oracle, which also handles non-monotone profiles with
   several local minima.
 
+:mod:`coulomb_chain.model` holds the chain's types and the one copy of its
+physics: the energy, its gradient and the force-balance residuals read off
+that gradient, which every route calls.
+
 :mod:`coulomb_chain.analysis` turns solutions into densities, phase reports
 and sweep tables, and :mod:`coulomb_chain.cli` exposes everything as the
 ``coulomb-chain`` command.
@@ -32,11 +36,9 @@ from .closed_form import (
     AsymptoticDensity,
     Phase,
     asymptotic_density,
-    aux_model_extent,
     aux_model_gaps,
     c_critical,
     critical_force_exact,
-    gaps_constant_force,
     inverse_sqrt_sum,
     phase2_scaling_factor,
 )
@@ -45,12 +47,10 @@ from .errors import (
     DegenerateConfigurationError,
     MonotonicityViolation,
     NoConvergence,
-    PositivityError,
 )
 from .minimizer import (
     MinimizeSettings,
     default_settings,
-    energy_gradient,
     local_minimality_certificate,
     minimize,
     multi_start_fixed_points,
@@ -67,8 +67,7 @@ from .model import (
     Residuals,
     Scaled,
     energy,
-    external_energy,
-    interaction_energy,
+    energy_gradient,
     residuals,
     uniform_configuration,
 )
@@ -94,13 +93,11 @@ __all__ = [
     "Phase",
     "PhaseReport",
     "PiecewiseLinear",
-    "PositivityError",
     "Residuals",
     "Scaled",
     "ShootingOutcome",
     "SweepRow",
     "asymptotic_density",
-    "aux_model_extent",
     "aux_model_gaps",
     "c_critical",
     "classify_phase",
@@ -109,10 +106,7 @@ __all__ = [
     "default_settings",
     "energy",
     "energy_gradient",
-    "external_energy",
-    "gaps_constant_force",
     "histogram",
-    "interaction_energy",
     "inverse_sqrt_sum",
     "local_minimality_certificate",
     "minimize",

@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import AsymptoticDensity, Phase, asymptotic_density
 from .errors import CoulombChainError
 from .model import Configuration, Constant, FixedPointResult, ModelParams, Scaled
-from .shooting import MAX_ITER, TOL_REL, solve_fixed_point
+from .shooting import MAX_ITER, solve_fixed_point
 
 __all__ = [
     "ConvergenceRow",
@@ -174,12 +174,7 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep(
-    grid,
-    n_bins: int | None = None,
-    tol_rel: float = TOL_REL,
-    max_iter: int = MAX_ITER,
-) -> list[SweepRow]:
+def sweep(grid, n_bins: int | None = None, max_iter: int = MAX_ITER) -> list[SweepRow]:
     """Solve and classify every (N, L, c, gamma) grid point.
 
     Rows come back in grid order; a failing point records its error and the
@@ -191,7 +186,7 @@ def sweep(
         t0 = time.perf_counter()
         try:
             params = ModelParams(L=float(L), n_gaps=int(n), force=Scaled(c=c, gamma=gamma))
-            solved = solve_fixed_point(params, tol_rel=tol_rel, max_iter=max_iter)
+            solved = solve_fixed_point(params, max_iter=max_iter)
             report = classify_phase(params, solved, n_bins)
             rows.append(
                 SweepRow(
@@ -232,9 +227,7 @@ class ConvergenceRow:
     n_max_gap_dev: float
 
 
-def convergence_study(
-    c: float, gamma: float, L: float, n_list, tol_rel: float = TOL_REL
-) -> list[ConvergenceRow]:
+def convergence_study(c: float, gamma: float, L: float, n_list) -> list[ConvergenceRow]:
     """Track solver output across increasing N for one force scaling.
 
     ``c = 0`` is accepted and means zero force.  The columns are the inputs
@@ -247,7 +240,7 @@ def convergence_study(
         n = int(n)
         force = Constant(0.0) if c == 0.0 else Scaled(c=c, gamma=gamma)
         params = ModelParams(L=L, n_gaps=n, force=force)
-        solved = solve_fixed_point(params, tol_rel=tol_rel)
+        solved = solve_fixed_point(params)
         gaps = solved.config.gaps
         rows.append(
             ConvergenceRow(

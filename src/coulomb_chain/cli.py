@@ -97,16 +97,11 @@ def _add_output_flags(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument(
-        "--tol-rel",
-        type=float,
-        default=TOL_REL,
-        help="relative bracket width on the first gap at which the root-find stops",
-    )
-    p.add_argument(
         "--max-iter",
         type=int,
         default=MAX_ITER,
-        help="shooting evaluation budget",
+        help="shooting evaluation budget; the first-gap search stops at a "
+        f"relative bracket width of {TOL_REL:g}",
     )
 
 
@@ -317,7 +312,7 @@ def _solution_table(payload: dict, extra: dict | None = None):
 
 def _cmd_solve(args):
     params = ModelParams(L=args.length, n_gaps=args.n, force=_parse_force(args))
-    result = solve_fixed_point(params, tol_rel=args.tol_rel, max_iter=args.max_iter)
+    result = solve_fixed_point(params, max_iter=args.max_iter)
     payload = _solution_payload(params, result)
     return payload, lambda: _solution_table(payload)
 
@@ -335,7 +330,7 @@ def _cmd_critical(args):
 def _cmd_density(args):
     force = _parse_force(args)
     params = ModelParams(L=args.length, n_gaps=args.n, force=force)
-    result = solve_fixed_point(params, tol_rel=args.tol_rel, max_iter=args.max_iter)
+    result = solve_fixed_point(params, max_iter=args.max_iter)
     hist = histogram(result.config, params, args.bins)
     prediction = None
     if isinstance(force, Scaled):
@@ -373,7 +368,7 @@ def _cmd_sweep(args):
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
         grid.append((int(n), L, c, gamma))
-    rows = sweep(grid, n_bins=args.bins, tol_rel=args.tol_rel, max_iter=args.max_iter)
+    rows = sweep(grid, n_bins=args.bins, max_iter=args.max_iter)
     columns = [[getattr(r, col) for r in rows] for col in _SWEEP_COLUMNS]
     payload = {"columns": _SWEEP_COLUMNS, "rows": [list(row) for row in zip(*columns)]}
     return payload, lambda: (_SWEEP_COLUMNS, columns)
@@ -381,7 +376,7 @@ def _cmd_sweep(args):
 
 def _cmd_converge(args):
     n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
-    rows = convergence_study(args.c, args.gamma, args.length, n_list, tol_rel=args.tol_rel)
+    rows = convergence_study(args.c, args.gamma, args.length, n_list)
     header = ["n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev"]
     columns = [[getattr(r, col) for r in rows] for col in header]
     payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}

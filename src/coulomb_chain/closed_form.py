@@ -37,17 +37,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PositivityError
-
 __all__ = [
     "AsymptoticDensity",
     "Phase",
     "asymptotic_density",
-    "aux_model_extent",
     "aux_model_gaps",
     "c_critical",
     "critical_force_exact",
-    "gaps_constant_force",
     "inverse_sqrt_sum",
     "phase2_scaling_factor",
 ]
@@ -60,25 +56,6 @@ class Phase(str, Enum):
     SMOOTH_POSITIVE = "smooth_positive"
     DETACHED = "detached"
     DELTA_AT_ORIGIN = "delta_at_origin"
-
-
-def gaps_constant_force(delta1: float, F: float, n: int) -> np.ndarray:
-    """Gap sequence generated by a first gap under constant force.
-
-    Valid while 1 - delta1**2 (k-1) F stays positive for all k <= n;
-    otherwise raises PositivityError naming the first failing gap.
-    """
-    if not (delta1 > 0.0):
-        raise ValueError(f"first gap must be positive, got {delta1}")
-    if F < 0.0:
-        raise ValueError(f"force must be non-negative, got {F}")
-    if n < 1:
-        raise ValueError(f"need at least one gap, got {n}")
-    t = delta1 * delta1 * F * np.arange(n, dtype=float)
-    bad = t >= 1.0
-    if bad.any():
-        raise PositivityError(int(np.argmax(bad)) + 1)
-    return delta1 * (1.0 - t) ** -0.5
 
 
 def aux_model_gaps(F: float, n: int) -> np.ndarray:
@@ -99,13 +76,6 @@ def inverse_sqrt_sum(n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return float(np.sum(np.arange(1, n + 1, dtype=float) ** -0.5))
-
-
-def aux_model_extent(F: float, n: int) -> float:
-    """Total length of the half-line chain, F**-0.5 * sum_k k**-0.5."""
-    if not (F > 0.0):
-        raise ValueError(f"half-line model needs F > 0, got {F}")
-    return inverse_sqrt_sum(n) / math.sqrt(F)
 
 
 def critical_force_exact(n: int, L: float) -> float:

@@ -39,13 +39,3 @@ class NoConvergence(CoulombChainError):
         self.bracket = bracket
         super().__init__(message)
 
-
-class PositivityError(CoulombChainError):
-    """A closed-form gap sequence left its domain of validity.
-
-    Carries the first 1-based gap index whose pressure would be non-positive.
-    """
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"pressure not positive at gap k={index}")

@@ -2,10 +2,12 @@
 
 An independent route to fixed points: projected Newton descent on the total
 energy, with the walls enforced by clamping the end particles into [-L, 0].
-The energy couples only nearest neighbours, so its Hessian is tridiagonal
-and each Newton step is an O(N) LDL^T (Thomas) solve over the free
-particles; where the Hessian is not positive definite (a rising force), a
-diagonal shift restores a descent direction.  It needs no monotonicity from
+The energy, its gradient and the residuals come from ``model``; this module
+adds the Hessian, the Newton step and the line search.  The energy couples
+only nearest neighbours, so its Hessian is tridiagonal and each Newton step
+is an O(N) LDL^T (Thomas) solve over the free particles; where the Hessian
+is not positive definite (a rising force), a diagonal shift restores a
+descent direction.  It needs no monotonicity from
 the force profile, so it doubles as the oracle for solver verification and
 as the probe for non-monotone profiles where several local minima coexist.
 ``local_minimality_certificate`` certifies a returned point as a strict
@@ -31,13 +33,13 @@ from .model import (
     ModelParams,
     PiecewiseLinear,
     energy,
+    energy_gradient,
     residuals,
 )
 
 __all__ = [
     "MinimizeSettings",
     "default_settings",
-    "energy_gradient",
     "local_minimality_certificate",
     "minimize",
     "multi_start_fixed_points",
@@ -77,29 +79,6 @@ def default_settings(params: ModelParams, seed: int = 0) -> MinimizeSettings:
     pressure = (1.0 + scale * push) / scale ** 2
     rounding_floor = 4.0 * np.finfo(float).eps * n * pressure
     return MinimizeSettings(grad_tol=max(1e-10 / scale ** 2, rounding_floor), seed=seed)
-
-
-def _gradient_raw(x: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    d = x[:-1] - x[1:]
-    f = d ** -2.0
-    g = np.empty_like(x)
-    g[0] = -f[0] - fv[0]
-    if x.size > 2:
-        g[1:-1] = f[:-1] - f[1:] - fv[1:-1]
-    g[-1] = f[-1] - fv[-1]
-    return g
-
-
-def energy_gradient(positions, params: ModelParams) -> np.ndarray:
-    """Analytic gradient of the energy with respect to every position.
-
-    For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
-    particles keep only their single interaction term.  Zero interior
-    gradient is exactly the interior force-balance condition.
-    """
-    x = positions.positions if isinstance(positions, Configuration) else np.asarray(positions, dtype=float)
-    fv = np.asarray(params.profile.force_at(x), dtype=float)
-    return _gradient_raw(x, fv)
 
 
 def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +157,6 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, slope: np.ndarray, lo: int, 
     return p
 
 
-def _energy_raw(x: np.ndarray, profile, L: float) -> float:
-    d = x[:-1] - x[1:]
-    return float(np.sum(1.0 / d) - np.sum(profile.integral_from_wall(x, L)))
-
-
 def _delta_energy(x: np.ndarray, trial: np.ndarray, profile) -> float:
     """Energy change U(trial) - U(x), accurate at the scale of the move.
 
@@ -233,17 +207,12 @@ def minimize(
         settings = default_settings(params)
     L = params.L
     profile = params.profile
-    if start.n_gaps != params.n_gaps:
-        raise ValueError("start configuration size does not match params")
-    if start.positions[-1] < -L:
-        raise ValueError("start configuration extends beyond the left wall")
-
+    u = energy(start, params)
     x = start.positions.copy()
-    u = _energy_raw(x, profile, L)
     iterations = 0
 
     while True:
-        g = _gradient_raw(x, np.asarray(profile.force_at(x), dtype=float))
+        g = energy_gradient(x, params)
         lo, hi = _free_range(x, g, L, 0.0)
         grad_norm = float(np.max(np.abs(g[lo:hi]), initial=0.0))
         if grad_norm <= settings.grad_tol:
@@ -317,15 +286,14 @@ def local_minimality_certificate(
     """
     if grad_tol is None:
         grad_tol = 10.0 * default_settings(params).grad_tol
-    profile = params.profile
     x = config.positions
-    g = _gradient_raw(x, np.asarray(profile.force_at(x), dtype=float))
+    g = energy_gradient(x, params)
     lo, hi = _free_range(x, g, params.L, grad_tol)
     if float(np.max(np.abs(g[lo:hi]), initial=0.0)) > grad_tol:
         return False
     if lo >= hi:
         return True
-    diag, off = _hessian_bands(x, np.asarray(profile.slope_at(x), dtype=float))
+    diag, off = _hessian_bands(x, np.asarray(params.profile.slope_at(x), dtype=float))
     zeros = [0.0] * (hi - lo)  # only the pivots matter
     return _ldl_solve(diag[lo:hi].tolist(), off[lo:hi - 1].tolist(), zeros, 0.0) is not None
 

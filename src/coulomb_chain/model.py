@@ -1,4 +1,4 @@
-"""Model types and energy accounting for a chain of like charges on a segment.
+"""Model types, the energy and its force balance for a chain of like charges.
 
 The chain lives on [-L, 0]: positions x_0 >= x_1 >= ... >= x_N with hard walls
 at both ends, nearest neighbours repelling through the potential 1/|x_i -
@@ -13,6 +13,12 @@ Derived quantities follow the same conventions everywhere:
 * gap        delta_k = x_{k-1} - x_k          for k = 1..N
 * pressure   f_k     = delta_k**-2
 * energy     U = sum_k 1/delta_k - sum_i integral_{-L}^{x_i} F(x) dx
+
+This module is the only one that writes U down.  ``energy`` evaluates it,
+``energy_gradient`` differentiates it, and ``residuals`` reads the force
+balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
+the statement dU/dx_k = 0.  The solvers and the descent oracle call these
+three instead of restating them.
 
 Every type is an immutable value object and every operation a pure function,
 so concurrent use needs no coordination.
@@ -40,8 +46,7 @@ __all__ = [
     "Residuals",
     "Scaled",
     "energy",
-    "external_energy",
-    "interaction_energy",
+    "energy_gradient",
     "residuals",
     "uniform_configuration",
 ]
@@ -68,10 +73,6 @@ class ForceProfile:
     """
 
     def force_at(self, x):
-        raise NotImplementedError
-
-    def integral_from_wall(self, x, L: float):
-        """Exact integral of the force from -L up to x."""
         raise NotImplementedError
 
     def integral_between(self, a, b):
@@ -111,11 +112,6 @@ class Constant(ForceProfile):
     def force_at(self, x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, self.value)
-        return float(out) if out.ndim == 0 else out
-
-    def integral_from_wall(self, x, L):
-        x = np.asarray(x, dtype=float)
-        out = self.value * (x + L)
         return float(out) if out.ndim == 0 else out
 
     def integral_between(self, a, b):
@@ -194,16 +190,12 @@ class PiecewiseLinear(ForceProfile):
     def _integral_from_first_node(self, x):
         bx, by = self._bx, self._by
         x = np.asarray(x, dtype=float)
-        j = np.clip(np.searchsorted(bx, x, side="right") - 1, 0, len(bx) - 2)
+        j = np.searchsorted(bx[1:-1], x, side="right")  # segment, clamped to the end ones
         dx = x - bx[j]
         inside = self._node_integral[j] + by[j] * dx + 0.5 * self._slopes[j] * dx * dx
         below = by[0] * (x - bx[0])
         above = self._node_integral[-1] + by[-1] * (x - bx[-1])
         return np.where(x < bx[0], below, np.where(x > bx[-1], above, inside))
-
-    def integral_from_wall(self, x, L):
-        out = self._integral_from_first_node(x) - self._integral_from_first_node(-L)
-        return float(out) if np.ndim(out) == 0 else out
 
     def integral_between(self, a, b):
         # With both endpoints in one linear (or flat-extension) region the
@@ -219,10 +211,10 @@ class PiecewiseLinear(ForceProfile):
         return float(out) if out.ndim == 0 else out
 
     def slope_at(self, x):
+        bx = self._bx
         x = np.asarray(x, dtype=float)
-        j = np.searchsorted(self._bx, x, side="right") - 1
-        inside = (j >= 0) & (j < len(self._bx) - 1)
-        out = np.where(inside, self._slopes[np.clip(j, 0, len(self._slopes) - 1)], 0.0)
+        j = np.searchsorted(bx[1:-1], x, side="right")
+        out = np.where((x >= bx[0]) & (x < bx[-1]), self._slopes[j], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def scale(self, factor):
@@ -406,27 +398,38 @@ def _check_fits(config: Configuration, params: ModelParams):
         )
 
 
-def interaction_energy(config: Configuration) -> float:
-    """Nearest-neighbour repulsion term sum_k 1/delta_k."""
-    return float(np.sum(1.0 / config.gaps))
-
-
-def external_energy(config: Configuration, params: ModelParams) -> float:
-    """Work term sum_i integral_{-L}^{x_i} F(x) dx, evaluated in closed form."""
-    _check_fits(config, params)
-    return float(np.sum(params.profile.integral_from_wall(config.positions, params.L)))
-
-
 def energy(config: Configuration, params: ModelParams) -> float:
-    """Total renormalized energy of a configuration."""
-    return interaction_energy(config) - external_energy(config, params)
+    """Total renormalized energy U = sum_k 1/delta_k - sum_i integral_{-L}^{x_i} F."""
+    _check_fits(config, params)
+    work = params.profile.integral_between(-params.L, config.positions)
+    return float(np.sum(1.0 / config.gaps) - np.sum(work))
+
+
+def energy_gradient(positions, params: ModelParams) -> np.ndarray:
+    """Analytic gradient of the energy with respect to every position.
+
+    For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
+    particles keep only their single interaction term.  ``positions`` may be
+    a Configuration or a plain array (the descent's unvalidated iterates).
+    """
+    x = positions.positions if isinstance(positions, Configuration) else np.asarray(positions, dtype=float)
+    fv = np.asarray(params.profile.force_at(x), dtype=float)
+    f = x[:-1] - x[1:]
+    np.power(f, -2.0, out=f)
+    g = np.empty_like(x)
+    g[0] = -f[0] - fv[0]
+    np.subtract(f[:-1], f[1:], out=g[1:-1])
+    g[1:-1] -= fv[1:-1]
+    g[-1] = f[-1] - fv[-1]
+    return g
 
 
 def residuals(config: Configuration, params: ModelParams) -> Residuals:
-    """Interior force-balance residuals and the terminal slack."""
+    """Interior force-balance residuals and the terminal slack.
+
+    Both are read off ``energy_gradient``: the interior balance is -dU/dx_k
+    and the slack is dU/dx_N.
+    """
     _check_fits(config, params)
-    f = config.pressures
-    fv = np.asarray(params.profile.force_at(config.positions), dtype=float)
-    interior = f[1:] + fv[1:-1] - f[:-1]
-    slack = float(f[-1] - fv[-1])
-    return Residuals(interior=interior, terminal_slack=slack)
+    g = energy_gradient(config, params)
+    return Residuals(interior=-g[1:-1], terminal_slack=float(g[-1]))

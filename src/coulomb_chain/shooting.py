@@ -55,7 +55,6 @@ MAX_ITER = 200
 # Safe lower end for the first-gap bracket: small enough that h is provably
 # positive, large enough that delta**-2 stays below overflow.
 _TINY_DELTA1 = 1e-150
-_EPS = float(np.finfo(float).eps)
 
 
 class _Probe(NamedTuple):
@@ -196,9 +195,7 @@ def _validate_monotone(profile: ForceProfile, L: float):
         raise MonotonicityViolation("force profile takes negative values on the segment")
 
 
-def solve_fixed_point(
-    params: ModelParams, tol_rel: float = TOL_REL, max_iter: int = MAX_ITER
-) -> FixedPointResult:
+def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPointResult:
     """Locate the unique fixed point for a non-increasing, non-negative force.
 
     Brent's root-find (zeroin) on the terminal function h of the module
@@ -210,6 +207,7 @@ def solve_fixed_point(
     bisection whenever the interpolant leaves the bracket or does not shrink
     it fast enough.  The search sees h / (1 + |h|), which has the same sign
     and root, reads -1 at a collapse and stays finite for interpolation.
+    It stops at a relative bracket width of ``TOL_REL`` = 1e-14.
 
     On the pinned branch the chain of the bracket's positive end (x_N just
     above -L) is stretched so that x_N = -L exactly.  That spreads the wall
@@ -224,11 +222,9 @@ def solve_fixed_point(
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
             non-negative and non-increasing, otherwise MonotonicityViolation.
-        tol_rel: relative bracket width on the first gap at which the
-            search stops (at least 4 eps is used).
         max_iter: shooting-evaluation budget, the two bracket ends included;
             NoConvergence, carrying the shots spent and the last bracket,
-            when exceeded before the tolerance is met.
+            when exceeded before the bracket is ``TOL_REL`` wide.
     """
     profile = params.profile
     _validate_monotone(profile, params.L)
@@ -271,7 +267,7 @@ def solve_fixed_point(
     # sign bracket, a the previous b; d is the last step, e the one before.
     c = a
     d = e = b.d1 - a.d1
-    half_width = max(0.5 * tol_rel, 2.0 * _EPS)
+    half_width = 0.5 * TOL_REL
     while True:
         if (b.h > 0.0) == (c.h > 0.0):
             c = a
@@ -284,13 +280,13 @@ def solve_fixed_point(
             break
         if shots >= max_iter:
             raise NoConvergence(
-                f"first-gap search did not reach tol_rel={tol_rel} "
+                f"first-gap search did not reach TOL_REL={TOL_REL} "
                 f"within {max_iter} shots",
                 iterations=shots, bracket=tuple(sorted((b.d1, c.d1))),
             )
         if b.h == 0.0:
             # b is a root to rounding: the minimum step toward c closes the
-            # bracket (Brent stops here, but tol_rel bounds the bracket).
+            # bracket (Brent stops here, but TOL_REL bounds the bracket).
             e, d = d, 0.0
         elif abs(e) >= tol and abs(a.h) > abs(b.h):
             s = b.h / a.h

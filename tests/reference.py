@@ -10,12 +10,15 @@ first vectorized, one fresh array per intermediate.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
 row.  ``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
-2 (N + 1) full energy evaluations.
+2 (N + 1) full energy evaluations.  ``gaps_constant_force`` and
+``aux_model_extent`` restate closed forms that the library only uses
+implicitly (the constant-force shot, the critical force).
 """
 
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 
@@ -23,15 +26,53 @@ from coulomb_chain import (
     Classification,
     Configuration,
     Constant,
+    CoulombChainError,
     FixedPointResult,
     ModelParams,
     NoConvergence,
     ShootingOutcome,
+    inverse_sqrt_sum,
     residuals,
     shoot,
     solve_fixed_point,
 )
-from coulomb_chain.minimizer import _energy_raw
+
+
+class PositivityError(CoulombChainError):
+    """A closed-form gap sequence left its domain of validity.
+
+    Carries the first 1-based gap index whose pressure would be non-positive.
+    """
+
+    def __init__(self, index: int, message: str | None = None):
+        self.index = index
+        super().__init__(message or f"pressure not positive at gap k={index}")
+
+
+def gaps_constant_force(delta1: float, F: float, n: int) -> np.ndarray:
+    """Gap sequence generated by a first gap under constant force.
+
+    Valid while 1 - delta1**2 (k-1) F stays positive for all k <= n;
+    otherwise raises PositivityError naming the first failing gap.
+    """
+    if not (delta1 > 0.0):
+        raise ValueError(f"first gap must be positive, got {delta1}")
+    if F < 0.0:
+        raise ValueError(f"force must be non-negative, got {F}")
+    if n < 1:
+        raise ValueError(f"need at least one gap, got {n}")
+    t = delta1 * delta1 * F * np.arange(n, dtype=float)
+    bad = t >= 1.0
+    if bad.any():
+        raise PositivityError(int(np.argmax(bad)) + 1)
+    return delta1 * (1.0 - t) ** -0.5
+
+
+def aux_model_extent(F: float, n: int) -> float:
+    """Total length of the half-line chain, F**-0.5 * sum_k k**-0.5."""
+    if not (F > 0.0):
+        raise ValueError(f"half-line model needs F > 0, got {F}")
+    return inverse_sqrt_sum(n) / math.sqrt(F)
 
 
 def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:
@@ -185,14 +226,19 @@ def coordinate_certificate(
 
     A cheap coordinate-wise certificate, not a Hessian test; ``eps`` defaults
     to 1e-6 * L / N.  Moves that would break ordering or leave the segment
-    are skipped.
+    are skipped.  Trial energies are summed here rather than through
+    ``energy``, which would validate a Configuration per trial.
     """
     L = params.L
     if eps is None:
         eps = 1e-6 * L / params.n_gaps
     profile = params.profile
+
+    def energy_of(x):
+        return float(np.sum(1.0 / (x[:-1] - x[1:])) - np.sum(profile.integral_between(-L, x)))
+
     x = config.positions
-    u0 = _energy_raw(x, profile, L)
+    u0 = energy_of(x)
     guard = 1e-12 * max(1.0, abs(u0))
     for i in range(x.size):
         for s in (eps, -eps):
@@ -207,6 +253,6 @@ def coordinate_certificate(
                 continue
             trial = x.copy()
             trial[i] = xi
-            if _energy_raw(trial, profile, L) < u0 - guard:
+            if energy_of(trial) < u0 - guard:
                 return False
     return True

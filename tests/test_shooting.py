@@ -14,12 +14,11 @@ from coulomb_chain import (
     PiecewiseLinear,
     aux_model_gaps,
     critical_force_exact,
-    gaps_constant_force,
     residuals,
     shoot,
     solve_fixed_point,
 )
-from reference import bisect_fixed_point, shoot_constant, wall_force
+from reference import bisect_fixed_point, gaps_constant_force, shoot_constant, wall_force
 
 EPS = np.finfo(float).eps
 
