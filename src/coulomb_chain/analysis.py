@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import AsymptoticDensity, Phase, asymptotic_density
 from .errors import CoulombChainError
 from .model import Configuration, Constant, FixedPointResult, ModelParams, Scaled
-from .shooting import MAX_ITER, solve_fixed_point
+from .shooting import solve_fixed_point
 
 __all__ = [
     "ConvergenceRow",
@@ -100,14 +100,14 @@ def _sup_deviation(hist: DensityHistogram, prediction: AsymptoticDensity) -> flo
     return float(np.max(np.abs(hist.density - prediction.density(hist.centers))))
 
 
-def classify_phase(
-    params: ModelParams, solved: FixedPointResult, n_bins: int | None = None
-) -> PhaseReport:
+def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport:
     """Map a solved chain onto a density phase from finite-N evidence.
 
     Requires the force declared as a scaling (c, gamma); the decision
     thresholds are the module-level heuristics, and near-threshold evidence
-    sets the ``ambiguous`` flag instead of being resolved.
+    sets the ``ambiguous`` flag instead of being resolved.  ``sup_deviation``
+    compares the prediction with ``histogram``'s default of round(sqrt(N))
+    bins.
     """
     if not isinstance(params.force, Scaled):
         raise TypeError("phase classification needs a force declared as Scaled(c, gamma)")
@@ -119,7 +119,7 @@ def classify_phase(
     delta1_scaled = solved.delta1 * n / L
     n_max_gap_dev = float(n * np.max(np.abs(gaps - L / n)))
     prediction = asymptotic_density(c, gamma, L)
-    sup_dev = _sup_deviation(histogram(solved.config, params, n_bins), prediction)
+    sup_dev = _sup_deviation(histogram(solved.config, params), prediction)
 
     uniform_ratio = n_max_gap_dev / _UNIFORM_THRESHOLD
     collapse_ratio = abs(x_left) / (_COLLAPSE_FACTOR * L / math.sqrt(n))
@@ -174,10 +174,12 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep(grid, n_bins: int | None = None, max_iter: int = MAX_ITER) -> list[SweepRow]:
+def sweep(grid) -> list[SweepRow]:
     """Solve and classify every (N, L, c, gamma) grid point.
 
-    Rows come back in grid order; a failing point records its error and the
+    Each point is one ``solve_fixed_point`` (at most ``shooting.MAX_ITER`` =
+    200 shots) and one ``classify_phase`` (round(sqrt(N)) histogram bins).  Rows
+    come back in grid order; a failing point records its error and the
     sweep continues.  Everything except the ``seconds`` timing column is a
     deterministic function of the grid.
     """
@@ -186,8 +188,8 @@ def sweep(grid, n_bins: int | None = None, max_iter: int = MAX_ITER) -> list[Swe
         t0 = time.perf_counter()
         try:
             params = ModelParams(L=float(L), n_gaps=int(n), force=Scaled(c=c, gamma=gamma))
-            solved = solve_fixed_point(params, max_iter=max_iter)
-            report = classify_phase(params, solved, n_bins)
+            solved = solve_fixed_point(params)
+            report = classify_phase(params, solved)
             rows.append(
                 SweepRow(
                     n_gaps=int(n),

@@ -7,13 +7,18 @@ plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 tent profile).  Output is compact JSON or CSV with full round-trip float
 precision; model errors, and an ``--output`` path that cannot be written,
 exit 1 with a machine-readable JSON error object, usage errors exit 2.
+
+The solvers' budgets are fixed, not flags: a shooting solve stops at a
+relative first-gap bracket of ``shooting.TOL_REL`` = 1e-14 within
+``shooting.MAX_ITER`` = 200 shots, and a descent within
+``minimizer.MAX_ITER`` = 500,000 steps.  ``sweep`` classifies each point on
+round(sqrt(N)) histogram bins; only ``density`` takes ``--bins``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -43,7 +48,7 @@ from .model import (
     energy,
     uniform_configuration,
 )
-from .shooting import MAX_ITER, TOL_REL, solve_fixed_point
+from .shooting import solve_fixed_point
 
 __all__ = ["main"]
 
@@ -95,16 +100,6 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--output", metavar="PATH", help="write here (atomically) instead of stdout")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--max-iter",
-        type=int,
-        default=MAX_ITER,
-        help="shooting evaluation budget; the first-gap search stops at a "
-        f"relative bracket width of {TOL_REL:g}",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulomb-chain",
@@ -116,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of gaps N")
     p.add_argument("--length", type=float, default=1.0, help="segment length L")
     _add_force_flags(p)
-    _add_solver_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("critical", help="exact wall-departure force")
@@ -129,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--bins", type=int, default=None, help="bin count (default round(sqrt(N)))")
     _add_force_flags(p)
-    _add_solver_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="solve and classify a (N, L, c, gamma) grid")
@@ -139,8 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,L,C,GAMMA;...",
         help="semicolon-separated grid points",
     )
-    p.add_argument("--bins", type=int, default=None)
-    _add_solver_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("converge", help="solver output across increasing N")
@@ -148,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
-    _add_solver_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("oracle", help="projected Newton energy minimization")
@@ -156,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=float, default=1.0)
     _add_force_flags(p)
     p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=500_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--jitter",
@@ -312,7 +301,7 @@ def _solution_table(payload: dict, extra: dict | None = None):
 
 def _cmd_solve(args):
     params = ModelParams(L=args.length, n_gaps=args.n, force=_parse_force(args))
-    result = solve_fixed_point(params, max_iter=args.max_iter)
+    result = solve_fixed_point(params)
     payload = _solution_payload(params, result)
     return payload, lambda: _solution_table(payload)
 
@@ -330,7 +319,7 @@ def _cmd_critical(args):
 def _cmd_density(args):
     force = _parse_force(args)
     params = ModelParams(L=args.length, n_gaps=args.n, force=force)
-    result = solve_fixed_point(params, max_iter=args.max_iter)
+    result = solve_fixed_point(params)
     hist = histogram(result.config, params, args.bins)
     prediction = None
     if isinstance(force, Scaled):
@@ -368,7 +357,7 @@ def _cmd_sweep(args):
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
         grid.append((int(n), L, c, gamma))
-    rows = sweep(grid, n_bins=args.bins, max_iter=args.max_iter)
+    rows = sweep(grid)
     columns = [[getattr(r, col) for r in rows] for col in _SWEEP_COLUMNS]
     payload = {"columns": _SWEEP_COLUMNS, "rows": [list(row) for row in zip(*columns)]}
     return payload, lambda: (_SWEEP_COLUMNS, columns)
@@ -384,12 +373,9 @@ def _cmd_converge(args):
 
 
 def _descent_settings(args, params) -> MinimizeSettings:
-    settings = default_settings(params, seed=args.seed)
-    return dataclasses.replace(
-        settings,
-        grad_tol=settings.grad_tol if args.grad_tol is None else args.grad_tol,
-        max_iter=getattr(args, "max_iter", settings.max_iter),  # nonunique has no --max-iter
-    )
+    if args.grad_tol is None:
+        return default_settings(params, seed=args.seed)
+    return MinimizeSettings(grad_tol=args.grad_tol, seed=args.seed)
 
 
 def _cmd_oracle(args):

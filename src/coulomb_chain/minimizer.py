@@ -38,6 +38,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_ITER",
     "MinimizeSettings",
     "default_settings",
     "local_minimality_certificate",
@@ -46,15 +47,20 @@ __all__ = [
     "nonuniqueness_params",
 ]
 
+# Accepted-step budget of minimize, read at call time.
+MAX_ITER = 500_000
 _ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
 class MinimizeSettings:
-    """Tolerance, iteration budget and multi-start seed of the descent."""
+    """Gradient tolerance and multi-start seed of the descent.
+
+    The step budget is not a setting: every descent stops after at most
+    ``MAX_ITER`` = 500,000 accepted steps.
+    """
 
     grad_tol: float
-    max_iter: int = 500_000
     seed: int = 0
 
     def __post_init__(self):
@@ -201,7 +207,7 @@ def minimize(
     Raises NoConvergence, carrying ``iterations`` and the last projected
     gradient norm ``grad_norm``, when the line search can make no further
     progress (the tolerance lies below the floating-point floor of the
-    gradient) or the iteration budget runs out.
+    gradient) or ``MAX_ITER`` = 500,000 accepted steps did not reach it.
     """
     if settings is None:
         settings = default_settings(params)
@@ -217,10 +223,10 @@ def minimize(
         grad_norm = float(np.max(np.abs(g[lo:hi]), initial=0.0))
         if grad_norm <= settings.grad_tol:
             break
-        if iterations >= settings.max_iter:
+        if iterations >= MAX_ITER:
             raise NoConvergence(
                 f"descent did not reach grad_tol={settings.grad_tol} "
-                f"in {settings.max_iter} iterations",
+                f"in MAX_ITER={MAX_ITER} iterations",
                 iterations=iterations,
                 grad_norm=grad_norm,
             )

@@ -48,7 +48,8 @@ from .model import (
 
 __all__ = ["MAX_ITER", "TOL_REL", "ShootingOutcome", "shoot", "solve_fixed_point"]
 
-# Defaults of solve_fixed_point, also used by the analysis helpers and the CLI.
+# Stopping rule of solve_fixed_point, read at call time: the relative width
+# of the final first-gap bracket and the shot budget.
 TOL_REL = 1e-14
 MAX_ITER = 200
 
@@ -195,7 +196,7 @@ def _validate_monotone(profile: ForceProfile, L: float):
         raise MonotonicityViolation("force profile takes negative values on the segment")
 
 
-def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPointResult:
+def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     """Locate the unique fixed point for a non-increasing, non-negative force.
 
     Brent's root-find (zeroin) on the terminal function h of the module
@@ -203,11 +204,15 @@ def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPoi
     machine-tiny gap, and h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9),
     because gaps never shrink along the chain (so x_N <= -N delta_1) and no
     force term is below F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0)).
-    Each step interpolates (secant or inverse quadratic) and falls back to
-    bisection whenever the interpolant leaves the bracket or does not shrink
-    it fast enough.  The search sees h / (1 + |h|), which has the same sign
-    and root, reads -1 at a collapse and stays finite for interpolation.
-    It stops at a relative bracket width of ``TOL_REL`` = 1e-14.
+    Should rounding ever break that, the search raises NoConvergence with
+    the bracket rather than widening it.  Each step interpolates (secant or
+    inverse quadratic) and falls back to bisection whenever the interpolant
+    leaves the bracket or does not shrink it fast enough.  The search sees
+    h / (1 + |h|), which has the same sign and root, reads -1 at a collapse
+    and stays finite for interpolation.  It stops at a relative bracket
+    width of ``TOL_REL`` = 1e-14, and spends at most ``MAX_ITER`` = 200
+    shots, the two bracket ends included; NoConvergence, carrying the shots
+    spent and the last bracket, when the bracket is not that narrow by then.
 
     On the pinned branch the chain of the bracket's positive end (x_N just
     above -L) is stretched so that x_N = -L exactly.  That spreads the wall
@@ -222,9 +227,6 @@ def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPoi
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
             non-negative and non-increasing, otherwise MonotonicityViolation.
-        max_iter: shooting-evaluation budget, the two bracket ends included;
-            NoConvergence, carrying the shots spent and the last bracket,
-            when exceeded before the bracket is ``TOL_REL`` wide.
     """
     profile = params.profile
     _validate_monotone(profile, params.L)
@@ -249,19 +251,11 @@ def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPoi
     if _TINY_DELTA1 >= hi:
         raise ValueError("segment too short per gap to bracket the first gap")
     a, b = probe(_TINY_DELTA1), probe(hi)
-    if not a.h > 0.0:
+    if not a.h > 0.0 or b.h > 0.0:
         raise NoConvergence(
-            "terminal function not positive at the lower bracket end",
+            "terminal function does not change sign over the first-gap bracket",
             iterations=shots, bracket=(a.d1, b.d1),
         )
-    while b.h > 0.0:
-        # Cannot happen for a valid profile; defensive geometric growth.
-        if shots >= max_iter:
-            raise NoConvergence(
-                "could not bracket the terminal conditions",
-                iterations=shots, bracket=(a.d1, b.d1),
-            )
-        a, b = b, probe(2.0 * b.d1)
 
     # Brent (1973), zeroin: b is the best estimate, c the other end of the
     # sign bracket, a the previous b; d is the last step, e the one before.
@@ -278,10 +272,10 @@ def solve_fixed_point(params: ModelParams, max_iter: int = MAX_ITER) -> FixedPoi
         m = 0.5 * (c.d1 - b.d1)
         if abs(m) <= tol:
             break
-        if shots >= max_iter:
+        if shots >= MAX_ITER:
             raise NoConvergence(
                 f"first-gap search did not reach TOL_REL={TOL_REL} "
-                f"within {max_iter} shots",
+                f"within MAX_ITER={MAX_ITER} shots",
                 iterations=shots, bracket=tuple(sorted((b.d1, c.d1))),
             )
         if b.h == 0.0:

@@ -97,10 +97,7 @@ def test_criterion_02_oracle_equivalence():
             for F in (0.0, 1.0, 10.0, 1.5 * critical_force_exact(n, 1.0)):
                 params = ModelParams(L=1.0, n_gaps=n, force=Constant(F))
                 sol = solve_fixed_point(params)
-                base = default_settings(params)
-                settings = MinimizeSettings(
-                    grad_tol=1e-9 * n * n, max_iter=base.max_iter,
-                )
+                settings = MinimizeSettings(grad_tol=1e-9 * n * n)
                 orc = minimize(params, uniform_configuration(params), settings)
                 diff = float(np.max(np.abs(sol.config.positions - orc.config.positions)))
                 worst = max(worst, diff)

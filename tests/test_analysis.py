@@ -18,6 +18,7 @@ from coulomb_chain import (
     sweep,
     uniform_configuration,
 )
+from coulomb_chain import shooting
 
 
 class TestHistogram:
@@ -93,7 +94,9 @@ class TestClassifyPhase:
         assert report.sup_deviation is None
 
     def test_agreement_with_declared_region_away_from_boundaries(self):
-        # gamma at least 0.25 from 1, c at least 0.5 from the critical 4.0
+        # gamma 0.5 and 0.75 below 1, gamma = 1 with c at least 0.5 from the
+        # critical 4.0 (and not near 0), and gamma = 2.  No gamma in (1, 2):
+        # those read wrong, see test_known_misdetection.
         n = 10 ** 4
         cases = [
             (1.0, 0.5, Phase.UNIFORM),
@@ -107,6 +110,23 @@ class TestClassifyPhase:
         for c, gamma, expected in cases:
             p, sol = solved_scaled(n, c, gamma)
             assert classify_phase(p, sol).detected is expected, (c, gamma)
+
+    # Misdetections the thresholds make at N = 1e4; none of them is flagged
+    # ambiguous.  Strict, so a classifier that gets one right must move it
+    # into the agreement test above.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="known misdetection")
+    @pytest.mark.parametrize(
+        "c, gamma, truth",
+        [
+            (1.0, 1.25, Phase.DELTA_AT_ORIGIN),  # reads DETACHED
+            (1.0, 1.5, Phase.DELTA_AT_ORIGIN),  # reads DETACHED
+            (1.0, 1.9, Phase.DELTA_AT_ORIGIN),  # reads DETACHED
+            (0.05, 1.0, Phase.SMOOTH_POSITIVE),  # reads UNIFORM
+        ],
+    )
+    def test_known_misdetection(self, c, gamma, truth):
+        p, sol = solved_scaled(10 ** 4, c, gamma)
+        assert classify_phase(p, sol).detected is truth
 
     def test_near_critical_is_flagged_ambiguous(self):
         p, sol = solved_scaled(10 ** 4, 4.1, 1.0)
@@ -139,8 +159,9 @@ class TestSweep:
                 rb, seconds=0.0
             )
 
-    def test_failures_recorded_and_sweep_continues(self):
-        rows = sweep([(100, 1.0, 1.0, 1.0), (100, 1.0, 1.0, 1.0)], max_iter=3)
+    def test_failures_recorded_and_sweep_continues(self, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_ITER", 3)
+        rows = sweep([(100, 1.0, 1.0, 1.0), (100, 1.0, 1.0, 1.0)])
         assert all(r.error is not None and "NoConvergence" in r.error for r in rows)
         assert len(rows) == 2
 

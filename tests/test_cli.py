@@ -1,5 +1,6 @@
 """Command-line interface: schemas, formats, round trips and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from coulomb_chain import Configuration, Constant, ModelParams, analysis, residuals
+from coulomb_chain import Configuration, Constant, ModelParams, analysis, residuals, shooting
+from coulomb_chain import cli
 from coulomb_chain.cli import _render_csv, main
 from reference import render_csv_rows, table_rows
 
@@ -102,8 +104,9 @@ class TestSolveCommand:
         assert error["kind"] in ("FileNotFoundError", "IsADirectoryError")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
 
-    def test_exhausted_shot_budget_is_an_error_object(self, capsys):
-        code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0", "--max-iter", "3")
+    def test_exhausted_shot_budget_is_an_error_object(self, capsys, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_ITER", 3)
+        code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0")
         assert code == 1
         error = json.loads(out)["error"]
         assert error["kind"] == "NoConvergence"
@@ -224,6 +227,96 @@ class TestNonuniqueCommand:
         assert payload["minima"][0]["energy"] <= payload["minima"][-1]["energy"]
 
 
+class RecordingNamespace(argparse.Namespace):
+    """Parsed arguments that record every name read from them in ``reads``."""
+
+    def __init__(self, **kwargs):
+        object.__setattr__(self, "reads", set())
+        super().__init__(**kwargs)
+
+    def __getattribute__(self, name):
+        if name != "reads" and not name.startswith("__"):
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def registered_flags(command):
+    """{option string: dest} of every flag the subcommand registers."""
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {opt: a.dest for a in actions for opt in a.option_strings if a.dest != "help"}
+
+
+def flags_in(argv):
+    return {arg.split("=")[0] for arg in argv if arg.startswith("--")}
+
+
+# Runs that together pass every flag of each command; "{out}" is a file path.
+FLAG_RUNS = {
+    "solve": [
+        ["--n", "20", "--length", "2", "--force", "0", "--format", "csv", "--output", "{out}"],
+        ["--n", "20", "--force-scaled", "2,1"],
+        ["--n", "20", "--force-piecewise=-1:3,0:1"],
+    ],
+    "critical": [["--n", "20", "--length", "2", "--format", "csv", "--output", "{out}"]],
+    "density": [
+        ["--n", "100", "--length", "2", "--bins", "5", "--force", "1",
+         "--format", "csv", "--output", "{out}"],
+        ["--n", "100", "--force-scaled", "2,1"],
+        ["--n", "100", "--force-piecewise=-1:3,0:1"],
+    ],
+    "sweep": [["--grid", "100,1,2,1", "--format", "csv", "--output", "{out}"]],
+    "converge": [
+        ["--c", "2", "--gamma", "1", "--length", "2", "--n-list", "10,20",
+         "--format", "csv", "--output", "{out}"],
+    ],
+    "oracle": [
+        ["--n", "8", "--length", "2", "--force", "40", "--grad-tol", "1e-6", "--seed", "3",
+         "--jitter", "0.3", "--format", "csv", "--output", "{out}"],
+        ["--n", "8", "--force-scaled", "2,1"],
+        ["--n", "8", "--force-piecewise=-1:3,0:1"],
+    ],
+    "nonunique": [
+        ["--a", "1", "--b", "2", "--n", "21", "--c-grid", "8", "--n-starts", "4",
+         "--grad-tol", "1e-6", "--seed", "1", "--format", "csv", "--output", "{out}"],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(FLAG_RUNS))
+def test_every_flag_passed_is_read(command, tmp_path, capsys, monkeypatch):
+    registered = registered_flags(command)
+    runs = [[arg.replace("{out}", str(tmp_path / "out")) for arg in argv]
+            for argv in FLAG_RUNS[command]]
+    missing = set(registered) - set().union(*map(flags_in, runs))
+    assert not missing, f"no run passes {sorted(missing)}"
+    build_parser = cli._build_parser
+    for argv in runs:
+        args = build_parser().parse_args([command, *argv], namespace=RecordingNamespace())
+        args.reads.clear()  # argparse itself reads while parsing
+        parsed = types.SimpleNamespace(parse_args=lambda _argv, args=args: args)
+        monkeypatch.setattr(cli, "_build_parser", lambda: parsed)
+        code, out = run_cli(capsys, command, *argv)
+        assert code == 0, out
+        unread = sorted(flag for flag in flags_in(argv) if registered[flag] not in args.reads)
+        assert not unread, f"{command} ignores {unread}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "10", "--force", "0", "--max-iter", "5"],
+    ["density", "--n", "10", "--force", "0", "--max-iter", "5"],
+    ["sweep", "--grid", "10,1,2,1", "--max-iter", "5"],
+    ["sweep", "--grid", "10,1,2,1", "--bins", "5"],
+    ["converge", "--c", "2", "--n-list", "10", "--max-iter", "5"],
+    ["oracle", "--n", "8", "--force", "40", "--max-iter", "5"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_removed_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
 # Cells that stress csv.writer: signed zero, subnormals, extremes, integral
 # floats, float subclasses, ints, None, bools, and strings that need quoting.
 cell_values = st.one_of(
@@ -309,7 +402,7 @@ COMMAND_TABLES = {
     ),
     "density-constant": (["density", "--n", "50", "--force", "10"], density_rows),
     "sweep": (["sweep", "--grid", "200,1,2,1;200,1,16,1"], listed_rows),
-    "sweep-errors": (["sweep", "--grid", "200,1,2,1;50,1,0,1", "--max-iter", "2"], listed_rows),
+    "sweep-errors": (["sweep", "--grid", "200,1,2,1;50,1,0,1"], listed_rows),
     "converge": (["converge", "--c", "16", "--n-list", "10,40"], listed_rows),
     "oracle": (
         ["oracle", "--n", "8", "--force", "40", "--jitter", "0.3"],
@@ -325,6 +418,8 @@ COMMAND_TABLES = {
 def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys, monkeypatch):
     # A still clock makes sweep's timing column the same in both runs.
     monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    if case == "sweep-errors":  # a two-shot budget fails every grid point
+        monkeypatch.setattr(shooting, "MAX_ITER", 2)
     argv, rows_of = COMMAND_TABLES[case]
     code, jout = run_cli(capsys, *argv)
     assert code == 0

@@ -265,6 +265,17 @@ class TestMinimize:
         assert info.value.iterations < 100
         assert info.value.grad_norm > settings.grad_tol
 
+    def test_step_budget_enforced(self, monkeypatch):
+        # this descent takes 9 steps under the default budget
+        n = 50
+        p = ModelParams(L=1.0, n_gaps=n, force=Constant(2.0 * critical_force_exact(n, 1.0)))
+        settings = default_settings(p)
+        monkeypatch.setattr(minimizer, "MAX_ITER", 2)
+        with pytest.raises(NoConvergence) as info:
+            minimize(p, uniform_configuration(p), settings)
+        assert info.value.iterations == 2
+        assert info.value.grad_norm > settings.grad_tol
+
     def test_overflowing_hessian_raises(self):
         # a 1e-120 gap is a valid configuration, but 2/d**3 overflows
         p = ModelParams(L=1.0, n_gaps=3, force=Constant(1.0))

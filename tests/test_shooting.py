@@ -18,6 +18,7 @@ from coulomb_chain import (
     shoot,
     solve_fixed_point,
 )
+from coulomb_chain import shooting
 from reference import bisect_fixed_point, gaps_constant_force, shoot_constant, wall_force
 
 EPS = np.finfo(float).eps
@@ -213,13 +214,14 @@ class TestSolveFixedPoint:
         with pytest.raises(MonotonicityViolation):
             solve_fixed_point(params(5, force=f))
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
         # search needs only a handful of shots; constant force is nonlinear.
         p = params(35, force=Constant(50.0))
         root = solve_fixed_point(p).delta1
+        monkeypatch.setattr(shooting, "MAX_ITER", 5)
         with pytest.raises(NoConvergence) as info:
-            solve_fixed_point(p, max_iter=5)
+            solve_fixed_point(p)
         assert info.value.iterations == 5
         lo, hi = info.value.bracket
         assert lo <= root <= hi
