@@ -100,6 +100,16 @@ def _sup_deviation(hist: DensityHistogram, prediction: AsymptoticDensity) -> flo
     return float(np.max(np.abs(hist.density - prediction.density(hist.centers))))
 
 
+def _evidence(solved: FixedPointResult, L: float) -> tuple[float, float, float]:
+    """(x_N, delta_1 N / L, N max_k |delta_k - L/N|) of one solved chain."""
+    n = solved.config.n_gaps
+    return (
+        float(solved.config.positions[-1]),
+        solved.delta1 * n / L,
+        float(n * np.max(np.abs(solved.config.gaps - L / n))),
+    )
+
+
 def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport:
     """Map a solved chain onto a density phase from finite-N evidence.
 
@@ -114,10 +124,7 @@ def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport
     c, gamma = params.force.c, params.force.gamma
     L, n = params.L, params.n_gaps
 
-    x_left = float(solved.config.positions[-1])
-    gaps = solved.config.gaps
-    delta1_scaled = solved.delta1 * n / L
-    n_max_gap_dev = float(n * np.max(np.abs(gaps - L / n)))
+    x_left, delta1_scaled, n_max_gap_dev = _evidence(solved, L)
     prediction = asymptotic_density(c, gamma, L)
     sup_dev = _sup_deviation(histogram(solved.config, params), prediction)
 
@@ -185,6 +192,7 @@ def sweep(grid) -> list[SweepRow]:
     """
     rows: list[SweepRow] = []
     for n, L, c, gamma in grid:
+        point = dict(n_gaps=int(n), L=float(L), c=float(c), gamma=float(gamma))
         t0 = time.perf_counter()
         try:
             params = ModelParams(L=float(L), n_gaps=int(n), force=Scaled(c=c, gamma=gamma))
@@ -192,10 +200,7 @@ def sweep(grid) -> list[SweepRow]:
             report = classify_phase(params, solved)
             rows.append(
                 SweepRow(
-                    n_gaps=int(n),
-                    L=float(L),
-                    c=float(c),
-                    gamma=float(gamma),
+                    **point,
                     detected=report.detected.value,
                     ambiguous=report.ambiguous,
                     x_leftmost=report.x_leftmost,
@@ -210,10 +215,7 @@ def sweep(grid) -> list[SweepRow]:
         except (CoulombChainError, ValueError, TypeError) as exc:
             rows.append(
                 SweepRow(
-                    n_gaps=int(n),
-                    L=float(L),
-                    c=float(c),
-                    gamma=float(gamma),
+                    **point,
                     seconds=time.perf_counter() - t0,
                     error=f"{type(exc).__name__}: {exc}",
                 )
@@ -242,14 +244,5 @@ def convergence_study(c: float, gamma: float, L: float, n_list) -> list[Converge
         n = int(n)
         force = Constant(0.0) if c == 0.0 else Scaled(c=c, gamma=gamma)
         params = ModelParams(L=L, n_gaps=n, force=force)
-        solved = solve_fixed_point(params)
-        gaps = solved.config.gaps
-        rows.append(
-            ConvergenceRow(
-                n_gaps=n,
-                x_leftmost=float(solved.config.positions[-1]),
-                delta1_scaled=solved.delta1 * n / L,
-                n_max_gap_dev=float(n * np.max(np.abs(gaps - L / n))),
-            )
-        )
+        rows.append(ConvergenceRow(n, *_evidence(solve_fixed_point(params), L)))
     return rows

@@ -5,20 +5,26 @@ solver), ``critical`` (exact wall-departure force), ``density`` (histogram
 plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 ``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
 tent profile).  Output is compact JSON or CSV with full round-trip float
-precision; model errors, and an ``--output`` path that cannot be written,
-exit 1 with a machine-readable JSON error object, usage errors exit 2.
+precision; CSV is written a chunk of lines at a time.  Model errors, and an
+``--output`` path that cannot be written, exit 1 with a machine-readable
+JSON error object; usage errors exit 2.
 
-The solvers' budgets are fixed, not flags: a shooting solve stops at a
-relative first-gap bracket of ``shooting.TOL_REL`` = 1e-14 within
-``shooting.MAX_ITER`` = 200 shots, and a descent within
-``minimizer.MAX_ITER`` = 500,000 steps.  ``sweep`` classifies each point on
-round(sqrt(N)) histogram bins; only ``density`` takes ``--bins``.
+The solvers' budgets and tolerances are fixed, not flags: a shooting solve
+stops at a relative first-gap bracket of ``shooting.TOL_REL`` = 1e-14
+within ``shooting.MAX_ITER`` = 200 shots, and a descent at
+``minimizer.default_settings`` within ``minimizer.MAX_ITER`` = 500,000
+steps.  ``oracle`` descends from the uniform chain; ``nonunique`` runs 8
+stratified starts per coupling, jittered by ``--seed``.  ``sweep``
+classifies each point on round(sqrt(N)) histogram bins; only ``density``
+takes ``--bins``.  The ``sweep`` and ``converge`` columns are the fields of
+``analysis.SweepRow`` and ``analysis.ConvergenceRow``, in order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -26,20 +32,16 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from .analysis import convergence_study, histogram, sweep
+from .analysis import ConvergenceRow, SweepRow, convergence_study, histogram, sweep
 from .closed_form import Phase, asymptotic_density, c_critical, critical_force_exact
 from .errors import CoulombChainError
 from .minimizer import (
-    MinimizeSettings,
     default_settings,
     minimize,
     multi_start_fixed_points,
     nonuniqueness_params,
 )
 from .model import (
-    Configuration,
     Constant,
     FixedPointResult,
     ModelParams,
@@ -51,6 +53,10 @@ from .model import (
 from .shooting import solve_fixed_point
 
 __all__ = ["main"]
+
+# Lines per chunk of CSV text, and the starts of each ``nonunique`` search.
+_CSV_CHUNK_LINES = 4096
+_NONUNIQUE_STARTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=float, default=1.0)
     _add_force_flags(p)
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--jitter",
-        type=float,
-        default=0.0,
-        help="seeded relative jitter of the uniform start, in gap units",
-    )
     _add_output_flags(p)
 
     p = sub.add_parser("nonunique", help="multi-start search on the tent profile")
@@ -160,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=2.0, help="left slope parameter (b > a)")
     p.add_argument("--n", type=int, default=51)
     p.add_argument("--c-grid", default="2,4,8,16,32", metavar="C1,C2,...")
-    p.add_argument("--n-starts", type=int, default=8)
-    p.add_argument("--grad-tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
 
@@ -196,7 +192,7 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _render_csv(header, columns) -> str:
+def _render_csv(header, columns):
     """Render a column-wise table as CSV, byte for byte as ``csv.writer`` would.
 
     ``columns`` holds one entry per name in ``header``: a list with one value
@@ -205,7 +201,9 @@ def _render_csv(header, columns) -> str:
     one row.  Values are plain Python values (``ndarray.tolist()``): None is
     an empty cell, a float is written by its round-trip repr, a bool as
     ``true``/``false``, and strings get csv's minimal quoting.  Each list is
-    formatted once per value and each scalar once per table.
+    formatted once per value and each scalar once per table.  The text is
+    yielded ``_CSV_CHUNK_LINES`` lines at a time, so only one chunk of
+    formatted lines is held at once.
     """
     n_rows = max((len(col) for col in columns if isinstance(col, list)), default=1)
     cells = []
@@ -218,7 +216,8 @@ def _render_csv(header, columns) -> str:
     lines = map(",".join, zip(*cells, strict=True))
     if len(cells) == 1:  # csv quotes a lone empty field so the line is not blank
         lines = (line or '""' for line in lines)
-    return "\n".join(lines) + "\n"
+    while chunk := list(itertools.islice(lines, _CSV_CHUNK_LINES)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _render_json(payload) -> str:
@@ -226,15 +225,16 @@ def _render_json(payload) -> str:
     return json.dumps(payload, default=lambda v: v.tolist(), allow_nan=False) + "\n"
 
 
-def _write_out(text: str, path: str | None):
+def _write_out(chunks, path: str | None):
+    """Write an iterable of text chunks to stdout, or atomically to ``path``."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coulomb-chain-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -342,11 +342,12 @@ def _cmd_density(args):
     return payload, table
 
 
-_SWEEP_COLUMNS = [
-    "n_gaps", "L", "c", "gamma", "detected", "ambiguous", "x_leftmost",
-    "delta1_scaled", "n_max_gap_dev", "sup_deviation", "iterations",
-    "max_residual", "seconds", "error",
-]
+def _rows_table(row_type, rows):
+    """Payload and CSV table of analysis rows, one column per dataclass field."""
+    header = [f.name for f in dataclasses.fields(row_type)]
+    columns = [[getattr(r, name) for r in rows] for name in header]
+    payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
+    return payload, lambda: (header, columns)
 
 
 def _cmd_sweep(args):
@@ -357,37 +358,17 @@ def _cmd_sweep(args):
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
         grid.append((int(n), L, c, gamma))
-    rows = sweep(grid)
-    columns = [[getattr(r, col) for r in rows] for col in _SWEEP_COLUMNS]
-    payload = {"columns": _SWEEP_COLUMNS, "rows": [list(row) for row in zip(*columns)]}
-    return payload, lambda: (_SWEEP_COLUMNS, columns)
+    return _rows_table(SweepRow, sweep(grid))
 
 
 def _cmd_converge(args):
     n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
-    rows = convergence_study(args.c, args.gamma, args.length, n_list)
-    header = ["n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev"]
-    columns = [[getattr(r, col) for r in rows] for col in header]
-    payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
-    return payload, lambda: (header, columns)
-
-
-def _descent_settings(args, params) -> MinimizeSettings:
-    if args.grad_tol is None:
-        return default_settings(params, seed=args.seed)
-    return MinimizeSettings(grad_tol=args.grad_tol, seed=args.seed)
+    return _rows_table(ConvergenceRow, convergence_study(args.c, args.gamma, args.length, n_list))
 
 
 def _cmd_oracle(args):
     params = ModelParams(L=args.length, n_gaps=args.n, force=_parse_force(args))
-    start = uniform_configuration(params)
-    if args.jitter > 0.0:
-        rng = np.random.default_rng(args.seed)
-        pos = start.positions.copy()
-        room = args.jitter * params.L / params.n_gaps
-        pos[1:-1] += rng.uniform(-room, room, size=params.n_gaps - 1)
-        start = Configuration(np.sort(pos)[::-1])
-    result = minimize(params, start, _descent_settings(args, params))
+    result = minimize(params, uniform_configuration(params))
     payload = _solution_payload(params, result)
     payload["energy"] = energy(result.config, params)
     return payload, lambda: _solution_table(payload, extra={"energy": payload["energy"]})
@@ -401,16 +382,14 @@ def _cmd_nonunique(args):
     chosen_params = None
     for c in c_grid:
         params = nonuniqueness_params(args.a, args.b, c, args.n)
-        results = multi_start_fixed_points(params, args.n_starts, _descent_settings(args, params))
+        settings = default_settings(params, seed=args.seed)
+        results = multi_start_fixed_points(params, _NONUNIQUE_STARTS, settings)
         counts_by_c.append([c, len(results)])
-        if len(results) >= 2 and c_found is None:
+        if len(results) >= 2 or not minima:
+            minima, chosen_params = results, params
+        if len(results) >= 2:
             c_found = c
-            minima = results
-            chosen_params = params
             break
-        if not minima:
-            minima = results
-            chosen_params = params
     payload = {
         "a": args.a,
         "b": args.b,
@@ -465,8 +444,8 @@ def main(argv=None) -> int:
         # A command returns its payload and a thunk for the CSV table, which
         # is built only when CSV is asked for.
         payload, table = _COMMANDS[args.command](args)
-        text = _render_csv(*table()) if args.format == "csv" else _render_json(payload)
-        _write_out(text, args.output)
+        chunks = _render_csv(*table()) if args.format == "csv" else (_render_json(payload),)
+        _write_out(chunks, args.output)
     except (CoulombChainError, OSError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         for name in ("iterations", "grad_norm", "bracket"):

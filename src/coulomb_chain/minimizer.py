@@ -262,15 +262,12 @@ def minimize(
     if pinned:
         x[-1] = -L
     config = Configuration(x)
-    res = residuals(config, params)
-    max_residual = float(np.max(np.abs(res.interior))) if res.interior.size else 0.0
-    return FixedPointResult(
-        config=config,
-        classification=Classification.BOUNDARY_PINNED if pinned else Classification.INTERIOR,
-        delta1=float(x[0] - x[1]),
-        max_residual=max_residual,
-        iterations=iterations,
-        terminal_slack=res.terminal_slack,
+    return FixedPointResult.from_residuals(
+        config,
+        residuals(config, params),
+        Classification.BOUNDARY_PINNED if pinned else Classification.INTERIOR,
+        x[0] - x[1],
+        iterations,
     )
 
 

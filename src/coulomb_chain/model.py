@@ -18,7 +18,10 @@ This module is the only one that writes U down.  ``energy`` evaluates it,
 ``energy_gradient`` differentiates it, and ``residuals`` reads the force
 balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
 the statement dU/dx_k = 0.  The solvers and the descent oracle call these
-three instead of restating them.
+three instead of restating them, and both return through
+``FixedPointResult.from_residuals``, which reads a result's diagnostics off
+``residuals``.  Which profiles admit a unique fixed point (non-negative and
+non-increasing) is the shooting solver's check, not a profile method.
 
 Every type is an immutable value object and every operation a pure function,
 so concurrent use needs no coordination.
@@ -90,12 +93,6 @@ class ForceProfile:
     def scale(self, factor: float) -> "ForceProfile":
         raise NotImplementedError
 
-    def min_on(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def non_increasing_on(self, a: float, b: float) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(ForceProfile):
@@ -124,12 +121,6 @@ class Constant(ForceProfile):
 
     def scale(self, factor):
         return Constant(self.value * factor)
-
-    def min_on(self, a, b):
-        return self.value
-
-    def non_increasing_on(self, a, b):
-        return True
 
 
 class PiecewiseLinear(ForceProfile):
@@ -171,6 +162,11 @@ class PiecewiseLinear(ForceProfile):
     @property
     def values(self) -> np.ndarray:
         return self._by
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """Slope of each segment between consecutive breakpoints."""
+        return self._slopes
 
     def __repr__(self):
         return f"PiecewiseLinear({list(self.points)!r})"
@@ -219,14 +215,6 @@ class PiecewiseLinear(ForceProfile):
 
     def scale(self, factor):
         return PiecewiseLinear([(p, v * factor) for p, v in self.points])
-
-    def min_on(self, a, b):
-        inner = self._by[(self._bx > a) & (self._bx < b)]
-        return float(min(self.force_at(a), self.force_at(b), np.min(inner, initial=np.inf)))
-
-    def non_increasing_on(self, a, b):
-        overlap = (self._bx[:-1] < b) & (self._bx[1:] > a)
-        return not np.any(self._slopes[overlap] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -375,6 +363,29 @@ class FixedPointResult:
     max_residual: float
     iterations: int
     terminal_slack: float
+
+    @classmethod
+    def from_residuals(
+        cls,
+        config: Configuration,
+        res: Residuals,
+        classification: Classification,
+        delta1: float,
+        iterations: int,
+    ) -> "FixedPointResult":
+        """Result with diagnostics read off ``res``, the residuals of ``config``.
+
+        ``max_residual`` is the largest interior imbalance, 0 when N = 1
+        leaves no interior particle.
+        """
+        return cls(
+            config=config,
+            classification=classification,
+            delta1=float(delta1),
+            max_residual=float(np.max(np.abs(res.interior), initial=0.0)),
+            iterations=iterations,
+            terminal_slack=res.terminal_slack,
+        )
 
 
 def uniform_configuration(params: ModelParams) -> Configuration:

@@ -15,7 +15,9 @@ h -> -inf.  h > 0 for tiny delta_1 and h <= 0 for delta_1 >= L/N; the fixed
 point is its root, located by a safeguarded Brent root-find.  Whichever
 terminal condition crossed first there decides the classification: the
 wall (left particle pinned at -L with non-negative slack) or the exact
-terminal balance f_N = F(x_N) in the interior.
+terminal balance f_N = F(x_N) in the interior.  That hypothesis on the force
+is checked here and nowhere else: ``solve_fixed_point`` raises
+MonotonicityViolation for a profile that rises or goes negative on [-L, 0].
 
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
@@ -140,7 +142,7 @@ def _shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
 def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
     bx = profile.breakpoints.tolist()
     by = profile.values.tolist()
-    slopes = (np.diff(profile.values) / np.diff(profile.breakpoints)).tolist()
+    slopes = profile.slopes.tolist()
     j = len(bx) - 2
 
     f = delta1 ** -2.0
@@ -186,14 +188,25 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
 
 
-def _validate_monotone(profile: ForceProfile, L: float):
-    if not profile.non_increasing_on(-L, 0.0):
-        raise MonotonicityViolation(
-            "force profile increases somewhere on the segment; "
-            "uniqueness is not guaranteed, use the descent oracle"
-        )
-    if profile.min_on(-L, 0.0) < 0.0:
+def _validate_monotone(profile: ForceProfile, L: float) -> float:
+    """Reject a profile outside the uniqueness hypothesis; return F(0).
+
+    Non-increasing: no piecewise segment overlapping (-L, 0) rises.  F(0) is
+    then the minimum on [-L, 0]; F(-L) is checked as well, because its
+    interpolation can round a few ulps below a zero F(0).
+    """
+    if isinstance(profile, PiecewiseLinear):
+        bx = profile.breakpoints
+        overlap = (bx[:-1] < 0.0) & (bx[1:] > -L)
+        if np.any(profile.slopes[overlap] > 0.0):
+            raise MonotonicityViolation(
+                "force profile increases somewhere on the segment; "
+                "uniqueness is not guaranteed, use the descent oracle"
+            )
+    force_min = profile.force_at(0.0)
+    if min(force_min, profile.force_at(-L)) < 0.0:
         raise MonotonicityViolation("force profile takes negative values on the segment")
+    return force_min
 
 
 def solve_fixed_point(params: ModelParams) -> FixedPointResult:
@@ -226,10 +239,10 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
 
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
-            non-negative and non-increasing, otherwise MonotonicityViolation.
+            non-negative and non-increasing on [-L, 0], otherwise
+            MonotonicityViolation.
     """
-    profile = params.profile
-    _validate_monotone(profile, params.L)
+    force_min = _validate_monotone(params.profile, params.L)
     L, n = params.L, params.n_gaps
     pressure_scale = (n / L) ** 2
     shots = 0
@@ -244,8 +257,7 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         return _Probe(d1, h / (1.0 + abs(h)), out)
 
     hi = L / n
-    force_min = profile.force_at(0.0)  # no F(x_k) is smaller, x_k <= 0
-    if force_min > 0.0:
+    if force_min > 0.0:  # no F(x_k) is smaller, x_k <= 0
         hi = min(hi, (n * force_min) ** -0.5)
     hi *= 1.0 + 1e-9
     if _TINY_DELTA1 >= hi:
@@ -330,13 +342,6 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         classification = Classification.INTERIOR
 
     config = Configuration(positions)
-    res = residuals(config, params)
-    max_residual = float(np.max(np.abs(res.interior))) if res.interior.size else 0.0
-    return FixedPointResult(
-        config=config,
-        classification=classification,
-        delta1=float(lo.d1),
-        max_residual=max_residual,
-        iterations=shots,
-        terminal_slack=res.terminal_slack,
+    return FixedPointResult.from_residuals(
+        config, residuals(config, params), classification, lo.d1, shots
     )

@@ -13,6 +13,8 @@ check: every feasible +-eps single-particle move must raise the energy, at
 2 (N + 1) full energy evaluations.  ``gaps_constant_force`` and
 ``aux_model_extent`` restate closed forms that the library only uses
 implicitly (the constant-force shot, the critical force).
+``non_increasing_on`` and ``min_on`` are the shooting solver's earlier
+admissibility rule, once methods of every force profile.
 """
 
 import csv
@@ -30,6 +32,7 @@ from coulomb_chain import (
     FixedPointResult,
     ModelParams,
     NoConvergence,
+    PiecewiseLinear,
     ShootingOutcome,
     inverse_sqrt_sum,
     residuals,
@@ -184,6 +187,25 @@ def bisect_fixed_point(
         iterations=iterations,
         terminal_slack=res.terminal_slack,
     )
+
+
+def non_increasing_on(profile, a: float, b: float) -> bool:
+    """No segment of a piecewise profile that overlaps (a, b) rises."""
+    if not isinstance(profile, PiecewiseLinear):
+        return True  # a constant
+    bx = profile.breakpoints
+    slopes = np.diff(profile.values) / np.diff(bx)
+    overlap = (bx[:-1] < b) & (bx[1:] > a)
+    return not np.any(slopes[overlap] > 0.0)
+
+
+def min_on(profile, a: float, b: float) -> float:
+    """Smallest of the force at a, at b and at every breakpoint in between."""
+    if not isinstance(profile, PiecewiseLinear):
+        return profile.value
+    bx, by = profile.breakpoints, profile.values
+    inner = by[(bx > a) & (bx < b)]
+    return float(min(profile.force_at(a), profile.force_at(b), np.min(inner, initial=np.inf)))
 
 
 def shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:

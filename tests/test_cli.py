@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from coulomb_chain import Configuration, Constant, ModelParams, analysis, residuals, shooting
-from coulomb_chain import cli
+from coulomb_chain import Configuration, Constant, ModelParams, residuals
+from coulomb_chain import analysis, cli, minimizer, shooting
 from coulomb_chain.cli import _render_csv, main
 from reference import render_csv_rows, table_rows
 
@@ -202,10 +202,10 @@ class TestOracleCommand:
         )
         assert "energy" in payload
 
-    def test_stall_error_carries_descent_state(self, capsys):
-        code, out = run_cli(
-            capsys, "oracle", "--n", "50", "--force", "800", "--grad-tol", "1e-30"
-        )
+    def test_stall_error_carries_descent_state(self, capsys, monkeypatch):
+        stalling = minimizer.MinimizeSettings(grad_tol=1e-30)
+        monkeypatch.setattr(minimizer, "default_settings", lambda params, seed=0: stalling)
+        code, out = run_cli(capsys, "oracle", "--n", "50", "--force", "800")
         assert code == 1
         error = json.loads(out)["error"]
         assert error["kind"] == "NoConvergence"
@@ -216,8 +216,7 @@ class TestOracleCommand:
 class TestNonuniqueCommand:
     def test_finds_multiple_minima_on_small_chain(self, capsys):
         code, out = run_cli(
-            capsys, "nonunique", "--n", "21", "--c-grid", "8", "--n-starts", "6",
-            "--seed", "0",
+            capsys, "nonunique", "--n", "21", "--c-grid", "8", "--seed", "0",
         )
         assert code == 0
         payload = json.loads(out)
@@ -272,14 +271,13 @@ FLAG_RUNS = {
          "--format", "csv", "--output", "{out}"],
     ],
     "oracle": [
-        ["--n", "8", "--length", "2", "--force", "40", "--grad-tol", "1e-6", "--seed", "3",
-         "--jitter", "0.3", "--format", "csv", "--output", "{out}"],
+        ["--n", "8", "--length", "2", "--force", "40", "--format", "csv", "--output", "{out}"],
         ["--n", "8", "--force-scaled", "2,1"],
         ["--n", "8", "--force-piecewise=-1:3,0:1"],
     ],
     "nonunique": [
-        ["--a", "1", "--b", "2", "--n", "21", "--c-grid", "8", "--n-starts", "4",
-         "--grad-tol", "1e-6", "--seed", "1", "--format", "csv", "--output", "{out}"],
+        ["--a", "1", "--b", "2", "--n", "21", "--c-grid", "8", "--seed", "1",
+         "--format", "csv", "--output", "{out}"],
     ],
 }
 
@@ -310,6 +308,11 @@ def test_every_flag_passed_is_read(command, tmp_path, capsys, monkeypatch):
     ["sweep", "--grid", "10,1,2,1", "--bins", "5"],
     ["converge", "--c", "2", "--n-list", "10", "--max-iter", "5"],
     ["oracle", "--n", "8", "--force", "40", "--max-iter", "5"],
+    ["oracle", "--n", "8", "--force", "40", "--grad-tol", "1e-6"],
+    ["oracle", "--n", "8", "--force", "40", "--jitter", "0.3"],
+    ["oracle", "--n", "8", "--force", "40", "--seed", "3"],
+    ["nonunique", "--n", "21", "--c-grid", "8", "--grad-tol", "1e-6"],
+    ["nonunique", "--n", "21", "--c-grid", "8", "--n-starts", "4"],
 ], ids=lambda argv: argv[0] + argv[-2])
 def test_removed_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -349,17 +352,18 @@ class TestRenderCsv:
     @hypothesis.given(column_tables())
     def test_matches_the_row_wise_csv_writer(self, table):
         header, columns = table
-        assert _render_csv(header, columns) == render_csv_rows(header, table_rows(columns))
+        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, table_rows(columns))
 
     @pytest.mark.parametrize("table", [
         (["a"], [[None, "", 1.5]]),
         (["a", "b"], [[0.1, -0.0], "x,y"]),
         (["a", "b"], [[], 3]),
         (["a", "b"], [True, None]),
-    ], ids=["lone-empty-cells", "scalar-string", "no-rows", "scalars-only"])
+        (["a", "b"], [[0.5 * i for i in range(2 * cli._CSV_CHUNK_LINES + 1)], True]),
+    ], ids=["lone-empty-cells", "scalar-string", "no-rows", "scalars-only", "several-chunks"])
     def test_edge_tables(self, table):
         header, columns = table
-        assert _render_csv(header, columns) == render_csv_rows(header, table_rows(columns))
+        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, table_rows(columns))
 
 
 # The CSV schema of each command, read back from its JSON payload.
@@ -405,11 +409,11 @@ COMMAND_TABLES = {
     "sweep-errors": (["sweep", "--grid", "200,1,2,1;50,1,0,1"], listed_rows),
     "converge": (["converge", "--c", "16", "--n-list", "10,40"], listed_rows),
     "oracle": (
-        ["oracle", "--n", "8", "--force", "40", "--jitter", "0.3"],
+        ["oracle", "--n", "8", "--force", "40"],
         lambda p: solution_rows(p, extra=("energy",)),
     ),
     "nonunique": (
-        ["nonunique", "--n", "21", "--c-grid", "1,8", "--n-starts", "4"], nonunique_rows
+        ["nonunique", "--n", "21", "--c-grid", "1,8"], nonunique_rows
     ),
 }
 

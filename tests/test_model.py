@@ -99,15 +99,6 @@ class TestForceProfiles:
         np.testing.assert_array_equal(f.integral_between(x[:-1], x[1:]), [4.0, 3.0, 2.5, 3.0])
         np.testing.assert_array_equal(f.integral_between(x, 1.0), [12.5, 8.5, 5.5, 3.0, 0.0])
 
-    def test_piecewise_monotonicity_probe(self):
-        down = PiecewiseLinear([(-1.0, 2.0), (0.0, 1.0)])
-        up = PiecewiseLinear([(-1.0, 1.0), (-0.5, 3.0), (0.0, 0.0)])
-        assert down.non_increasing_on(-1.0, 0.0)
-        assert not up.non_increasing_on(-1.0, 0.0)
-        assert up.min_on(-1.0, 0.0) == pytest.approx(0.0)
-        valley = PiecewiseLinear([(-1.0, 2.0), (-0.5, -1.0), (0.0, 1.0)])
-        assert valley.min_on(-1.0, 0.0) == -1.0  # attained at an inner breakpoint
-
     def test_scaled_resolves_to_constant(self):
         f = Scaled(c=2.0, gamma=1.5)
         p = ModelParams(L=1.0, n_gaps=100, force=f)

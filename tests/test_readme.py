@@ -1,0 +1,58 @@
+"""README's quick start runs as written, its comments hold, and its flag
+table matches the command line."""
+
+import argparse
+import ast
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from coulomb_chain import Classification, cli
+from coulomb_chain.closed_form import Phase
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_values() -> dict:
+    """Run the quick start; map each expression statement's source to its value."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            expr = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(code, stmt)] = eval(expr, namespace)
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    return values
+
+
+def test_quick_start_claims():
+    values = quick_start_values()
+    assert values["sol.classification"] is Classification.INTERIOR
+    positions = values["sol.config.positions"]
+    assert positions[0] == 0.0 and positions[-1] > -1.0
+    assert np.all(np.diff(values["sol.config.gaps"]) > 0.0)
+    assert values["critical_force_exact(100, 1.0)"] == pytest.approx(345.5733, abs=1e-4)
+    assert values["np.max(np.abs(orc.config.positions - sol.config.positions))"] <= 1e-11
+    assert values["classify_phase(scaled, solve_fixed_point(scaled)).detected"] is Phase.DETACHED
+
+
+def test_command_line_flag_table_lists_every_flag():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help", "--format", "--output"}
+        for name, p in sub.choices.items()
+    }
+    listed = {}
+    for name, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), re.M):
+        flags = set(re.findall(r"--[a-z-]+", cell))
+        if (base := re.match(r"as `(\w+)`", cell)) is not None:
+            flags |= listed[base.group(1)]
+        listed[name] = flags
+    assert listed == registered

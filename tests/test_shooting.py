@@ -19,7 +19,14 @@ from coulomb_chain import (
     solve_fixed_point,
 )
 from coulomb_chain import shooting
-from reference import bisect_fixed_point, gaps_constant_force, shoot_constant, wall_force
+from reference import (
+    bisect_fixed_point,
+    gaps_constant_force,
+    min_on,
+    non_increasing_on,
+    shoot_constant,
+    wall_force,
+)
 
 EPS = np.finfo(float).eps
 
@@ -214,6 +221,14 @@ class TestSolveFixedPoint:
         with pytest.raises(MonotonicityViolation):
             solve_fixed_point(params(5, force=f))
 
+    @pytest.mark.parametrize("points", [
+        [(-1.0, 1.0), (-0.5, 3.0), (0.0, 0.0)],
+        [(-1.0, 2.0), (-0.5, -1.0), (0.0, 1.0)],
+    ], ids=["rise-then-fall", "valley-below-zero"])
+    def test_rejects_inadmissible_profile(self, points):
+        with pytest.raises(MonotonicityViolation):
+            solve_fixed_point(params(5, force=PiecewiseLinear(points)))
+
     def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
         # search needs only a handful of shots; constant force is nonlinear.
@@ -287,6 +302,74 @@ class TestLengthSymmetry:
         gap = np.max(np.abs(stretched.config.positions / lam - sol.config.positions))
         assert gap <= 1e-8 * L / n
         assert stretched.classification is sol.classification
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3000),
+        log_length=st.floats(-3.0, 3.0),
+        log_lam=st.floats(-3.0, 3.0),
+        data=st.data(),
+    )
+    def test_stretching_rescales_a_piecewise_solution(self, n, log_length, log_lam, data):
+        # Breakpoints x lam and values / lam**2, all pinned or all interior:
+        # every value in [0.2, 0.9] F_cr or every value in [1.2, 4] F_cr.
+        L, lam = 10.0 ** log_length, 10.0 ** log_lam
+        fcr = critical_force_exact(n, L)
+        lo, hi = data.draw(st.sampled_from([(0.2, 0.9), (1.2, 4.0)]))
+        k = data.draw(st.integers(3, 4))
+        inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2, unique=True))
+        ratios = data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+        xs = [-L, *sorted(-L * u for u in inner), 0.0]
+        points = list(zip(xs, sorted((r * fcr for r in ratios), reverse=True)))
+        sol = solve_fixed_point(params(n, L, PiecewiseLinear(points)))
+        stretched_force = PiecewiseLinear([(lam * x, v / lam ** 2) for x, v in points])
+        stretched = solve_fixed_point(params(n, lam * L, stretched_force))
+        gap = np.max(np.abs(stretched.config.positions / lam - sol.config.positions))
+        assert gap <= 1e-8 * L / n
+        assert stretched.classification is sol.classification
+
+
+@st.composite
+def covering_profiles(draw):
+    """(L, profile) with breakpoints inside and beyond [-L, 0], flat segments
+    and values at or a rounding step away from zero.
+
+    Breakpoints lie on a 1e-3 L grid or a rounding step from -L and 0, so
+    no segment is narrow enough (below |dv| / 1.8e308) to overflow its slope.
+    """
+    L = 10.0 ** draw(st.floats(-3.0, 3.0))
+    grid = st.integers(-3000, 1000).map(lambda k: k / 1000)
+    near = st.sampled_from([-1.0, 0.0, -1.0 + 1e-15, -1.0 - 1e-15, 1e-15, -1e-15])
+    first = draw(st.one_of(grid.filter(lambda u: u <= -1.0), near.filter(lambda u: u <= -1.0)))
+    last = draw(st.one_of(grid.filter(lambda u: u >= 0.0), near.filter(lambda u: u >= 0.0)))
+    inner = draw(st.lists(st.one_of(grid, near), max_size=4))
+    xs = sorted({L * u for u in (first, last, *inner)})
+    scale = draw(st.sampled_from([1.0, 30.0])) / L ** 2
+    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-17, -1e-17]))
+    values = [draw(value) * scale]
+    for _ in xs[1:]:
+        values.append(values[-1] if draw(st.booleans()) else draw(value) * scale)
+    return L, PiecewiseLinear(list(zip(xs, values)))
+
+
+class TestAdmissibility:
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(covering_profiles())
+    # Falling to 0 just right of -L, where interpolation puts F(-L) at -1.1e-16.
+    @hypothesis.example((
+        0.18402951039973356,
+        PiecewiseLinear([(-2.830807636703697, 0.6836001460975384),
+                         (-0.18402951039973342, 0.0), (0.0, 0.0)]),
+    ))
+    def test_rejected_exactly_when_the_earlier_rule_rejects(self, case):
+        L, f = case
+        rejected = not non_increasing_on(f, -L, 0.0) or min_on(f, -L, 0.0) < 0.0
+        try:
+            solve_fixed_point(params(3, L, f))
+        except MonotonicityViolation:
+            assert rejected
+        else:
+            assert not rejected
 
 
 @st.composite
