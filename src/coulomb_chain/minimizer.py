@@ -266,7 +266,6 @@ def minimize(
         config,
         residuals(config, params),
         Classification.BOUNDARY_PINNED if pinned else Classification.INTERIOR,
-        x[0] - x[1],
         iterations,
     )
 
@@ -362,12 +361,13 @@ def multi_start_fixed_points(
     Starts vary how many particles begin to the right of the force peak.
     Results are deduplicated on max-abs position distance below 1e-3 * L / N
     (well under the one-gap separation of genuinely distinct minima, well
-    over the convergence scatter of one basin), then each survivor must have
-    ``max_residual`` at most 10 ``settings.grad_tol`` and pass
-    ``local_minimality_certificate`` at that same tolerance (free gradient
-    within it, reduced Hessian positive definite; O(N) per survivor).  Output
-    order is by increasing energy; ties break on positions, so the result is
-    independent of scheduling.
+    over the convergence scatter of one basin), then each survivor must pass
+    ``local_minimality_certificate`` at 10 ``settings.grad_tol`` (free
+    gradient within it, reduced Hessian positive definite; O(N) per
+    survivor).  Every interior particle is free, so that also bounds
+    ``max_residual`` by the same tolerance.  Output order is by increasing
+    energy; ties break on positions, so the result is independent of
+    scheduling.
     """
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
@@ -396,12 +396,5 @@ def multi_start_fixed_points(
             continue
         distinct.append((u, result))
 
-    verified = []
     tol_res = 10.0 * settings.grad_tol
-    for _, result in distinct:
-        if result.max_residual > tol_res:
-            continue
-        if not local_minimality_certificate(result.config, params, tol_res):
-            continue
-        verified.append(result)
-    return verified
+    return [r for _, r in distinct if local_minimality_certificate(r.config, params, tol_res)]

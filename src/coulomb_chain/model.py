@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,17 +123,32 @@ class Constant(ForceProfile):
         return Constant(self.value * factor)
 
 
+@dataclass(frozen=True)
 class PiecewiseLinear(ForceProfile):
     """Continuous piecewise-linear force given by (position, value) breakpoints.
 
+    ``points`` is the only field set by the caller; equality compares it.
     Breakpoints must be strictly increasing in position.  Between breakpoints
     the force interpolates linearly; beyond the first/last breakpoint it
     extends as a constant.  Values may be negative (the descent oracle allows
     that; the shooting solver rejects such profiles).
+
+    Derived from ``points`` and read-only: ``breakpoints`` and ``values``,
+    the ``slopes`` of the segments between them, and the ``kinks``, the
+    slope change at each breakpoint, the two flat extensions included.  A
+    profile whose slopes or slope changes overflow, such as a segment
+    narrower than |rise| / 1.8e308, is rejected, because every integral
+    across that segment would not be finite.
     """
 
-    def __init__(self, points: Sequence[tuple[float, float]]):
-        pts = [(float(p), float(v)) for p, v in points]
+    points: tuple[tuple[float, float], ...]
+    breakpoints: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
+    slopes: np.ndarray = field(init=False, compare=False, repr=False)
+    kinks: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pts = tuple((float(p), float(v)) for p, v in self.points)
         if len(pts) < 2:
             raise ValueError("piecewise profile needs at least two breakpoints")
         bx = np.array([p for p, _ in pts])
@@ -142,75 +157,46 @@ class PiecewiseLinear(ForceProfile):
             raise ValueError("breakpoints must be finite")
         if np.any(np.diff(bx) <= 0.0):
             raise ValueError("breakpoint positions must be strictly increasing")
-        self._bx = bx
-        self._by = by
-        self._slopes = np.diff(by) / np.diff(bx)
-        # cumulative exact integral from bx[0] to each node
-        seg = 0.5 * (by[1:] + by[:-1]) * np.diff(bx)
-        self._node_integral = np.concatenate(([0.0], np.cumsum(seg)))
-        for arr in (self._bx, self._by, self._slopes, self._node_integral):
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(by) / np.diff(bx)
+            kinks = np.diff(slopes, prepend=0.0, append=0.0)
+        if not np.all(np.isfinite(kinks)):
+            raise ValueError("slopes must be finite: a segment is too narrow for its rise")
+        for arr in (bx, by, slopes, kinks):
             arr.setflags(write=False)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self._bx.tolist(), self._by.tolist()))
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self._bx
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._by
-
-    @property
-    def slopes(self) -> np.ndarray:
-        """Slope of each segment between consecutive breakpoints."""
-        return self._slopes
-
-    def __repr__(self):
-        return f"PiecewiseLinear({list(self.points)!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PiecewiseLinear)
-            and self._bx.shape == other._bx.shape
-            and bool(np.all(self._bx == other._bx))
-            and bool(np.all(self._by == other._by))
-        )
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "breakpoints", bx)
+        object.__setattr__(self, "values", by)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "kinks", kinks)
 
     def force_at(self, x):
-        out = np.interp(x, self._bx, self._by)
+        out = np.interp(x, self.breakpoints, self.values)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _integral_from_first_node(self, x):
-        bx, by = self._bx, self._by
-        x = np.asarray(x, dtype=float)
-        j = np.searchsorted(bx[1:-1], x, side="right")  # segment, clamped to the end ones
-        dx = x - bx[j]
-        inside = self._node_integral[j] + by[j] * dx + 0.5 * self._slopes[j] * dx * dx
-        below = by[0] * (x - bx[0])
-        above = self._node_integral[-1] + by[-1] * (x - bx[-1])
-        return np.where(x < bx[0], below, np.where(x > bx[-1], above, inside))
-
     def integral_between(self, a, b):
-        # With both endpoints in one linear (or flat-extension) region the
-        # trapezoid rule is exact and free of large-value cancellation;
-        # endpoints in different regions are far apart, where the plain
-        # difference of antiderivatives is already well conditioned.
+        # Trapezoid rule minus one term per kink: a slope change ds at p adds
+        # ds (x - p)_+ to F, whose integral over a < b falls short of its
+        # trapezoid by ds (q - a)(b - q) / 2, with q = p clipped to [a, b]
+        # (a kink outside drops out at q = a or q = b); for a > b the sign
+        # flips.  Every term scales with b - a, so a tiny move keeps its
+        # digits wherever it lies, breakpoints included.
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        same = np.searchsorted(self._bx, a, side="right") == np.searchsorted(self._bx, b, side="right")
-        trapezoid = 0.5 * (np.interp(a, self._bx, self._by) + np.interp(b, self._bx, self._by)) * (b - a)
-        far = self._integral_from_first_node(b) - self._integral_from_first_node(a)
-        out = np.where(same, trapezoid, far)
-        return float(out) if out.ndim == 0 else out
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bend = np.zeros(np.broadcast(a, b).shape)
+        for p, ds in zip(self.breakpoints.tolist(), self.kinks.tolist()):
+            q = np.minimum(np.maximum(p, lo), hi)
+            bend += ds * (q - a) * (b - q)
+        d = b - a
+        out = 0.5 * (d * (self.force_at(a) + self.force_at(b)) - np.sign(d) * bend)
+        return float(out) if np.ndim(out) == 0 else out
 
     def slope_at(self, x):
-        bx = self._bx
+        bx = self.breakpoints
         x = np.asarray(x, dtype=float)
         j = np.searchsorted(bx[1:-1], x, side="right")
-        out = np.where((x >= bx[0]) & (x < bx[-1]), self._slopes[j], 0.0)
+        out = np.where((x >= bx[0]) & (x < bx[-1]), self.slopes[j], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def scale(self, factor):
@@ -355,14 +341,21 @@ class Residuals(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    """A solved configuration plus classification and solve diagnostics."""
+    """A solved configuration plus classification and solve diagnostics.
+
+    ``delta1``, the first gap, is read off ``config``, so it always belongs
+    to the chain returned.
+    """
 
     config: Configuration
     classification: Classification
-    delta1: float
     max_residual: float
     iterations: int
     terminal_slack: float
+
+    @property
+    def delta1(self) -> float:
+        return float(self.config.positions[0] - self.config.positions[1])
 
     @classmethod
     def from_residuals(
@@ -370,7 +363,6 @@ class FixedPointResult:
         config: Configuration,
         res: Residuals,
         classification: Classification,
-        delta1: float,
         iterations: int,
     ) -> "FixedPointResult":
         """Result with diagnostics read off ``res``, the residuals of ``config``.
@@ -381,7 +373,6 @@ class FixedPointResult:
         return cls(
             config=config,
             classification=classification,
-            delta1=float(delta1),
             max_residual=float(np.max(np.abs(res.interior), initial=0.0)),
             iterations=iterations,
             terminal_slack=res.terminal_slack,

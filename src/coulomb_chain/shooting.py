@@ -143,26 +143,26 @@ def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shootin
     bx = profile.breakpoints.tolist()
     by = profile.values.tolist()
     slopes = profile.slopes.tolist()
-    j = len(bx) - 2
+    # x only moves left, so the pieces are visited right to left: segment j
+    # while x >= bx[j], then the flat extension left of bx[0].  Each piece
+    # is (left end, anchor, value at anchor, slope).
+    pieces = [(bx[j], bx[j], by[j], slopes[j]) for j in range(len(bx) - 2, -1, -1)]
+    pieces.append((-math.inf, bx[0], by[0], 0.0))
 
     f = delta1 ** -2.0
     if not f > 0.0:
         return _collapse(1)
     x = -delta1
     positions = [0.0, x]
-    for k in range(1, n):
-        # x only moves left, so the segment index walks down monotonically.
-        while j > 0 and x < bx[j]:
-            j -= 1
-        if x < bx[0]:
-            fv = by[0]
-        else:
-            fv = by[j] + slopes[j] * (x - bx[j])
-        f -= fv
-        if f <= 0.0:
-            return _collapse(k + 1)
-        x -= f ** -0.5
-        positions.append(x)
+    k = 1
+    for left, x0, v0, s in pieces:
+        while k < n and x >= left:
+            f -= v0 + s * (x - x0)
+            if f <= 0.0:
+                return _collapse(k + 1)
+            x -= f ** -0.5
+            positions.append(x)
+            k += 1
     pos = np.array(positions)
     return ShootingOutcome(
         positions=pos,
@@ -342,6 +342,4 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         classification = Classification.INTERIOR
 
     config = Configuration(positions)
-    return FixedPointResult.from_residuals(
-        config, residuals(config, params), classification, lo.d1, shots
-    )
+    return FixedPointResult.from_residuals(config, residuals(config, params), classification, shots)

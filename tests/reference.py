@@ -6,7 +6,8 @@ shooting solves, without using the exact sum formula that
 shooting solver's earlier search: plain bisection on the terminal predicate,
 refined to float exhaustion on the pinned branch, where only the last
 position is snapped to -L.  ``shoot_constant`` is the constant-force shot as
-first vectorized, one fresh array per intermediate.  ``render_csv_rows`` is
+first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
+the piecewise shot as first written, one segment lookup per particle.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
 row.  ``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
@@ -15,12 +16,15 @@ check: every feasible +-eps single-particle move must raise the energy, at
 implicitly (the constant-force shot, the critical force).
 ``non_increasing_on`` and ``min_on`` are the shooting solver's earlier
 admissibility rule, once methods of every force profile.
+``exact_integral`` integrates a piecewise-linear profile in rational
+arithmetic, one trapezoid per linear piece.
 """
 
 import csv
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,7 +186,6 @@ def bisect_fixed_point(
     return FixedPointResult(
         config=config,
         classification=classification,
-        delta1=float(lo),
         max_residual=float(np.max(np.abs(res.interior))) if res.interior.size else 0.0,
         iterations=iterations,
         terminal_slack=res.terminal_slack,
@@ -223,6 +226,33 @@ def shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
     np.cumsum(gaps, out=positions[1:])
     np.negative(positions[1:], out=positions[1:])
     return ShootingOutcome(positions, None, float(f[-1]), F)
+
+
+def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
+    """Piecewise shot that finds the segment of every particle afresh."""
+    bx = profile.breakpoints.tolist()
+    by = profile.values.tolist()
+    slopes = profile.slopes.tolist()
+    j = len(bx) - 2
+    f = delta1 ** -2.0
+    if not f > 0.0:
+        return ShootingOutcome(None, 1, None, None)
+    x = -delta1
+    positions = [0.0, x]
+    for k in range(1, n):
+        while j > 0 and x < bx[j]:
+            j -= 1
+        if x < bx[0]:
+            fv = by[0]
+        else:
+            fv = by[j] + slopes[j] * (x - bx[j])
+        f -= fv
+        if f <= 0.0:
+            return ShootingOutcome(None, k + 1, None, None)
+        x -= f ** -0.5
+        positions.append(x)
+    pos = np.array(positions)
+    return ShootingOutcome(pos, None, f, float(profile.force_at(pos[-1])))
 
 
 def table_rows(columns) -> list[list]:
@@ -278,3 +308,25 @@ def coordinate_certificate(
             if energy_of(trial) < u0 - guard:
                 return False
     return True
+
+
+def exact_integral(profile: PiecewiseLinear, a: float, b: float) -> Fraction:
+    """Integral of the profile from a to b, exact in rational arithmetic.
+
+    The breakpoints inside the interval split it into linear pieces, and the
+    trapezoid rule is exact on each.
+    """
+    pts = [(Fraction(p), Fraction(v)) for p, v in profile.points]
+
+    def force(x: Fraction) -> Fraction:
+        if x <= pts[0][0]:
+            return pts[0][1]
+        for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
+            if x <= p1:
+                return v0 + (v1 - v0) * (x - p0) / (p1 - p0)
+        return pts[-1][1]
+
+    lo, hi = sorted((Fraction(a), Fraction(b)))
+    nodes = [lo] + [p for p, _ in pts if lo < p < hi] + [hi]
+    total = sum((x1 - x0) * (force(x0) + force(x1)) / 2 for x0, x1 in zip(nodes, nodes[1:]))
+    return total if a <= b else -total

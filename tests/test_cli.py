@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import types
+import warnings
 
 import hypothesis
 import numpy as np
@@ -76,6 +77,15 @@ class TestSolveCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["kind"] == "MonotonicityViolation"
+
+    def test_too_narrow_piecewise_segment_fails_cleanly(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, "solve", "--n", "3", "--force-piecewise=-1:0,0:0,5.1e-309:1")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ValueError"
+        assert "too narrow" in error["message"]
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

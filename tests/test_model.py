@@ -1,7 +1,12 @@
 """Core model: force profiles, configurations, energy and residuals."""
 
+import warnings
+from fractions import Fraction
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb_chain import (
@@ -15,10 +20,29 @@ from coulomb_chain import (
     residuals,
     uniform_configuration,
 )
+from reference import exact_integral
 
 
 def chain_from_gaps(gaps):
     return Configuration(np.concatenate(([0.0], -np.cumsum(gaps))))
+
+
+@st.composite
+def moves_near_a_breakpoint(draw):
+    """A move of 1e-15 to 1e-4 across or beside a breakpoint of a random profile.
+
+    Positions and values lie on a 1e-3 grid, values in [-10, 10], so that no
+    product in the error bound underflows.
+    """
+    k = draw(st.integers(2, 7))
+    grid = draw(st.lists(st.integers(-2000, 2000), min_size=k, max_size=k, unique=True))
+    values = draw(st.lists(st.integers(-10_000, 10_000), min_size=k, max_size=k))
+    f = PiecewiseLinear([(i * 1e-3, v * 1e-3) for i, v in zip(sorted(grid), values)])
+    p = draw(st.sampled_from(f.breakpoints.tolist()))
+    length = 10.0 ** draw(st.floats(-15.0, -4.0))
+    a = p - draw(st.floats(-0.5, 1.5)) * length  # straddles p for offsets in (0, 1)
+    b = a + length
+    return (f, a, b) if draw(st.booleans()) else (f, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +65,10 @@ class TestForceProfiles:
             PiecewiseLinear([(-1.0, 1.0), (-1.0, 2.0), (0.0, 0.0)])
         with pytest.raises(ValueError):
             PiecewiseLinear([(0.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any overflow warning
+            with pytest.raises(ValueError, match="too narrow"):
+                PiecewiseLinear([(-1.0, 0.0), (0.0, 0.0), (5.1e-309, 1.0)])
 
     def test_piecewise_interpolates_and_clamps(self):
         f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 2.0)])
@@ -78,6 +106,18 @@ class TestForceProfiles:
         x, h = -1.5, 1e-12
         exact = h * (3.0 - 0.5 * 2.0 * h)  # F(-1.5) = 3, slope -2
         assert f.integral_between(x, x + h) == pytest.approx(exact, rel=1e-14)
+        # a move across the breakpoint at -1; abs=0 because approx's default
+        # absolute tolerance of 1e-12 would accept any value of this size
+        a, b = -1.0 - 7e-13, -1.0 + 1.3e-12
+        exact = float(exact_integral(f, a, b))
+        assert f.integral_between(a, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(moves_near_a_breakpoint())
+    def test_integral_of_a_tiny_move_is_exact_to_rounding(self, case):
+        f, a, b = case
+        error = abs(Fraction(f.integral_between(a, b)) - exact_integral(f, a, b))
+        assert error <= 4 * np.finfo(float).eps * abs(b - a) * np.max(np.abs(f.values))
 
     def test_slope_at(self):
         f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 3.0)])

@@ -25,6 +25,7 @@ from reference import (
     min_on,
     non_increasing_on,
     shoot_constant,
+    shoot_piecewise,
     wall_force,
 )
 
@@ -96,6 +97,25 @@ class TestShoot:
         if ref.complete:
             assert out.positions.tobytes() == ref.positions.tobytes()
             assert out.f_terminal == ref.f_terminal
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(n=st.integers(1, 3000), data=st.data())
+    def test_piecewise_shot_is_bitwise_the_reference(self, n, data):
+        # Breakpoints on a grid, the first at or left of the wall, so shots
+        # cross segments and may run onto the flat extension; the force may
+        # rise or go negative, and large forces collapse the shot.
+        grid = st.integers(-999, -1).map(lambda k: k / 1000)
+        first = data.draw(st.integers(-1500, -1000)) / 1000
+        xs = sorted({first, *data.draw(st.lists(grid, max_size=4)), 0.0})
+        scale = n * 10.0 ** data.draw(st.floats(-1.0, 1.5))
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(xs), max_size=len(xs)))
+        profile = PiecewiseLinear([(x, v * scale) for x, v in zip(xs, values)])
+        d1 = data.draw(st.floats(0.3, 1.5)) / n
+        out, ref = shoot(d1, params(n, force=profile)), shoot_piecewise(d1, profile, n)
+        assert out.collapse_index == ref.collapse_index
+        if ref.complete:
+            assert out.positions.tobytes() == ref.positions.tobytes()
+            assert (out.f_terminal, out.force_at_terminal) == (ref.f_terminal, ref.force_at_terminal)
 
     def test_rejects_nonpositive_first_gap(self):
         with pytest.raises(ValueError):
