@@ -5,7 +5,7 @@ N + 1 equal charges on [-L, 0] with nearest-neighbour 1/r repulsion and a
 renormalized external force, by three complementary routes:
 
 * :mod:`coulomb_chain.shooting` -- the fast solver: generate the chain from
-  its first gap and find the root of the terminal conditions (Brent).
+  its first gap, root-find the terminal conditions (Brent); constant force needs no search.
 * :mod:`coulomb_chain.closed_form` -- exact constant-force formulas: gap
   sequences, the half-line model, the wall-departure (critical) force and
   the four asymptotic density phases.
@@ -39,8 +39,8 @@ from .closed_form import (
     aux_model_gaps,
     c_critical,
     critical_force_exact,
-    inverse_sqrt_sum,
     phase2_scaling_factor,
+    shifted_inverse_sqrt_sum,
 )
 from .errors import (
     CoulombChainError,
@@ -107,13 +107,13 @@ __all__ = [
     "energy",
     "energy_gradient",
     "histogram",
-    "inverse_sqrt_sum",
     "local_minimality_certificate",
     "minimize",
     "multi_start_fixed_points",
     "nonuniqueness_params",
     "phase2_scaling_factor",
     "residuals",
+    "shifted_inverse_sqrt_sum",
     "shoot",
     "solve_fixed_point",
     "sweep",

@@ -184,8 +184,8 @@ class SweepRow:
 def sweep(grid) -> list[SweepRow]:
     """Solve and classify every (N, L, c, gamma) grid point.
 
-    Each point is one ``solve_fixed_point`` (at most ``shooting.MAX_ITER`` =
-    200 shots) and one ``classify_phase`` (round(sqrt(N)) histogram bins).  Rows
+    Each point is one ``solve_fixed_point`` (the search-free constant-force
+    route) and one ``classify_phase`` (round(sqrt(N)) histogram bins).  Rows
     come back in grid order; a failing point records its error and the
     sweep continues.  Everything except the ``seconds`` timing column is a
     deterministic function of the grid.

@@ -18,6 +18,8 @@ wall (left particle pinned at -L with non-negative slack) or the exact
 terminal balance f_N = F(x_N) in the interior.  That hypothesis on the force
 is checked here and nowhere else: ``solve_fixed_point`` raises
 MonotonicityViolation for a profile that rises or goes negative on [-L, 0].
+Only a ``PiecewiseLinear`` profile is shot (constant F as the flat [(-L, F),
+(0, F)]); ``solve_fixed_point`` builds a ``Constant`` one's chain in closed form.
 
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
@@ -36,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .closed_form import aux_model_gaps, critical_force_exact, shifted_inverse_sqrt_sum
 from .errors import MonotonicityViolation, NoConvergence
 from .model import (
     Classification,
@@ -112,33 +115,6 @@ def _collapse(k: int) -> ShootingOutcome:
     )
 
 
-def _shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
-    f1 = delta1 ** -2.0
-    if not f1 > 0.0:
-        return _collapse(1)
-    # Constant force decouples the pressure recursion from positions, so the
-    # induction unrolls to f_k = f_1 - (k-1) F and vectorizes.  Built in
-    # place, (k-1) * -F + f_1 is bitwise f_1 - (k-1) F.
-    f = np.arange(n, dtype=float)
-    f *= -F
-    f += f1
-    f_terminal = float(f[-1])
-    # F >= 0 makes f non-increasing, so a pressure hits zero iff the last does.
-    if f_terminal <= 0.0:
-        return _collapse(int(np.argmax(f <= 0.0)) + 1)
-    gaps = np.power(f, -0.5, out=f)
-    positions = np.empty(n + 1)
-    positions[0] = 0.0
-    np.cumsum(gaps, out=positions[1:])
-    np.negative(positions[1:], out=positions[1:])
-    return ShootingOutcome(
-        positions=positions,
-        collapse_index=None,
-        f_terminal=f_terminal,
-        force_at_terminal=F,
-    )
-
-
 def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
     bx = profile.breakpoints.tolist()
     by = profile.values.tolist()
@@ -181,8 +157,6 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     if not (delta1 > 0.0):
         raise ValueError(f"first gap must be positive, got {delta1}")
     profile = params.profile
-    if isinstance(profile, Constant):
-        return _shoot_constant(float(delta1), profile.value, params.n_gaps)
     if isinstance(profile, PiecewiseLinear):
         return _shoot_piecewise(float(delta1), profile, params.n_gaps)
     raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
@@ -209,33 +183,66 @@ def _validate_monotone(profile: ForceProfile, L: float) -> float:
     return force_min
 
 
+def _constant_chain(params: ModelParams, F: float) -> tuple[np.ndarray, Classification, int]:
+    """Positions, label and Z evaluations; the gaps are aux_model_gaps(F, N, u).
+
+    u = 1 if F > ``critical_force_exact`` (shrunk a float off the wall should
+    rounding reach it); else Z(u, N) = L sqrt(F), bisected to float exhaustion
+    on [max(1, s**2 - N + 1), s**2], s = N / (L sqrt(F)), as N (u + N - 1)**-0.5
+    <= Z <= N u**-0.5 (<= ~52 + log2(N) evaluations), stretched to x_N = -L.
+    Uniform where u would exceed N / eps, F = 0 included.
+    """
+    L, n = params.L, params.n_gaps
+    target = L * math.sqrt(F)
+    if target < math.sqrt(n * np.finfo(float).eps):
+        return np.linspace(0.0, -L, n + 1), Classification.BOUNDARY_PINNED, 0
+    pinned = F <= critical_force_exact(n, L)
+    s, u, evaluations = n / target, 1.0, 0
+    if pinned:
+        u, hi = max(1.0, s * s - (n - 1)), s * s
+        while u < (mid := 0.5 * (u + hi)) < hi:
+            evaluations += 1
+            u, hi = (mid, hi) if shifted_inverse_sqrt_sum(mid, n) > target else (u, mid)
+    gaps = aux_model_gaps(F, n, u)
+    positions = np.zeros(n + 1)
+    np.cumsum(np.negative(gaps, out=gaps), out=positions[1:])
+    if pinned or positions[-1] <= -L:
+        end = -L if pinned else math.nextafter(-L, 0.0)
+        positions *= end / positions[-1]
+        positions[-1] = end
+    label = Classification.BOUNDARY_PINNED if pinned else Classification.INTERIOR
+    return positions, label, evaluations
+
+
 def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     """Locate the unique fixed point for a non-increasing, non-negative force.
 
-    Brent's root-find (zeroin) on the terminal function h of the module
-    docstring, over the first gap.  The sign bracket is rigorous: h > 0 at a
-    machine-tiny gap, and h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9),
-    because gaps never shrink along the chain (so x_N <= -N delta_1) and no
-    force term is below F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0)).
-    Should rounding ever break that, the search raises NoConvergence with
-    the bracket rather than widening it.  Each step interpolates (secant or
-    inverse quadratic) and falls back to bisection whenever the interpolant
-    leaves the bracket or does not shrink it fast enough.  The search sees
-    h / (1 + |h|), which has the same sign and root, reads -1 at a collapse
-    and stays finite for interpolation.  It stops at a relative bracket
-    width of ``TOL_REL`` = 1e-14, and spends at most ``MAX_ITER`` = 200
-    shots, the two bracket ends included; NoConvergence, carrying the shots
-    spent and the last bracket, when the bracket is not that narrow by then.
+    A ``Constant`` profile (``Scaled`` resolves to one) takes no search: see
+    ``_constant_chain``.  A ``PiecewiseLinear`` one takes Brent's root-find
+    (zeroin) on the terminal function h of the module docstring, over the
+    first gap.  The sign bracket is rigorous: h > 0 at a machine-tiny gap, and
+    h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9), because gaps never shrink
+    along the chain (so x_N <= -N delta_1) and no force term is below F(0) (so
+    f_N - F(x_N) <= delta_1**-2 - N F(0)).  Should rounding ever break that,
+    the search raises NoConvergence with the bracket rather than widening it.
+    Each step interpolates (secant or inverse quadratic) and falls back to
+    bisection whenever the interpolant leaves the bracket or does not shrink
+    it fast enough.  The search sees h / (1 + |h|), which has the same sign
+    and root, reads -1 at a collapse and stays finite for interpolation.  It
+    stops at a relative bracket width of ``TOL_REL`` = 1e-14, and spends at
+    most ``MAX_ITER`` = 200 shots, the two bracket ends included;
+    NoConvergence, carrying the shots spent and the last bracket, when the
+    bracket is not that narrow by then.
 
-    On the pinned branch the chain of the bracket's positive end (x_N just
-    above -L) is stretched so that x_N = -L exactly.  That spreads the wall
-    correction over all gaps instead of dumping the summation error into
-    the last one.  ``max_residual`` then sits at the rounding floor of
-    positions summed from gaps: at most 1.95 N eps times the largest
+    On the pinned branch the chain (of a piecewise profile, the shot of the
+    bracket's positive end) is stretched so that x_N = -L exactly.  That
+    spreads the wall correction over all gaps instead of dumping the summation
+    error into the last one.  ``max_residual`` then sits at the rounding floor
+    of positions summed from gaps: at most 1.95 N eps times the largest
     pressure in constant-force checks from N = 10 to 10**7 and L = 1e-3 to
     1e3, which at F = 0 is a scaled residual ``max_residual / (N/L)**2`` of
-    about N eps.  Interior positions are the shot of the bracket end with
-    the smaller terminal imbalance.
+    about N eps.  Interior positions of a piecewise profile are the shot of
+    the bracket end with the smaller terminal imbalance.
 
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
@@ -243,6 +250,10 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
             MonotonicityViolation.
     """
     force_min = _validate_monotone(params.profile, params.L)
+    if isinstance(params.profile, Constant):
+        positions, label, evaluations = _constant_chain(params, force_min)
+        config = Configuration(positions)
+        return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
     L, n = params.L, params.n_gaps
     pressure_scale = (n / L) ** 2
     shots = 0

@@ -1,23 +1,27 @@
 """Independent numeric routes that tests compare the library against.
 
 ``wall_force`` finds the wall-departure force by bisection over full
-shooting solves, without using the exact sum formula that
+``bisect_fixed_point`` solves, without using the exact sum formula that
 ``critical_force_exact`` evaluates.  ``bisect_fixed_point`` is the
 shooting solver's earlier search: plain bisection on the terminal predicate,
 refined to float exhaustion on the pinned branch, where only the last
-position is snapped to -L.  ``shoot_constant`` is the constant-force shot as
-first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
+position is snapped to -L; it shoots constant force with ``shoot_constant``,
+which the library no longer has.  ``shoot_constant`` is the constant-force
+shot as first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
 the piecewise shot as first written, one segment lookup per particle.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
 row.  ``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
 2 (N + 1) full energy evaluations.  ``gaps_constant_force`` and
 ``aux_model_extent`` restate closed forms that the library only uses
-implicitly (the constant-force shot, the critical force).
+implicitly (the constant-force shot, the critical force), and
+``inverse_sqrt_sum`` is the sum behind the critical force by direct O(N)
+summation.
 ``non_increasing_on`` and ``min_on`` are the shooting solver's earlier
 admissibility rule, once methods of every force profile.
 ``exact_integral`` integrates a piecewise-linear profile in rational
-arithmetic, one trapezoid per linear piece.
+arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
+``Configuration``'s earlier validation, five array passes in a fixed order.
 """
 
 import csv
@@ -33,15 +37,14 @@ from coulomb_chain import (
     Configuration,
     Constant,
     CoulombChainError,
+    DegenerateConfigurationError,
     FixedPointResult,
     ModelParams,
     NoConvergence,
     PiecewiseLinear,
     ShootingOutcome,
-    inverse_sqrt_sum,
     residuals,
     shoot,
-    solve_fixed_point,
 )
 
 
@@ -75,6 +78,13 @@ def gaps_constant_force(delta1: float, F: float, n: int) -> np.ndarray:
     return delta1 * (1.0 - t) ** -0.5
 
 
+def inverse_sqrt_sum(n: int) -> float:
+    """sum_{k=1..n} k**-0.5 by direct summation."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return float(np.sum(np.arange(1, n + 1, dtype=float) ** -0.5))
+
+
 def aux_model_extent(F: float, n: int) -> float:
     """Total length of the half-line chain, F**-0.5 * sum_k k**-0.5."""
     if not (F > 0.0):
@@ -85,17 +95,17 @@ def aux_model_extent(F: float, n: int) -> float:
 def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:
     """Constant-force threshold at which the left particle leaves the wall.
 
-    Outer bisection over the force magnitude: below the returned value the
-    solver classifies the fixed point as pinned, above it as interior.  Only
-    meaningful for constant profiles; the magnitude stored in ``params`` is
-    ignored.
+    Outer bisection over the force magnitude: below the returned value
+    ``bisect_fixed_point`` classifies the fixed point as pinned, above it as
+    interior.  Only meaningful for constant profiles; the magnitude stored
+    in ``params`` is ignored.
     """
     if not isinstance(params.profile, Constant):
         raise TypeError("wall_force is defined for constant force profiles only")
 
     def interior(F: float) -> bool:
         p = dataclasses.replace(params, force=Constant(F))
-        sol = solve_fixed_point(p)
+        sol = bisect_fixed_point(p)
         return sol.classification is Classification.INTERIOR
 
     f_lo = 0.0  # F = 0 is always pinned
@@ -134,6 +144,12 @@ def bisect_fixed_point(
     """
     profile = params.profile
     L, n = params.L, params.n_gaps
+    if isinstance(profile, Constant):
+        def shoot_at(d1):
+            return shoot_constant(d1, profile.value, n)
+    else:
+        def shoot_at(d1):
+            return shoot(d1, params)
 
     def predicate(out) -> bool:
         return out.complete and out.x_terminal > -L and out.terminal_slack > 0.0
@@ -143,7 +159,7 @@ def bisect_fixed_point(
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            out_mid = shoot(mid, params)
+            out_mid = shoot_at(mid)
             iterations += 1
             if predicate(out_mid):
                 lo, out_lo = mid, out_mid
@@ -155,7 +171,7 @@ def bisect_fixed_point(
     if isinstance(profile, Constant) and profile.value > 0.0 and n > 1:
         hi = min(hi, ((n - 1) * profile.value) ** -0.5)
     lo = 1e-150
-    out_lo, out_hi = shoot(lo, params), shoot(hi, params)
+    out_lo, out_hi = shoot_at(lo), shoot_at(hi)
     if not predicate(out_lo) or predicate(out_hi):
         raise NoConvergence("first-gap bracket does not hold")
     lo, out_lo, hi, out_hi, iterations = bisect(lo, out_lo, hi, out_hi, 2, max_iter, tol_rel)
@@ -330,3 +346,21 @@ def exact_integral(profile: PiecewiseLinear, a: float, b: float) -> Fraction:
     nodes = [lo] + [p for p, _ in pts if lo < p < hi] + [hi]
     total = sum((x1 - x0) * (force(x0) + force(x1)) / 2 for x0, x1 in zip(nodes, nodes[1:]))
     return total if a <= b else -total
+
+
+def configuration_error(positions) -> Exception | None:
+    """The error ``Configuration(positions)`` raised under its earlier checks, or None."""
+    pos = np.array(positions, dtype=float)
+    if not np.all(np.isfinite(pos)):
+        return ValueError("positions must be finite")
+    if pos[0] > 0.0:
+        return ValueError(f"right-most particle must satisfy x_0 <= 0, got {pos[0]}")
+    d = -np.diff(pos)
+    if np.any(d == 0.0):
+        return DegenerateConfigurationError("coinciding particles (zero gap)")
+    if np.any(d < 0.0):
+        return ValueError("positions must be strictly decreasing")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(d ** -2.0)):
+            return DegenerateConfigurationError("gap too small for a finite pressure")
+    return None

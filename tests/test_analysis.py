@@ -9,6 +9,7 @@ from coulomb_chain import (
     Configuration,
     Constant,
     ModelParams,
+    NoConvergence,
     Phase,
     Scaled,
     classify_phase,
@@ -18,7 +19,7 @@ from coulomb_chain import (
     sweep,
     uniform_configuration,
 )
-from coulomb_chain import shooting
+from coulomb_chain import analysis
 
 
 class TestHistogram:
@@ -160,7 +161,12 @@ class TestSweep:
             )
 
     def test_failures_recorded_and_sweep_continues(self, monkeypatch):
-        monkeypatch.setattr(shooting, "MAX_ITER", 3)
+        # A Scaled point takes the closed form and cannot run out of shots,
+        # so a solver that has run out stands in for any failing point.
+        def exhausted(params):
+            raise NoConvergence("shot budget spent", iterations=3)
+
+        monkeypatch.setattr(analysis, "solve_fixed_point", exhausted)
         rows = sweep([(100, 1.0, 1.0, 1.0), (100, 1.0, 1.0, 1.0)])
         assert all(r.error is not None and "NoConvergence" in r.error for r in rows)
         assert len(rows) == 2

@@ -4,6 +4,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -116,7 +119,8 @@ class TestSolveCommand:
 
     def test_exhausted_shot_budget_is_an_error_object(self, capsys, monkeypatch):
         monkeypatch.setattr(shooting, "MAX_ITER", 3)
-        code, out = run_cli(capsys, "solve", "--n", "40", "--force", "0")
+        # constant force takes no search; a flat piecewise profile takes Brent
+        code, out = run_cli(capsys, "solve", "--n", "40", "--force-piecewise=-1:0,0:0")
         assert code == 1
         error = json.loads(out)["error"]
         assert error["kind"] == "NoConvergence"
@@ -416,7 +420,7 @@ COMMAND_TABLES = {
     ),
     "density-constant": (["density", "--n", "50", "--force", "10"], density_rows),
     "sweep": (["sweep", "--grid", "200,1,2,1;200,1,16,1"], listed_rows),
-    "sweep-errors": (["sweep", "--grid", "200,1,2,1;50,1,0,1"], listed_rows),
+    "sweep-errors": (["sweep", "--grid", "200,1,0,1;50,0,2,1"], listed_rows),
     "converge": (["converge", "--c", "16", "--n-list", "10,40"], listed_rows),
     "oracle": (
         ["oracle", "--n", "8", "--force", "40"],
@@ -432,15 +436,26 @@ COMMAND_TABLES = {
 def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys, monkeypatch):
     # A still clock makes sweep's timing column the same in both runs.
     monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
-    if case == "sweep-errors":  # a two-shot budget fails every grid point
-        monkeypatch.setattr(shooting, "MAX_ITER", 2)
     argv, rows_of = COMMAND_TABLES[case]
     code, jout = run_cli(capsys, *argv)
     assert code == 0
     code, cout = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     payload = json.loads(jout)
-    if case == "sweep-errors":
+    if case == "sweep-errors":  # c = 0 and L = 0: every grid point fails
         error = payload["columns"].index("error")
         assert all(row[error] for row in payload["rows"])
     assert cout == render_csv_rows(*rows_of(payload))
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    # scipy is a test reference only: importing its LAPACK from the package
+    # would double the peak memory of every coulomb-chain process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, coulomb_chain.cli; "
+        "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

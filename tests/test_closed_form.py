@@ -13,14 +13,15 @@ from coulomb_chain import (
     asymptotic_density,
     aux_model_gaps,
     c_critical,
+    PiecewiseLinear,
     critical_force_exact,
-    inverse_sqrt_sum,
     phase2_scaling_factor,
     residuals,
+    shifted_inverse_sqrt_sum,
     shoot,
 )
 from coulomb_chain.model import Configuration
-from reference import PositivityError, aux_model_extent, gaps_constant_force
+from reference import PositivityError, aux_model_extent, gaps_constant_force, inverse_sqrt_sum
 
 
 class TestGapsConstantForce:
@@ -55,8 +56,8 @@ class TestGapsConstantForce:
             d1 = float(rng.uniform(0.1, 0.9)) * (
                 ((n - 1) * F) ** -0.5 if F > 0 else 1.0
             )
-            p = ModelParams(L=1000.0, n_gaps=n, force=Constant(F))
-            out = shoot(d1, p)
+            flat = PiecewiseLinear([(-1000.0, F), (0.0, F)])
+            out = shoot(d1, ModelParams(L=1000.0, n_gaps=n, force=flat))
             assert out.complete
             np.testing.assert_allclose(
                 gaps_constant_force(d1, F, n), out.config.gaps, rtol=1e-10
@@ -94,6 +95,17 @@ class TestAuxiliaryModel:
         with pytest.raises(ValueError):
             aux_model_gaps(0.0, 3)
 
+    @pytest.mark.parametrize("u", [1.0, 1.5, 40.0])
+    def test_terminal_pressure_u_f_gives_a_pinned_fixed_point(self, u):
+        F, n = 2.0, 30
+        gaps = aux_model_gaps(F, n, u)
+        np.testing.assert_allclose(gaps ** -2.0, F * (u + np.arange(n - 1, -1, -1)), rtol=1e-14)
+        config = Configuration(np.concatenate(([0.0], -np.cumsum(gaps))))
+        L = -float(config.positions[-1])
+        res = residuals(config, ModelParams(L=L, n_gaps=n, force=Constant(F)))
+        assert np.max(np.abs(res.interior)) <= 1e-12 * (u + n) * F
+        assert res.terminal_slack == pytest.approx((u - 1.0) * F, abs=1e-12 * (u + n) * F)
+
 
 class TestCriticalForce:
     def test_single_gap(self):
@@ -127,6 +139,22 @@ class TestCriticalForce:
         for n in (10 ** 3, 10 ** 5):
             approx = 2 * math.sqrt(n) + zeta_half + 0.5 / math.sqrt(n)
             assert inverse_sqrt_sum(n) == pytest.approx(approx, abs=1e-4)
+
+
+class TestShiftedInverseSqrtSum:
+    @pytest.mark.parametrize("u", [1.0, 1.0 + 1e-12, 1.5, 1e3, 1e9, 1e15])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 10 ** 3, 10 ** 7])
+    def test_matches_the_hurwitz_zeta_difference(self, n, u):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(u)
+            exact = mpmath.zeta(0.5, mu) - mpmath.zeta(0.5, mu + n)
+            error = abs((mpmath.mpf(shifted_inverse_sqrt_sum(u, n)) - exact) / exact)
+        assert error <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000, 10 ** 5])
+    def test_critical_force_matches_the_direct_sum(self, n):
+        assert critical_force_exact(n, 1.0) == pytest.approx(inverse_sqrt_sum(n) ** 2, rel=1e-13)
 
 
 class TestScalingFactor:

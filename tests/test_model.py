@@ -1,5 +1,6 @@
 """Core model: force profiles, configurations, energy and residuals."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from coulomb_chain import (
     residuals,
     uniform_configuration,
 )
-from reference import exact_integral
+from reference import configuration_error, exact_integral
 
 
 def chain_from_gaps(gaps):
@@ -103,11 +104,14 @@ class TestForceProfiles:
     def test_integral_between_keeps_digits_of_tiny_moves(self):
         # a difference of antiderivatives would lose about 12 of 16 digits here
         f = PiecewiseLinear([(-2.0, 4.0), (-1.0, 2.0), (0.0, 1.0)])
-        x, h = -1.5, 1e-12
+        # the rounded step (x + 1e-12) - x, which is 1.0000889e-12, not the
+        # nominal one; abs=0 because approx's default absolute tolerance of
+        # 1e-12 would accept any value of this size
+        x = -1.5
+        h = (x + 1e-12) - x
         exact = h * (3.0 - 0.5 * 2.0 * h)  # F(-1.5) = 3, slope -2
-        assert f.integral_between(x, x + h) == pytest.approx(exact, rel=1e-14)
-        # a move across the breakpoint at -1; abs=0 because approx's default
-        # absolute tolerance of 1e-12 would accept any value of this size
+        assert f.integral_between(x, x + h) == pytest.approx(exact, rel=1e-14, abs=0.0)
+        # a move across the breakpoint at -1
         a, b = -1.0 - 7e-13, -1.0 + 1.3e-12
         exact = float(exact_integral(f, a, b))
         assert f.integral_between(a, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
@@ -199,6 +203,34 @@ class TestConfiguration:
             Configuration([0.0, -0.7, -0.3])
         with pytest.raises(ValueError):
             Configuration([0.1, -0.5])
+
+    def test_smallest_gap_with_a_finite_pressure(self):
+        # (2**-512)**-2 = 2**1024 overflows; the next float up is the bound
+        bound = math.nextafter(2.0 ** -512, 1.0)
+        assert np.isfinite(Configuration([0.0, -bound]).pressures[0])
+        with pytest.raises(DegenerateConfigurationError, match="finite pressure"):
+            Configuration([0.0, -math.nextafter(bound, 0.0)])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.5, -1.0, 1e-300, -2.0 ** -512, -math.nextafter(2.0 ** -512, 1.0),
+                             math.nan, math.inf, -math.inf]),
+            st.floats(-2.0, 0.5),
+        ),
+        min_size=2, max_size=6,
+    ).flatmap(lambda xs: st.sampled_from([xs, sorted(xs, reverse=True)])))
+    def test_raises_what_the_earlier_checks_raised(self, positions):
+        # the one-pass check must accept and reject the same chains, with
+        # the same exception type and message as the five-pass one
+        expected = configuration_error(positions)
+        if expected is None:
+            Configuration(positions)
+            return
+        with pytest.raises(type(expected)) as info:
+            Configuration(positions)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
 
     def test_positions_are_frozen(self):
         c = Configuration([0.0, -1.0])

@@ -24,7 +24,6 @@ from reference import (
     gaps_constant_force,
     min_on,
     non_increasing_on,
-    shoot_constant,
     shoot_piecewise,
     wall_force,
 )
@@ -34,6 +33,11 @@ EPS = np.finfo(float).eps
 
 def params(n, L=1.0, force=None):
     return ModelParams(L=L, n_gaps=n, force=force if force is not None else Constant(0.0))
+
+
+def flat(F, L=1.0):
+    """Constant force F written as a piecewise profile, which Brent solves."""
+    return PiecewiseLinear([(-L, F), (0.0, F)])
 
 
 def random_monotone_piecewise(rng, L, scale):
@@ -46,14 +50,14 @@ def random_monotone_piecewise(rng, L, scale):
 
 class TestShoot:
     def test_uniform_gap_no_force_hits_wall_exactly(self):
-        p = params(4)
+        p = params(4, force=flat(0.0))
         out = shoot(0.25, p)
         assert out.complete
         assert out.x_terminal == -1.0
         np.testing.assert_allclose(out.config.gaps, 0.25)
 
     def test_two_step_constant_recursion(self):
-        p = params(2, force=Constant(1.0))
+        p = params(2, force=flat(1.0))
         out = shoot(2.0 ** -0.5, p)
         assert out.complete
         assert out.config.pressures[0] == pytest.approx(2.0, rel=1e-14)
@@ -63,7 +67,7 @@ class TestShoot:
 
     def test_collapse_at_the_constant_force_bound(self):
         n, F = 6, 2.0
-        p = params(n, force=Constant(F))
+        p = params(n, force=flat(F))
         out = shoot(((n - 1) * F) ** -0.5, p)
         assert not out.complete
         assert out.collapse_index == n
@@ -79,24 +83,10 @@ class TestShoot:
         assert not out.complete
         assert out.collapse_index == 2  # f_2 = 1 - 5 < 0 immediately
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(
-        n=st.integers(1, 5000),
-        log_force=st.floats(-3.0, 6.0),
-        collapse=st.booleans(),
-        data=st.data(),
-    )
-    def test_constant_shot_is_bitwise_the_reference(self, n, log_force, collapse, data):
-        F = 10.0 ** log_force
-        # The last pressure d1**-2 - (n-1) F is <= 0 iff d1 >= ((n-1) F)**-0.5.
-        ratio = data.draw(st.floats(1.001, 5.0) if collapse else st.floats(0.01, 0.999))
-        d1 = ratio * ((n - 1) * F) ** -0.5 if n > 1 else ratio
-        out, ref = shoot(d1, params(n, force=Constant(F))), shoot_constant(d1, F, n)
-        assert out.complete is ref.complete is not (collapse and n > 1)
-        assert out.collapse_index == ref.collapse_index
-        if ref.complete:
-            assert out.positions.tobytes() == ref.positions.tobytes()
-            assert out.f_terminal == ref.f_terminal
+    def test_constant_profile_is_not_shot(self):
+        # constant force is solved in closed form; Brent shoots a flat profile
+        with pytest.raises(TypeError):
+            shoot(0.1, params(3, force=Constant(1.0)))
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(n=st.integers(1, 3000), data=st.data())
@@ -128,7 +118,7 @@ class TestShoot:
         rng = np.random.default_rng(100 + case)
         n, L = 30, 1.0
         if case % 2 == 0:
-            force = Constant(float(rng.uniform(0.0, 2.0 * n)))
+            force = flat(float(rng.uniform(0.0, 2.0 * n)), L)
         else:
             force = random_monotone_piecewise(rng, L, scale=float(n))
         p = params(n, L, force)
@@ -197,7 +187,7 @@ class TestSolveFixedPoint:
     def test_idempotent_reshoot(self):
         n, L = 35, 1.0
         sol = solve_fixed_point(params(n, L, Constant(50.0)))
-        out = shoot(sol.delta1, params(n, L, Constant(50.0)))
+        out = shoot(sol.delta1, params(n, L, flat(50.0, L)))
         # a pinned result is the re-shot chain stretched by 1 + O(tol_rel)
         np.testing.assert_allclose(
             out.positions[:-1], sol.config.positions[:-1],
@@ -252,7 +242,7 @@ class TestSolveFixedPoint:
     def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
         # search needs only a handful of shots; constant force is nonlinear.
-        p = params(35, force=Constant(50.0))
+        p = params(35, force=flat(50.0))
         root = solve_fixed_point(p).delta1
         monkeypatch.setattr(shooting, "MAX_ITER", 5)
         with pytest.raises(NoConvergence) as info:
@@ -265,8 +255,8 @@ class TestSolveFixedPoint:
     @pytest.mark.parametrize(
         "profile",
         [
-            lambda fcr: Constant(0.5 * fcr),
-            lambda fcr: Constant(2.0 * fcr),
+            lambda fcr: flat(0.5 * fcr),
+            lambda fcr: flat(2.0 * fcr),
             lambda fcr: PiecewiseLinear([(-1.0, 0.8 * fcr), (-0.5, 0.6 * fcr), (0.0, 0.3 * fcr)]),
             lambda fcr: PiecewiseLinear([(-1.0, 2.5 * fcr), (-0.3, 1.6 * fcr), (0.0, 1.2 * fcr)]),
         ],
@@ -347,6 +337,55 @@ class TestLengthSymmetry:
         gap = np.max(np.abs(stretched.config.positions / lam - sol.config.positions))
         assert gap <= 1e-8 * L / n
         assert stretched.classification is sol.classification
+
+
+class TestConstantRoute:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 2000),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.0, 4.0).filter(lambda r: abs(r - 1.0) > 1e-6),
+    )
+    def test_agrees_with_brent_on_the_flat_profile(self, n, log_length, ratio):
+        # The flat profile's shot runs the same recursion one particle at a
+        # time; the band around r = 1 is where the two labels may differ.
+        L = 10.0 ** log_length
+        F = ratio * critical_force_exact(n, L)
+        sol = solve_fixed_point(params(n, L, Constant(F)))
+        brent = solve_fixed_point(params(n, L, flat(F, L)))
+        assert sol.classification is brent.classification
+        gap = np.max(np.abs(sol.config.positions - brent.config.positions))
+        assert gap <= 1e-8 * L / n
+
+    def test_zero_force_is_the_uniform_chain(self):
+        n, L = 10 ** 6, 1.0
+        sol = solve_fixed_point(params(n, L, Constant(0.0)))
+        assert sol.iterations == 0
+        assert sol.classification is Classification.BOUNDARY_PINNED
+        assert sol.config.positions[-1] == -L
+        np.testing.assert_allclose(sol.config.gaps, L / n, rtol=n * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("ratio", [1.5, 4.0])
+    def test_interior_chain_is_the_summed_half_line_gaps(self, ratio):
+        n, L = 1000, 0.3
+        F = ratio * critical_force_exact(n, L)
+        sol = solve_fixed_point(params(n, L, Constant(F)))
+        assert sol.classification is Classification.INTERIOR
+        assert sol.iterations == 0
+        exact = -np.cumsum(aux_model_gaps(F, n))
+        assert sol.config.positions[1:].tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 100, 10 ** 6])
+    def test_the_critical_force_itself_is_pinned(self, n):
+        L = 1.0
+        fcr = critical_force_exact(n, L)
+        tie = solve_fixed_point(params(n, L, Constant(fcr)))
+        assert tie.classification is Classification.BOUNDARY_PINNED
+        assert tie.config.positions[-1] == -L
+        above = solve_fixed_point(params(n, L, Constant(np.nextafter(fcr, np.inf))))
+        assert above.classification is Classification.INTERIOR
+        assert above.config.positions[-1] > -L
+        assert above.iterations == 0
 
 
 @st.composite
