@@ -73,10 +73,12 @@ def histogram(config: Configuration, params: ModelParams, n_bins: int | None = N
         n_bins = max(1, round(math.sqrt(config.n_gaps)))
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
-    counts, edges = np.histogram(
-        config.positions, bins=n_bins, range=(-params.L, 0.0)
-    )
-    return DensityHistogram(bin_edges=edges, mass=counts / config.positions.size)
+    # As np.histogram(positions, n_bins, (-L, 0)) counts: half-open bins on its
+    # edges, the last closed, but in O(n_bins log N) on the sorted positions.
+    edges = np.linspace(-params.L, 0.0, n_bins + 1)
+    below = np.searchsorted(config.positions[::-1], edges)  # positions < each edge
+    below[-1] = config.positions.size  # every position is <= 0
+    return DensityHistogram(bin_edges=edges, mass=np.diff(below) / config.positions.size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ solver), ``critical`` (exact wall-departure force), ``density`` (histogram
 plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 ``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
 tent profile).  Output is compact JSON or CSV with full round-trip float
-precision; CSV is written a chunk of lines at a time.  Model errors, and an
+precision.  Both formats stream: the text is written a chunk at a time, and
+the chunks are formatted on every CPU in the affinity mask, with the same
+bytes whatever the CPU count.  Model errors, and an
 ``--output`` path that cannot be written, exit 1 with a machine-readable
 JSON error object; usage errors exit 2.
 
@@ -54,7 +56,8 @@ from .shooting import solve_fixed_point
 
 __all__ = ["main"]
 
-# Lines per chunk of CSV text, and the starts of each ``nonunique`` search.
+# Rows per chunk of CSV text (values per chunk of a JSON array), and the
+# starts of each ``nonunique`` search.
 _CSV_CHUNK_LINES = 4096
 _NONUNIQUE_STARTS = 8
 
@@ -192,37 +195,123 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _render_csv(header, columns):
-    """Render a column-wise table as CSV, byte for byte as ``csv.writer`` would.
+def _render(format_chunk, jobs):
+    """Yield ``format_chunk(job)`` for each job, in order.
 
-    ``columns`` holds one entry per name in ``header``: a list with one value
-    per row, or a single scalar that is the same on every row.  All lists
-    have the same length, which is the row count; a table of scalars only has
-    one row.  Values are plain Python values (``ndarray.tolist()``): None is
-    an empty cell, a float is written by its round-trip repr, a bool as
-    ``true``/``false``, and strings get csv's minimal quoting.  Each list is
-    formatted once per value and each scalar once per table.  The text is
-    yielded ``_CSV_CHUNK_LINES`` lines at a time, so only one chunk of
-    formatted lines is held at once.
+    Job i is formatted by process i % P: the main process, or one of P - 1
+    workers forked here, each sending its texts back in order through its
+    own pipe, so the bytes do not depend on P.  P is the CPU count of the
+    affinity mask (1 without ``os.fork`` or ``os.sched_getaffinity``), at
+    most the count of jobs after the first.  A failed worker is an OSError.
+    Every worker is reaped once the generator is exhausted or closed.
     """
-    n_rows = max((len(col) for col in columns if isinstance(col, list)), default=1)
+    has_cpus = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n_procs = min(len(jobs) - 1, len(os.sched_getaffinity(0)) if has_cpus else 1) or 1
+    readers, pids = [], []
+    try:
+        for k in range(1, n_procs):
+            r, w = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
+            out = os.fdopen(w, "wb")
+            if (pid := os.fork()) == 0:
+                # A worker only slices, calls tolist and formats: no BLAS call
+                # and no lock, so forking while numpy's BLAS threads exist is
+                # safe.  os._exit flushes no inherited stdio, runs no atexit.
+                try:
+                    for reader in readers:  # only the main process reads: its close ends a write
+                        reader.close()
+                    for text in (format_chunk(job).encode() for job in jobs[k::n_procs]):
+                        out.write(len(text).to_bytes(8, "little") + text)
+                        out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            out.close()
+        for i, job in enumerate(jobs):
+            if not (k := i % n_procs):
+                yield format_chunk(job)
+                continue
+            size = int.from_bytes(readers[k - 1].read(8), "little")  # no text is empty
+            if not size or len(text := readers[k - 1].read(size)) < size:
+                raise OSError("a worker formatting the output failed")
+            yield text.decode()
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _csv_chunk(job) -> str:
+    """Rows ``start`` to ``stop`` of a table, as ``csv.writer`` writes them."""
+    columns, n_rows, start, stop = job
     cells = []
-    for name, col in zip(header, columns, strict=True):
-        if isinstance(col, list):
-            body = map(_csv_cell, col)
-        else:
-            body = itertools.repeat(_csv_cell(col), n_rows)
-        cells.append(itertools.chain((_csv_cell(name),), body))
+    for col in columns:
+        if isinstance(col, str):  # a scalar's cell
+            cells.append(itertools.repeat(col, stop - start))
+            continue
+        skip = n_rows - len(col)
+        part = col[max(start - skip, 0):max(stop - skip, 0)]
+        cell = float.__repr__ if getattr(part, "dtype", None) == float else _csv_cell
+        body = map(cell, part.tolist() if hasattr(part, "tolist") else part)
+        cells.append(itertools.chain(itertools.repeat("", max(skip - start, 0)), body))
     lines = map(",".join, zip(*cells, strict=True))
     if len(cells) == 1:  # csv quotes a lone empty field so the line is not blank
         lines = (line or '""' for line in lines)
-    while chunk := list(itertools.islice(lines, _CSV_CHUNK_LINES)):
-        yield "\n".join(chunk) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _render_json(payload) -> str:
-    # Arrays and numpy scalars reach ``default``; floats keep their repr.
-    return json.dumps(payload, default=lambda v: v.tolist(), allow_nan=False) + "\n"
+def _render_csv(header, columns):
+    """Render a column-wise table as CSV, byte for byte as ``csv.writer`` would.
+
+    ``columns`` holds one entry per name in ``header``: a list, range or 1-D
+    array with one value per row, or a single scalar that is the same on
+    every row.  The longest sequence sets the row count (one row if there is
+    none); a shorter one fills the last rows, leaving the first ones empty.
+    None is an empty cell, a float is written by its round-trip repr, a bool
+    as ``true``/``false``, and strings get csv's minimal quoting.  A chunk of
+    ``_CSV_CHUNK_LINES`` rows formats one slice of each sequence.
+    """
+    columns = [col if isinstance(col, (list, range)) or getattr(col, "ndim", 0) == 1
+               else _csv_cell(col) for col in columns]
+    n_rows = max((len(col) for col in columns if not isinstance(col, str)), default=1)
+    jobs = [(columns, n_rows, start, min(start + _CSV_CHUNK_LINES, n_rows))
+            for start in range(0, n_rows, _CSV_CHUNK_LINES)]
+    return _render(_csv_chunk, [([_csv_cell(name) for name in header], 1, 0, 1), *jobs])
+
+
+def _json_jobs(value, jobs: list) -> list:
+    """Append the JSON text of ``value`` (str keys), as ``json.dumps`` writes
+    it, to ``jobs``: each slice of ``_CSV_CHUNK_LINES`` values of a 1-D array
+    starts a job, and literal text joins the last job."""
+    if isinstance(value, (dict, list)):
+        keyed = isinstance(value, dict)
+        jobs[-1].append("{" if keyed else "[")
+        for i, item in enumerate(value.items() if keyed else value):
+            jobs[-1].append((", " if i else "") + (json.dumps(item[0]) + ": " if keyed else ""))
+            _json_jobs(item[1] if keyed else item, jobs)
+        jobs[-1].append("}" if keyed else "]")
+    elif getattr(value, "ndim", 0) != 1:  # numpy scalars reach ``default``; floats keep their repr
+        jobs[-1].append(json.dumps(value, default=lambda v: v.tolist(), allow_nan=False))
+    else:  # the ValueError json.dumps(allow_nan=False) raises at the first non-finite value
+        json.dumps(value[~(abs(value) < float("inf"))][:1].tolist(), allow_nan=False)
+        for start in range(0, len(value), _CSV_CHUNK_LINES):
+            jobs[-1].append(", " if start else "[")
+            jobs.append([value[start:start + _CSV_CHUNK_LINES]])
+        jobs[-1].append("]" if len(value) else "[]")
+    return jobs
+
+
+def _json_chunk(job) -> str:
+    values, *texts = job  # a slice of an array (None in the first job), then literal text
+    return ("" if values is None else json.dumps(values.tolist())[1:-1]) + "".join(texts)
+
+
+def _render_json(payload):
+    jobs = _json_jobs(payload, [[None]])  # a non-finite float raises here, before any text
+    jobs[-1].append("\n")
+    return _render(_json_chunk, jobs)
 
 
 def _write_out(chunks, path: str | None):
@@ -280,10 +369,10 @@ def _solution_table(payload: dict, extra: dict | None = None):
         + list(extra)
     )
     columns = [
-        list(range(len(payload["positions"]))),
-        payload["positions"].tolist(),
-        [None] + payload["gaps"].tolist(),
-        [None] + payload["pressures"].tolist(),
+        range(len(payload["positions"])),
+        payload["positions"],
+        payload["gaps"],  # one shorter: row 0 has no gap and no pressure
+        payload["pressures"],
         payload["classification"],
         payload["delta1"],
         payload["max_residual"],
@@ -334,9 +423,7 @@ def _cmd_density(args):
     }
 
     def table():
-        edges = hist.bin_edges.tolist()
-        predicted = None if prediction is None else prediction.tolist()
-        columns = [edges[:-1], edges[1:], hist.mass.tolist(), predicted]
+        columns = [hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass, prediction]
         return ["bin_left", "bin_right", "mass", "prediction"], columns
 
     return payload, table
@@ -444,8 +531,11 @@ def main(argv=None) -> int:
         # A command returns its payload and a thunk for the CSV table, which
         # is built only when CSV is asked for.
         payload, table = _COMMANDS[args.command](args)
-        chunks = _render_csv(*table()) if args.format == "csv" else (_render_json(payload),)
-        _write_out(chunks, args.output)
+        chunks = _render_csv(*table()) if args.format == "csv" else _render_json(payload)
+        try:
+            _write_out(chunks, args.output)
+        finally:
+            chunks.close()  # reaps the workers also when writing fails
     except (CoulombChainError, OSError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         for name in ("iterations", "grad_norm", "bracket"):

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import aux_model_gaps, critical_force_exact, shifted_inverse_sqrt_sum
-from .errors import MonotonicityViolation, NoConvergence
+from .errors import DegenerateConfigurationError, MonotonicityViolation, NoConvergence
 from .model import (
     Classification,
     Configuration,
@@ -255,6 +255,8 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         config = Configuration(positions)
         return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
     L, n = params.L, params.n_gaps
+    if n / L >= 2.0 ** 512:  # some gap is at most L/n <= 2**-512: no finite pressure
+        raise DegenerateConfigurationError("gap too small for a finite pressure")
     pressure_scale = (n / L) ** 2
     shots = 0
 

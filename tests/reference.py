@@ -10,7 +10,9 @@ which the library no longer has.  ``shoot_constant`` is the constant-force
 shot as first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
 the piecewise shot as first written, one segment lookup per particle.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
-row.  ``coordinate_certificate`` is the descent oracle's earlier minimality
+row, and ``render_json`` its earlier unchunked JSON renderer: one
+``json.dumps`` of the whole payload in one process.
+``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
 2 (N + 1) full energy evaluations.  ``gaps_constant_force`` and
 ``aux_model_extent`` restate closed forms that the library only uses
@@ -27,6 +29,7 @@ arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
 import csv
 import dataclasses
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -285,6 +288,11 @@ def render_csv_rows(header, rows) -> str:
     for row in rows:
         writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
+
+
+def render_json(payload) -> str:
+    """The whole payload as one line of compact JSON; arrays and numpy scalars reach ``default``."""
+    return json.dumps(payload, default=lambda v: v.tolist(), allow_nan=False) + "\n"
 
 
 def coordinate_certificate(

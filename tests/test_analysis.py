@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from coulomb_chain import (
     Configuration,
@@ -59,6 +61,32 @@ class TestHistogram:
         p = ModelParams(L=1.0, n_gaps=50, force=Constant(0.0))
         h = histogram(uniform_configuration(p), p, n_bins=7)
         assert float(np.sum(h.density * np.diff(h.bin_edges))) == pytest.approx(1.0)
+
+
+@st.composite
+def binned_chains(draw):
+    """(positions, L, n_bins): some particles on bin edges or on either wall."""
+    L = draw(st.sampled_from([1.0, 0.01, 2.5, 100.0, 3.0e-7]))
+    n = draw(st.integers(1, 60))
+    n_bins = draw(st.integers(1, n + 3))
+    edges = np.linspace(-L, 0.0, n_bins + 1)
+    on_edges = draw(st.lists(st.sampled_from(edges.tolist()), max_size=n + 1))
+    inside = draw(st.lists(st.floats(-L, 0.0), max_size=n + 1))
+    xs = np.unique(np.array(on_edges + inside + [0.0, -L], dtype=float))[::-1]
+    keep = np.concatenate(([True], -np.diff(xs) > 2.0 ** -500))
+    return xs[keep][: n + 1], L, n_bins
+
+
+class TestHistogramCounts:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(binned_chains())
+    def test_equals_numpy_histogram(self, chain):
+        xs, L, n_bins = chain
+        config = Configuration(xs)
+        h = histogram(config, ModelParams(L=L, n_gaps=config.n_gaps, force=Constant(0.0)), n_bins)
+        counts, edges = np.histogram(xs, bins=n_bins, range=(-L, 0.0))
+        np.testing.assert_array_equal(h.bin_edges, edges)
+        np.testing.assert_array_equal(h.mass, counts / xs.size)
 
 
 def solved_scaled(n, c, gamma, L=1.0):

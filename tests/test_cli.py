@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from coulomb_chain import Configuration, Constant, ModelParams, residuals
 from coulomb_chain import analysis, cli, minimizer, shooting
 from coulomb_chain.cli import _render_csv, main
-from reference import render_csv_rows, table_rows
+from reference import render_csv_rows, render_json, table_rows
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,12 @@ class TestSolveCommand:
         error = json.loads(out)["error"]
         assert error["kind"] in ("FileNotFoundError", "IsADirectoryError")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
+
+    def test_pressure_overflow_at_tiny_length_is_an_error_object(self, capsys):
+        code, out = run_cli(capsys, "solve", "--n", "10", "--length", "1e-160",
+                            "--force-piecewise=-1:1,0:1")
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "DegenerateConfigurationError"
 
     def test_exhausted_shot_budget_is_an_error_object(self, capsys, monkeypatch):
         monkeypatch.setattr(shooting, "MAX_ITER", 3)
@@ -448,13 +454,155 @@ def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys, monkeyp
     assert cout == render_csv_rows(*rows_of(payload))
 
 
+# Outputs of three chunks exactly and of three chunks and one value or row:
+# N + 1 = 3 * 4096 and N + 1 = 3 * 4096 + 1 positions, bins + 1 edges.
+BIG = 3 * cli._CSV_CHUNK_LINES
+STREAMED = {
+    **COMMAND_TABLES,
+    "solve-3-chunks": (["solve", "--n", str(BIG - 1), "--force", "0"], solution_rows),
+    "solve-3-chunks-and-1": (["solve", "--n", str(BIG), "--force-scaled", "2,1"], solution_rows),
+    "density-3-chunks": (
+        ["density", "--n", "400", "--force-scaled", "16,1", "--bins", str(BIG)], density_rows
+    ),
+    "oracle-3-chunks": (
+        ["oracle", "--n", str(BIG - 1), "--force", "0"],
+        lambda p: solution_rows(p, extra=("energy",)),
+    ),
+}
+
+
+def same_text(a, b):
+    # A call, so that a failure is not followed by pytest's slow diff of long lines.
+    return a == b
+
+
+def with_cpus(monkeypatch, n):
+    """Let the process run on n CPUs, so output is formatted by n processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case", list(STREAMED))
+def test_output_bytes_do_not_depend_on_the_cpu_count(case, cpus, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    argv, rows_of = STREAMED[case]
+    with_cpus(monkeypatch, cpus)
+    code, jout = run_cli(capsys, *argv)
+    assert code == 0
+    code, cout = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert_no_children()
+    monkeypatch.setattr(cli, "_render_json", lambda payload: (t for t in [render_json(payload)]))
+    code, reference = run_cli(capsys, *argv)
+    assert code == 0
+    assert same_text(jout, reference)
+    assert same_text(cout, render_csv_rows(*rows_of(json.loads(reference))))
+
+
+def test_without_sched_getaffinity_the_main_process_formats_every_chunk(capsys, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    code, out = run_cli(capsys, "solve", "--n", str(BIG), "--force", "0", "--format", "csv")
+    assert code == 0
+    assert out.count("\n") == BIG + 2  # header and N + 1 rows
+
+
+EDGE_PAYLOADS = {
+    "empty": {"x": np.array([]), "d": {}, "l": []},
+    "chunk-edges": {"a": np.arange(float(cli._CSV_CHUNK_LINES)), "b": -np.arange(4097.0)},
+    "nested": {"minima": [{"x": np.linspace(0.0, 1.0, 9000), "e": np.float64(0.1)}, [np.ones(3)]]},
+    "scalars": {"i": np.int64(3), "b": np.bool_(True), "s": 'q"\u00e9', "n": None, "f": -0.0},
+    "not-1-d": {"m": np.eye(2), "z": np.array(2.5), "t": (1, np.zeros(2))},
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case", list(EDGE_PAYLOADS))
+def test_json_walk_writes_what_json_dumps_writes(case, cpus, monkeypatch):
+    with_cpus(monkeypatch, cpus)
+    payload = EDGE_PAYLOADS[case]
+    assert same_text("".join(cli._render_json(payload)), render_json(payload))
+
+
+def test_non_finite_float_fails_before_any_text():
+    payload = {"a": [1.0, 2], "x": np.array([1.0, np.inf, np.nan]), "y": np.arange(3.0)}
+    with pytest.raises(ValueError) as expected:
+        render_json(payload)
+    with pytest.raises(ValueError) as raised:
+        cli._render_json(payload)  # raises on the call, before the first chunk
+    assert str(raised.value) == str(expected.value)
+
+
+# (--output target or stdout, error kind or None) of runs that fork workers
+REAPED_RUNS = {
+    "success": (None, None),
+    "unwritable-output": ("missing/out", "FileNotFoundError"),
+    "failing-worker": ("out", "OSError"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("run", list(REAPED_RUNS))
+def test_every_worker_is_reaped(run, fmt, tmp_path, capsys, monkeypatch):
+    target, kind = REAPED_RUNS[run]
+    with_cpus(monkeypatch, 3)
+    if run == "failing-worker":
+        main_pid, chunk_of = os.getpid(), getattr(cli, f"_{fmt}_chunk")
+
+        def failing(job):
+            if os.getpid() != main_pid:
+                raise RuntimeError("formatter failed")
+            return chunk_of(job)
+
+        monkeypatch.setattr(cli, f"_{fmt}_chunk", failing)
+    argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt]
+    code, out = run_cli(capsys, *argv, *(["--output", str(tmp_path / target)] if target else []))
+    assert_no_children()
+    if kind is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == kind
+        assert list(tmp_path.iterdir()) == []  # no target and no temp file
+
+
+@pytest.mark.parametrize("interrupt", [BrokenPipeError, KeyboardInterrupt])
+def test_workers_are_reaped_when_writing_stops(interrupt, capsys, monkeypatch):
+    class Stdout(io.StringIO):
+        def writelines(self, chunks):
+            next(iter(chunks))
+            raise interrupt
+
+    with_cpus(monkeypatch, 3)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    argv = ["solve", "--n", str(BIG), "--force", "0"]
+    if interrupt is KeyboardInterrupt:
+        # The traceback held here keeps main's frames, and so its chunk
+        # generator, alive: main must have closed it itself.
+        with pytest.raises(KeyboardInterrupt) as interrupted:
+            main(argv)
+        assert_no_children()
+        assert interrupted.traceback
+    else:
+        assert main(argv) == 1
+        assert json.loads(sys.stdout.getvalue())["error"]["kind"] == "BrokenPipeError"
+        assert_no_children()
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
     # scipy is a test reference only: importing its LAPACK from the package
-    # would double the peak memory of every coulomb-chain process.
+    # would double the peak memory of every coulomb-chain process.  Output is
+    # formatted by forked workers, not by a pool from multiprocessing or
+    # concurrent.futures, whose imports every process would pay for.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys, coulomb_chain.cli; "
-        "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
+        "print(sorted({'scipy', 'mpmath', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

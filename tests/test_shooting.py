@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coulomb_chain import (
     Classification,
     Constant,
+    DegenerateConfigurationError,
     ModelParams,
     MonotonicityViolation,
     NoConvergence,
@@ -238,6 +239,12 @@ class TestSolveFixedPoint:
     def test_rejects_inadmissible_profile(self, points):
         with pytest.raises(MonotonicityViolation):
             solve_fixed_point(params(5, force=PiecewiseLinear(points)))
+
+    @pytest.mark.parametrize("force", [Constant(1.0), flat(1.0)], ids=["constant", "piecewise"])
+    def test_tiny_segment_is_degenerate_on_both_routes(self, force):
+        # (N/L)**2 overflows: every chain has a gap too small for a finite pressure
+        with pytest.raises(DegenerateConfigurationError):
+            solve_fixed_point(params(10, L=1e-160, force=force))
 
     def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
