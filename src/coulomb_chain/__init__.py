@@ -24,8 +24,6 @@ and sweep tables, and :mod:`coulomb_chain.cli` exposes everything as the
 
 from .analysis import (
     ConvergenceRow,
-    DensityHistogram,
-    PhaseReport,
     SweepRow,
     classify_phase,
     convergence_study,
@@ -33,7 +31,6 @@ from .analysis import (
     sweep,
 )
 from .closed_form import (
-    AsymptoticDensity,
     Phase,
     asymptotic_density,
     aux_model_gaps,
@@ -61,7 +58,6 @@ from .model import (
     Configuration,
     Constant,
     FixedPointResult,
-    ForceProfile,
     ModelParams,
     PiecewiseLinear,
     Residuals,
@@ -71,31 +67,26 @@ from .model import (
     residuals,
     uniform_configuration,
 )
-from .shooting import ShootingOutcome, shoot, solve_fixed_point
+from .shooting import shoot, solve_fixed_point
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticDensity",
     "Classification",
     "Configuration",
     "Constant",
     "ConvergenceRow",
     "CoulombChainError",
     "DegenerateConfigurationError",
-    "DensityHistogram",
     "FixedPointResult",
-    "ForceProfile",
     "MinimizeSettings",
     "ModelParams",
     "MonotonicityViolation",
     "NoConvergence",
     "Phase",
-    "PhaseReport",
     "PiecewiseLinear",
     "Residuals",
     "Scaled",
-    "ShootingOutcome",
     "SweepRow",
     "asymptotic_density",
     "aux_model_gaps",

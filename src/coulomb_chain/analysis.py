@@ -49,10 +49,6 @@ class DensityHistogram:
     mass: np.ndarray
 
     @property
-    def n_bins(self) -> int:
-        return self.mass.size
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 

@@ -7,9 +7,9 @@ plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 tent profile).  Output is compact JSON or CSV with full round-trip float
 precision.  Both formats stream: the text is written a chunk at a time, and
 the chunks are formatted on every CPU in the affinity mask, with the same
-bytes whatever the CPU count.  Model errors, and an
-``--output`` path that cannot be written, exit 1 with a machine-readable
-JSON error object; usage errors exit 2.
+bytes whatever the CPU count.  Model errors, and an ``--output`` path that
+cannot be written, exit 1 with a machine-readable JSON error object; a
+stdout closed early exits 1 with no more output; usage errors exit 2.
 
 The solvers' budgets and tolerances are fixed, not flags: a shooting solve
 under a piecewise force stops at a relative first-gap bracket of
@@ -30,6 +30,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -444,6 +445,8 @@ def _cmd_sweep(args):
         if not chunk:
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
+        if not math.isfinite(n):
+            raise ValueError(f"grid point N must be finite, got {n}")
         grid.append((int(n), L, c, gamma))
     return _rows_table(SweepRow, sweep(grid))
 
@@ -536,6 +539,9 @@ def main(argv=None) -> int:
             _write_out(chunks, args.output)
         finally:
             chunks.close()  # reaps the workers also when writing fails
+    except BrokenPipeError:  # the reader has gone: no error object, and a quiet flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CoulombChainError, OSError, ValueError, TypeError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         for name in ("iterations", "grad_norm", "bracket"):

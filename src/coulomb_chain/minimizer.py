@@ -184,7 +184,6 @@ def minimize(
     params: ModelParams,
     start: Configuration,
     settings: MinimizeSettings | None = None,
-    on_step=None,
 ) -> FixedPointResult:
     """Descend the energy from ``start`` until the projected gradient is flat.
 
@@ -196,8 +195,7 @@ def minimize(
     path until the trial keeps strict ordering and achieves Armijo
     decrease, so the energy is monotone along accepted steps.  The descent
     stops when the max-norm of the projected gradient is at most
-    ``settings.grad_tol``.  ``on_step(iteration, energy)`` is invoked after
-    every accepted step and ``iterations`` counts accepted steps.
+    ``settings.grad_tol``; ``iterations`` counts accepted steps.
 
     The chain is labelled pinned when x_N <= -L + 1e-12 L at the stop.  For
     a constant force within |F/F_cr - 1| <= 1e-10 of the critical force the
@@ -213,7 +211,7 @@ def minimize(
         settings = default_settings(params)
     L = params.L
     profile = params.profile
-    u = energy(start, params)
+    energy(start, params)  # a ValueError where start does not fit params
     x = start.positions.copy()
     iterations = 0
 
@@ -253,10 +251,7 @@ def minimize(
                     break
             t *= 0.5
         x = trial
-        u += du
         iterations += 1
-        if on_step is not None:
-            on_step(iterations, u)
 
     pinned = x[-1] <= -L + 1e-12 * L
     if pinned:
@@ -319,8 +314,9 @@ def nonuniqueness_params(
     """
     if not (b > a > 0.0):
         raise ValueError(f"need b > a > 0, got a={a}, b={b}")
-    base = PiecewiseLinear([(-2.0, a - 2.0 * b), (-1.0, a), (0.0, -a)])
-    return ModelParams(L=2.0, n_gaps=n_gaps, force=base.scale(c * n_gaps))
+    k = c * n_gaps
+    tent = PiecewiseLinear([(-2.0, (a - 2.0 * b) * k), (-1.0, a * k), (0.0, -a * k)])
+    return ModelParams(L=2.0, n_gaps=n_gaps, force=tent)
 
 
 def _force_peak(params: ModelParams) -> float:

@@ -90,9 +90,6 @@ class ForceProfile:
         """Derivative F'(x); at a breakpoint, the slope of the segment to its right."""
         raise NotImplementedError
 
-    def scale(self, factor: float) -> "ForceProfile":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(ForceProfile):
@@ -118,9 +115,6 @@ class Constant(ForceProfile):
     def slope_at(self, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
-
-    def scale(self, factor):
-        return Constant(self.value * factor)
 
 
 @dataclass(frozen=True)
@@ -199,9 +193,6 @@ class PiecewiseLinear(ForceProfile):
         out = np.where((x >= bx[0]) & (x < bx[-1]), self.slopes[j], 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def scale(self, factor):
-        return PiecewiseLinear([(p, v * factor) for p, v in self.points])
-
 
 @dataclass(frozen=True)
 class Scaled(ForceProfile):
@@ -218,9 +209,6 @@ class Scaled(ForceProfile):
     def __post_init__(self):
         if not (self.c > 0.0) or not (self.gamma > 0.0):
             raise ValueError("scaled force needs c > 0 and gamma > 0")
-
-    def scale(self, factor):
-        return Scaled(self.c * factor, self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +248,11 @@ class ModelParams:
                 )
         profile = self.force
         if isinstance(profile, Scaled):
-            profile = Constant(profile.c * float(self.n_gaps) ** profile.gamma)
+            try:
+                profile = Constant(profile.c * float(self.n_gaps) ** profile.gamma)
+            except OverflowError:
+                raise ValueError(f"scaled force c * N**gamma overflows at N = {self.n_gaps}") from None
         object.__setattr__(self, "profile", profile)
-
-    @classmethod
-    def from_physical(
-        cls,
-        L: float,
-        n_gaps: int,
-        alpha_ext: float,
-        alpha_int: float,
-        base_force: ForceProfile,
-    ) -> "ModelParams":
-        """Build params from physical constants, renormalizing the force.
-
-        The fixed points depend on the external field only through
-        F = (alpha_ext / alpha_int) * F0, so that ratio is applied here once
-        and the rest of the library never sees the raw constants.
-        """
-        if not (alpha_ext > 0.0 and alpha_int > 0.0):
-            raise ValueError("interaction constants must be positive")
-        return cls(L=L, n_gaps=n_gaps, force=base_force.scale(alpha_ext / alpha_int))
 
 
 @dataclass(frozen=True, eq=False)

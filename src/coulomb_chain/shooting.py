@@ -33,7 +33,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,20 +70,16 @@ class _Probe(NamedTuple):
     out: ShootingOutcome
 
 
-@dataclass(frozen=True, eq=False)
-class ShootingOutcome:
+class ShootingOutcome(NamedTuple):
     """Result of generating a chain from a trial first gap.
 
-    Either the recursion completes (``positions`` holds x_0..x_N and the
-    terminal pressure/force are recorded) or some pressure hit zero first and
-    ``collapse_index`` is the smallest 1-based gap index where that happened.
-    The wall at -L is ignored here on purpose; positions may overshoot it.
+    ``positions`` holds x_0..x_N and ``terminal_slack`` is f_N - F(x_N), or
+    both are None where some pressure hit zero first.  The wall at -L is
+    ignored here on purpose; positions may overshoot it.
     """
 
     positions: np.ndarray | None
-    collapse_index: int | None
-    f_terminal: float | None
-    force_at_terminal: float | None
+    terminal_slack: float | None
 
     @property
     def complete(self) -> bool:
@@ -97,22 +92,10 @@ class ShootingOutcome:
         return float(self.positions[-1])
 
     @property
-    def terminal_slack(self) -> float:
-        if not self.complete:
-            raise ValueError("no terminal slack: shooting collapsed")
-        return self.f_terminal - self.force_at_terminal
-
-    @property
     def config(self) -> Configuration:
         if not self.complete:
             raise ValueError("no configuration: shooting collapsed")
         return Configuration(self.positions)
-
-
-def _collapse(k: int) -> ShootingOutcome:
-    return ShootingOutcome(
-        positions=None, collapse_index=k, f_terminal=None, force_at_terminal=None
-    )
 
 
 def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
@@ -127,7 +110,7 @@ def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shootin
 
     f = delta1 ** -2.0
     if not f > 0.0:
-        return _collapse(1)
+        return ShootingOutcome(None, None)
     x = -delta1
     positions = [0.0, x]
     k = 1
@@ -135,24 +118,19 @@ def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shootin
         while k < n and x >= left:
             f -= v0 + s * (x - x0)
             if f <= 0.0:
-                return _collapse(k + 1)
+                return ShootingOutcome(None, None)
             x -= f ** -0.5
             positions.append(x)
             k += 1
     pos = np.array(positions)
-    return ShootingOutcome(
-        positions=pos,
-        collapse_index=None,
-        f_terminal=f,
-        force_at_terminal=float(profile.force_at(pos[-1])),
-    )
+    return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
 
 
 def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     """Generate the chain induced by a trial first gap, ignoring the wall.
 
-    Pressure collapse (some f_k <= 0) is a normal outcome, reported with the
-    smallest failing index; only ``delta1 <= 0`` is an error.
+    Pressure collapse (some f_k <= 0) is a normal outcome, reported as an
+    outcome with no positions; only ``delta1 <= 0`` is an error.
     """
     if not (delta1 > 0.0):
         raise ValueError(f"first gap must be positive, got {delta1}")

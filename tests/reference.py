@@ -45,10 +45,10 @@ from coulomb_chain import (
     ModelParams,
     NoConvergence,
     PiecewiseLinear,
-    ShootingOutcome,
     residuals,
     shoot,
 )
+from coulomb_chain.shooting import ShootingOutcome
 
 
 class PositivityError(CoulombChainError):
@@ -234,17 +234,16 @@ def shoot_constant(delta1: float, F: float, n: int) -> ShootingOutcome:
     """Constant-force shot: pressures f_k = f_1 - (k-1) F, gaps f_k**-0.5."""
     f1 = delta1 ** -2.0
     if not f1 > 0.0:
-        return ShootingOutcome(None, 1, None, None)
+        return ShootingOutcome(None, None)
     f = f1 - F * np.arange(n, dtype=float)
-    bad = f <= 0.0
-    if bad.any():
-        return ShootingOutcome(None, int(np.argmax(bad)) + 1, None, None)
+    if np.any(f <= 0.0):
+        return ShootingOutcome(None, None)
     gaps = f ** -0.5
     positions = np.empty(n + 1)
     positions[0] = 0.0
     np.cumsum(gaps, out=positions[1:])
     np.negative(positions[1:], out=positions[1:])
-    return ShootingOutcome(positions, None, float(f[-1]), F)
+    return ShootingOutcome(positions, float(f[-1]) - F)
 
 
 def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
@@ -255,7 +254,7 @@ def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shooting
     j = len(bx) - 2
     f = delta1 ** -2.0
     if not f > 0.0:
-        return ShootingOutcome(None, 1, None, None)
+        return ShootingOutcome(None, None)
     x = -delta1
     positions = [0.0, x]
     for k in range(1, n):
@@ -267,11 +266,11 @@ def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shooting
             fv = by[j] + slopes[j] * (x - bx[j])
         f -= fv
         if f <= 0.0:
-            return ShootingOutcome(None, k + 1, None, None)
+            return ShootingOutcome(None, None)
         x -= f ** -0.5
         positions.append(x)
     pos = np.array(positions)
-    return ShootingOutcome(pos, None, f, float(profile.force_at(pos[-1])))
+    return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
 
 
 def table_rows(columns) -> list[list]:
@@ -302,36 +301,31 @@ def coordinate_certificate(
 
     A cheap coordinate-wise certificate, not a Hessian test; ``eps`` defaults
     to 1e-6 * L / N.  Moves that would break ordering or leave the segment
-    are skipped.  Trial energies are summed here rather than through
-    ``energy``, which would validate a Configuration per trial.
+    are skipped.  Each feasible trial is one row of an array, and its energy
+    the full sum over that row, taken here rather than through ``energy``,
+    which would validate a Configuration per trial.
     """
     L = params.L
     if eps is None:
         eps = 1e-6 * L / params.n_gaps
     profile = params.profile
 
-    def energy_of(x):
-        return float(np.sum(1.0 / (x[:-1] - x[1:])) - np.sum(profile.integral_between(-L, x)))
+    def energy_of(x):  # one energy per row
+        gaps = x[..., :-1] - x[..., 1:]
+        return np.sum(1.0 / gaps, axis=-1) - np.sum(profile.integral_between(-L, x), axis=-1)
 
     x = config.positions
-    u0 = energy_of(x)
+    n = x.size
+    u0 = float(energy_of(x))
     guard = 1e-12 * max(1.0, abs(u0))
-    for i in range(x.size):
-        for s in (eps, -eps):
-            xi = x[i] + s
-            if i == 0 and xi > 0.0:
-                continue
-            if i == x.size - 1 and xi < -L:
-                continue
-            if i > 0 and xi >= x[i - 1]:
-                continue
-            if i < x.size - 1 and xi <= x[i + 1]:
-                continue
-            trial = x.copy()
-            trial[i] = xi
-            if energy_of(trial) < u0 - guard:
-                return False
-    return True
+    i = np.tile(np.arange(n), 2)
+    xi = np.concatenate((x + eps, x - eps))
+    feasible = np.where(i > 0, xi < x[i - 1], xi <= 0.0)
+    feasible &= np.where(i < n - 1, xi > x[np.minimum(i + 1, n - 1)], xi >= -L)
+    i, xi = i[feasible], xi[feasible]
+    trials = np.tile(x, (i.size, 1))
+    trials[np.arange(i.size), i] = xi
+    return not np.any(energy_of(trials) < u0 - guard)
 
 
 def exact_integral(profile: PiecewiseLinear, a: float, b: float) -> Fraction:

@@ -55,7 +55,7 @@ class TestHistogram:
     def test_default_bin_count_is_sqrt_n(self):
         p = ModelParams(L=1.0, n_gaps=100, force=Constant(0.0))
         h = histogram(uniform_configuration(p), p)
-        assert h.n_bins == 10
+        assert h.mass.size == 10
 
     def test_density_integrates_to_one(self):
         p = ModelParams(L=1.0, n_gaps=50, force=Constant(0.0))

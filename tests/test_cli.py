@@ -205,6 +205,26 @@ class TestTableCommands:
         ]
         assert [row[0] for row in payload["rows"]] == [10, 20]
 
+    def test_sweep_records_an_overflowing_force_and_goes_on(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--grid", "10,1,1,400;100,1,1,1")
+        assert code == 0
+        payload = json.loads(out)
+        first, second = (dict(zip(payload["columns"], row)) for row in payload["rows"])
+        assert first["error"].startswith("ValueError: ") and first["detected"] is None
+        assert second["error"] is None and second["detected"] == "smooth_positive"
+
+    def test_sweep_rejects_a_non_finite_n(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--grid", "inf,1,1,1")
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["solve", "density", "oracle"])
+def test_overflowing_scaled_force_is_an_error_object(command, capsys):
+    code, out = run_cli(capsys, command, "--n", "10", "--force-scaled", "1,400")
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ValueError"
+
 
 class TestOracleCommand:
     def test_matches_solver(self, capsys):
@@ -572,11 +592,16 @@ def test_every_worker_is_reaped(run, fmt, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("interrupt", [BrokenPipeError, KeyboardInterrupt])
-def test_workers_are_reaped_when_writing_stops(interrupt, capsys, monkeypatch):
+def test_workers_are_reaped_when_writing_stops(interrupt, tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
     class Stdout(io.StringIO):
         def writelines(self, chunks):
             next(iter(chunks))
             raise interrupt
+
+        def fileno(self):
+            return fd
 
     with_cpus(monkeypatch, 3)
     monkeypatch.setattr(sys, "stdout", Stdout())
@@ -590,8 +615,23 @@ def test_workers_are_reaped_when_writing_stops(interrupt, capsys, monkeypatch):
         assert interrupted.traceback
     else:
         assert main(argv) == 1
-        assert json.loads(sys.stdout.getvalue())["error"]["kind"] == "BrokenPipeError"
+        assert sys.stdout.getvalue() == ""  # no error object follows
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         assert_no_children()
+    os.close(fd)
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # The reader closes after 100 of 786,306 bytes, many pipe buffers long.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [sys.executable, "-m", "coulomb_chain.cli", "solve", "--n", "12287", "--force", "0"]
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    errors = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), errors) == (1, b"")
 
 
 def test_import_loads_neither_scipy_nor_mpmath():

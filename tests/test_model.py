@@ -174,13 +174,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(L=1.0, n_gaps=3, force=f)
 
-    def test_from_physical_divides(self):
-        p = ModelParams.from_physical(
-            L=1.0, n_gaps=5, alpha_ext=6.0, alpha_int=2.0, base_force=Constant(1.5)
-        )
-        assert isinstance(p.force, Constant)
-        assert p.force.value == pytest.approx(4.5)
-
 
 # ---------------------------------------------------------------------------
 # Configurations

@@ -9,10 +9,12 @@ import re
 import numpy as np
 import pytest
 
+import coulomb_chain
 from coulomb_chain import Classification, cli
 from coulomb_chain.closed_form import Phase
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def quick_start_values() -> dict:
@@ -56,3 +58,12 @@ def test_command_line_flag_table_lists_every_flag():
             flags |= listed[base.group(1)]
         listed[name] = flags
     assert listed == registered
+
+
+def test_every_exported_name_has_a_user():
+    # The package exports only what the CLI, the demos, the benchmark, the
+    # tests or the README name.
+    users = [ROOT / "src" / "coulomb_chain" / "cli.py", README]
+    users += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("tests/*.py")]
+    text = "\n".join(path.read_text() for path in users)
+    assert [name for name in coulomb_chain.__all__ if not re.search(rf"\b{name}\b", text)] == []

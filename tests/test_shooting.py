@@ -62,7 +62,7 @@ class TestShoot:
         out = shoot(2.0 ** -0.5, p)
         assert out.complete
         assert out.config.pressures[0] == pytest.approx(2.0, rel=1e-14)
-        assert out.f_terminal == pytest.approx(1.0, rel=1e-14)
+        assert out.terminal_slack == pytest.approx(0.0, abs=1e-14)  # f_2 = 1 = F
         assert out.config.gaps[1] == pytest.approx(1.0, rel=1e-14)
         assert out.x_terminal == pytest.approx(-(2.0 ** -0.5 + 1.0), rel=1e-14)
 
@@ -71,18 +71,19 @@ class TestShoot:
         p = params(n, force=flat(F))
         out = shoot(((n - 1) * F) ** -0.5, p)
         assert not out.complete
-        assert out.collapse_index == n
+        assert (out.positions, out.terminal_slack) == (None, None)
+        # the first n - 1 gaps of the same shot stand: it collapses at gap n
+        assert shoot(((n - 1) * F) ** -0.5, params(n - 1, force=flat(F))).complete
         # even larger first gap collapses no later
-        out2 = shoot(2.0 * ((n - 1) * F) ** -0.5, p)
-        assert not out2.complete
-        assert out2.collapse_index <= n
+        assert not shoot(2.0 * ((n - 1) * F) ** -0.5, p).complete
 
     def test_collapse_reports_smallest_index_piecewise(self):
         f = PiecewiseLinear([(-1.0, 5.0), (0.0, 5.0)])
         p = params(5, force=f)
         out = shoot(1.0, p)
         assert not out.complete
-        assert out.collapse_index == 2  # f_2 = 1 - 5 < 0 immediately
+        # f_2 = 1 - 5 < 0 immediately: the one-gap shot completes
+        assert shoot(1.0, params(1, force=f)).complete
 
     def test_constant_profile_is_not_shot(self):
         # constant force is solved in closed form; Brent shoots a flat profile
@@ -103,10 +104,10 @@ class TestShoot:
         profile = PiecewiseLinear([(x, v * scale) for x, v in zip(xs, values)])
         d1 = data.draw(st.floats(0.3, 1.5)) / n
         out, ref = shoot(d1, params(n, force=profile)), shoot_piecewise(d1, profile, n)
-        assert out.collapse_index == ref.collapse_index
+        assert out.complete == ref.complete
         if ref.complete:
             assert out.positions.tobytes() == ref.positions.tobytes()
-            assert (out.f_terminal, out.force_at_terminal) == (ref.f_terminal, ref.force_at_terminal)
+            assert out.terminal_slack == ref.terminal_slack
 
     def test_rejects_nonpositive_first_gap(self):
         with pytest.raises(ValueError):
