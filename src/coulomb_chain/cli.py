@@ -30,7 +30,6 @@ import dataclasses
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -445,8 +444,8 @@ def _cmd_sweep(args):
         if not chunk:
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
-        if not math.isfinite(n):
-            raise ValueError(f"grid point N must be finite, got {n}")
+        if not n.is_integer():
+            raise ValueError(f"grid point N must be an integer, got {n}")
         grid.append((int(n), L, c, gamma))
     return _rows_table(SweepRow, sweep(grid))
 

@@ -213,8 +213,9 @@ class TestTableCommands:
         assert first["error"].startswith("ValueError: ") and first["detected"] is None
         assert second["error"] is None and second["detected"] == "smooth_positive"
 
-    def test_sweep_rejects_a_non_finite_n(self, capsys):
-        code, out = run_cli(capsys, "sweep", "--grid", "inf,1,1,1")
+    @pytest.mark.parametrize("n", ["inf", "nan", "10.7"])
+    def test_sweep_rejects_a_non_integer_n(self, capsys, n):
+        code, out = run_cli(capsys, "sweep", "--grid", f"{n},1,1,1")
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "ValueError"
 

@@ -82,8 +82,10 @@ class TestShoot:
         p = params(5, force=f)
         out = shoot(1.0, p)
         assert not out.complete
-        # f_2 = 1 - 5 < 0 immediately: the one-gap shot completes
+        # f_2 = 1 - 5 < 0 immediately: the one-gap shot completes, the
+        # two-gap shot collapses at gap 2
         assert shoot(1.0, params(1, force=f)).complete
+        assert not shoot(1.0, params(2, force=f)).complete
 
     def test_constant_profile_is_not_shot(self):
         # constant force is solved in closed form; Brent shoots a flat profile
