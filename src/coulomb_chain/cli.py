@@ -4,12 +4,12 @@ Subcommands map one-to-one onto the library surface: ``solve`` (shooting
 solver), ``critical`` (exact wall-departure force), ``density`` (histogram
 plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 ``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
-tent profile).  Output is compact JSON or CSV with full round-trip float
-precision.  Both formats stream: the text is written a chunk at a time, and
-the chunks are formatted on every CPU in the affinity mask, with the same
-bytes whatever the CPU count.  Model errors, and an ``--output`` path that
-cannot be written, exit 1 with a machine-readable JSON error object; a
-stdout closed early exits 1 with no more output; usage errors exit 2.
+tent profile).  Output is compact JSON or CSV, byte for byte as ``json.dumps``
+and ``csv.writer`` write it; float arrays take repr's shortest round-trip
+digits from ``orjson``.  Both formats stream: the text is formatted and
+written a chunk at a time, in one process.  Model errors, and an ``--output``
+path that cannot be written, exit 1 with a machine-readable JSON error
+object; a stdout closed early exits 1 with no more output; usage errors exit 2.
 
 The solvers' budgets and tolerances are fixed, not flags: a shooting solve
 under a piecewise force stops at a relative first-gap bracket of
@@ -33,6 +33,9 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
+import orjson
 
 from .analysis import ConvergenceRow, SweepRow, convergence_study, histogram, sweep
 from .closed_form import Phase, asymptotic_density, c_critical, critical_force_exact
@@ -195,57 +198,45 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _render(format_chunk, jobs):
-    """Yield ``format_chunk(job)`` for each job, in order.
+_IS_DIGIT = np.zeros(256, bool)
+_IS_DIGIT[ord("0"):ord("9") + 1] = True
 
-    Job i is formatted by process i % P: the main process, or one of P - 1
-    workers forked here, each sending its texts back in order through its
-    own pipe, so the bytes do not depend on P.  P is the CPU count of the
-    affinity mask (1 without ``os.fork`` or ``os.sched_getaffinity``), at
-    most the count of jobs after the first.  A failed worker is an OSError.
-    Every worker is reaped once the generator is exhausted or closed.
+
+def _format_floats(values) -> str:
+    """A 1-D float64 array as ``json.dumps(values.tolist())`` writes it, with
+    ``,`` for its ``, `` separators and no brackets; a non-finite value is ``null``.
+
+    orjson writes repr's shortest round-trip digits (Ryu) in another layout:
+    ``1e16`` and ``1e-6`` for repr's ``1e+16`` and ``1e-06``, and values in
+    [1e-5, 1e-4) positionally, ``0.00001234`` for ``1.234e-05``.  Only those
+    layouts are rewritten: a sign goes only where an exponent has none, a
+    zero only before a lone exponent digit.
     """
-    has_cpus = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n_procs = min(len(jobs) - 1, len(os.sched_getaffinity(0)) if has_cpus else 1) or 1
-    readers, pids = [], []
-    try:
-        for k in range(1, n_procs):
-            r, w = os.pipe()
-            readers.append(os.fdopen(r, "rb"))
-            out = os.fdopen(w, "wb")
-            if (pid := os.fork()) == 0:
-                # A worker only slices, calls tolist and formats: no BLAS call
-                # and no lock, so forking while numpy's BLAS threads exist is
-                # safe.  os._exit flushes no inherited stdio, runs no atexit.
-                try:
-                    for reader in readers:  # only the main process reads: its close ends a write
-                        reader.close()
-                    for text in (format_chunk(job).encode() for job in jobs[k::n_procs]):
-                        out.write(len(text).to_bytes(8, "little") + text)
-                        out.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            out.close()
-        for i, job in enumerate(jobs):
-            if not (k := i % n_procs):
-                yield format_chunk(job)
-                continue
-            size = int.from_bytes(readers[k - 1].read(8), "little")  # no text is empty
-            if not size or len(text := readers[k - 1].read(size)) < size:
-                raise OSError("a worker formatting the output failed")
-            yield text.decode()
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    t = np.frombuffer(text, np.uint8).copy()
+    e = np.flatnonzero(t == ord("e"))
+    unsigned = _IS_DIGIT[t[e + 1]]
+    first = e + 2 - unsigned  # an exponent's first digit
+    at = [e[unsigned] + 1, first[~_IS_DIGIT[t[first + 1]]]]
+    # A value written 0.0000dddd (after any sign) becomes d.ddde-05: its
+    # "0.0000" is set to NUL bytes, which orjson never writes, and dropped.
+    ends = np.flatnonzero((t == ord(",")) | (t == ord("]")))
+    starts = np.concatenate(([1], ends[:-1] + 1))
+    starts += t[starts] == ord("-")
+    fits = ends - starts >= 7
+    s, end = starts[fits], ends[fits]
+    lead = s[:, None] + np.arange(6)
+    small = t[lead].view("S6")[:, 0] == b"0.0000"
+    s, end = s[small], end[small]
+    t[lead[small]] = 0
+    at += [s[end > s + 7] + 7, end, end, end, end]
+    chars = np.repeat(np.frombuffer(b"+0.e-05", np.uint8), [len(i) for i in at])
+    out = np.insert(t, np.concatenate(at), chars)  # equal indices keep their order: "e-05"
+    return (out[out != 0] if len(s) else out)[1:-1].tobytes().decode()
 
 
-def _csv_chunk(job) -> str:
+def _csv_chunk(columns, n_rows: int, start: int, stop: int) -> str:
     """Rows ``start`` to ``stop`` of a table, as ``csv.writer`` writes them."""
-    columns, n_rows, start, stop = job
     cells = []
     for col in columns:
         if isinstance(col, str):  # a scalar's cell
@@ -253,8 +244,14 @@ def _csv_chunk(job) -> str:
             continue
         skip = n_rows - len(col)
         part = col[max(start - skip, 0):max(stop - skip, 0)]
-        cell = float.__repr__ if getattr(part, "dtype", None) == float else _csv_cell
-        body = map(cell, part.tolist() if hasattr(part, "tolist") else part)
+        if isinstance(part, range):
+            body = map(str, part)
+        elif getattr(part, "dtype", None) == float:
+            body = _format_floats(part).split(",") if len(part) else []
+            for i in np.flatnonzero(~np.isfinite(part)):  # orjson's null
+                body[i] = float.__repr__(float(part[i]))
+        else:
+            body = map(_csv_cell, part.tolist() if hasattr(part, "tolist") else part)
         cells.append(itertools.chain(itertools.repeat("", max(skip - start, 0)), body))
     lines = map(",".join, zip(*cells, strict=True))
     if len(cells) == 1:  # csv quotes a lone empty field so the line is not blank
@@ -276,42 +273,37 @@ def _render_csv(header, columns):
     columns = [col if isinstance(col, (list, range)) or getattr(col, "ndim", 0) == 1
                else _csv_cell(col) for col in columns]
     n_rows = max((len(col) for col in columns if not isinstance(col, str)), default=1)
-    jobs = [(columns, n_rows, start, min(start + _CSV_CHUNK_LINES, n_rows))
-            for start in range(0, n_rows, _CSV_CHUNK_LINES)]
-    return _render(_csv_chunk, [([_csv_cell(name) for name in header], 1, 0, 1), *jobs])
+    yield _csv_chunk([_csv_cell(name) for name in header], 1, 0, 1)
+    for start in range(0, n_rows, _CSV_CHUNK_LINES):
+        yield _csv_chunk(columns, n_rows, start, min(start + _CSV_CHUNK_LINES, n_rows))
 
 
-def _json_jobs(value, jobs: list) -> list:
+def _json_parts(value, parts: list) -> list:
     """Append the JSON text of ``value`` (str keys), as ``json.dumps`` writes
-    it, to ``jobs``: each slice of ``_CSV_CHUNK_LINES`` values of a 1-D array
-    starts a job, and literal text joins the last job."""
+    it, to ``parts``: literal text, and each 1-D float64 array as slices of
+    ``_CSV_CHUNK_LINES`` values."""
     if isinstance(value, (dict, list)):
         keyed = isinstance(value, dict)
-        jobs[-1].append("{" if keyed else "[")
+        parts.append("{" if keyed else "[")
         for i, item in enumerate(value.items() if keyed else value):
-            jobs[-1].append((", " if i else "") + (json.dumps(item[0]) + ": " if keyed else ""))
-            _json_jobs(item[1] if keyed else item, jobs)
-        jobs[-1].append("}" if keyed else "]")
-    elif getattr(value, "ndim", 0) != 1:  # numpy scalars reach ``default``; floats keep their repr
-        jobs[-1].append(json.dumps(value, default=lambda v: v.tolist(), allow_nan=False))
+            parts.append((", " if i else "") + (json.dumps(item[0]) + ": " if keyed else ""))
+            _json_parts(item[1] if keyed else item, parts)
+        parts.append("}" if keyed else "]")
+    elif getattr(value, "ndim", 0) != 1 or value.dtype != float:
+        # numpy scalars and other arrays reach ``default``; floats keep their repr
+        parts.append(json.dumps(value, default=lambda v: v.tolist(), allow_nan=False))
     else:  # the ValueError json.dumps(allow_nan=False) raises at the first non-finite value
         json.dumps(value[~(abs(value) < float("inf"))][:1].tolist(), allow_nan=False)
         for start in range(0, len(value), _CSV_CHUNK_LINES):
-            jobs[-1].append(", " if start else "[")
-            jobs.append([value[start:start + _CSV_CHUNK_LINES]])
-        jobs[-1].append("]" if len(value) else "[]")
-    return jobs
-
-
-def _json_chunk(job) -> str:
-    values, *texts = job  # a slice of an array (None in the first job), then literal text
-    return ("" if values is None else json.dumps(values.tolist())[1:-1]) + "".join(texts)
+            parts += [", " if start else "[", value[start:start + _CSV_CHUNK_LINES]]
+        parts.append("]" if len(value) else "[]")
+    return parts
 
 
 def _render_json(payload):
-    jobs = _json_jobs(payload, [[None]])  # a non-finite float raises here, before any text
-    jobs[-1].append("\n")
-    return _render(_json_chunk, jobs)
+    parts = _json_parts(payload, [])  # a non-finite float raises here, before any text
+    parts.append("\n")
+    return (p if isinstance(p, str) else _format_floats(p).replace(",", ", ") for p in parts)
 
 
 def _write_out(chunks, path: str | None):
@@ -324,6 +316,9 @@ def _write_out(chunks, path: str | None):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a shell redirect gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -534,10 +529,7 @@ def main(argv=None) -> int:
         # is built only when CSV is asked for.
         payload, table = _COMMANDS[args.command](args)
         chunks = _render_csv(*table()) if args.format == "csv" else _render_json(payload)
-        try:
-            _write_out(chunks, args.output)
-        finally:
-            chunks.close()  # reaps the workers also when writing fails
+        _write_out(chunks, args.output)
     except BrokenPipeError:  # the reader has gone: no error object, and a quiet flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -97,14 +97,14 @@ def shifted_inverse_sqrt_sum(u: float, n: int) -> float:
 
 def critical_force_exact(n: int, L: float) -> float:
     """Exact wall-departure force (Z(1, n) / L)**2; F equal to it is pinned (the tie rule)."""
-    if L <= 0.0:
+    if not 0.0 < L < math.inf:
         raise ValueError(f"segment length must be positive, got {L}")
     return (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2
 
 
 def c_critical(L: float) -> float:
     """Large-N coefficient of the critical force, F_cr ~ (4 / L**2) N."""
-    if L <= 0.0:
+    if not 0.0 < L < math.inf:
         raise ValueError(f"segment length must be positive, got {L}")
     return 4.0 / (L * L)
 
@@ -117,7 +117,7 @@ def phase2_scaling_factor(c: float, L: float) -> float:
     Defined for 0 < c <= 4/L**2; at the upper end b = 1/2, and b -> 1 as
     c -> 0 recovers the uniform chain.
     """
-    if L <= 0.0:
+    if not 0.0 < L < math.inf:
         raise ValueError(f"segment length must be positive, got {L}")
     ccr = c_critical(L)
     if not (0.0 < c <= ccr * (1.0 + 1e-12)):
@@ -168,7 +168,7 @@ def asymptotic_density(c: float, gamma: float, L: float) -> AsymptoticDensity:
     """
     if not (c > 0.0) or not (gamma > 0.0):
         raise ValueError(f"need c > 0 and gamma > 0, got c={c}, gamma={gamma}")
-    if L <= 0.0:
+    if not 0.0 < L < math.inf:
         raise ValueError(f"segment length must be positive, got {L}")
     if gamma < 1.0:
         return AsymptoticDensity(phase=Phase.UNIFORM, L=L, c=c, gamma=gamma)

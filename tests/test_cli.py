@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -14,6 +15,7 @@ import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coulomb_chain import Configuration, Constant, ModelParams, residuals
 from coulomb_chain import analysis, cli, minimizer, shooting
@@ -142,6 +144,15 @@ class TestCriticalCommand:
         payload = json.loads(out)
         assert payload["exact"] == pytest.approx(345.5733703624297, rel=1e-12)
         assert payload["asymptotic_coefficient"] == 4.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("length", ["inf", "nan", "-inf"])
+    def test_non_finite_length_is_an_error_object(self, length, fmt, capsys):
+        code, out = run_cli(capsys, "critical", "--n", "5", f"--length={length}", "--format", fmt)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "ValueError", "message": f"segment length must be positive, got {length}"
+        }
 
     def test_csv_matches_json(self, capsys):
         code, jout = run_cli(capsys, "critical", "--n", "10")
@@ -497,40 +508,19 @@ def same_text(a, b):
     return a == b
 
 
-def with_cpus(monkeypatch, n):
-    """Let the process run on n CPUs, so output is formatted by n processes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("case", list(STREAMED))
-def test_output_bytes_do_not_depend_on_the_cpu_count(case, cpus, capsys, monkeypatch):
+def test_streamed_output_is_the_unchunked_rendering(case, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     argv, rows_of = STREAMED[case]
-    with_cpus(monkeypatch, cpus)
     code, jout = run_cli(capsys, *argv)
     assert code == 0
     code, cout = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    assert_no_children()
-    monkeypatch.setattr(cli, "_render_json", lambda payload: (t for t in [render_json(payload)]))
+    monkeypatch.setattr(cli, "_render_json", lambda payload: [render_json(payload)])
     code, reference = run_cli(capsys, *argv)
     assert code == 0
     assert same_text(jout, reference)
     assert same_text(cout, render_csv_rows(*rows_of(json.loads(reference))))
-
-
-def test_without_sched_getaffinity_the_main_process_formats_every_chunk(capsys, monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
-    code, out = run_cli(capsys, "solve", "--n", str(BIG), "--force", "0", "--format", "csv")
-    assert code == 0
-    assert out.count("\n") == BIG + 2  # header and N + 1 rows
 
 
 EDGE_PAYLOADS = {
@@ -542,10 +532,8 @@ EDGE_PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("case", list(EDGE_PAYLOADS))
-def test_json_walk_writes_what_json_dumps_writes(case, cpus, monkeypatch):
-    with_cpus(monkeypatch, cpus)
+def test_json_walk_writes_what_json_dumps_writes(case):
     payload = EDGE_PAYLOADS[case]
     assert same_text("".join(cli._render_json(payload)), render_json(payload))
 
@@ -559,41 +547,125 @@ def test_non_finite_float_fails_before_any_text():
     assert str(raised.value) == str(expected.value)
 
 
-# (--output target or stdout, error kind or None) of runs that fork workers
-REAPED_RUNS = {
-    "success": (None, None),
+def dumps_text(values) -> str:
+    """What ``_format_floats`` must return: ``json.dumps`` of the list, bare commas."""
+    return json.dumps(values.tolist())[1:-1].replace(", ", ",")
+
+
+# Finite floats of every decade, with both zeros and subnormals, and many
+# from [1e-5, 1e-4), which orjson and repr lay out differently.
+float64s = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-5, 1e-4),
+    st.floats(-1e-4, -1e-5),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5, 1e-4]),
+)
+
+
+class TestFormatFloats:
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(hnp.arrays(np.float64, st.integers(0, 5000), elements=float64s))
+    def test_writes_what_json_dumps_writes(self, values):
+        assert same_text(cli._format_floats(values), dumps_text(values))
+
+    def test_neighbours_of_every_power_of_ten(self):
+        decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        near = [decades]
+        for toward in (0.0, np.inf):
+            step = decades
+            for _ in range(3):
+                step = np.nextafter(step, toward)
+                near.append(step)
+        edges = np.array([1e-5, 1e-4])
+        for k in range(1, 50):  # many ulps around the two edges repr writes differently from orjson
+            near += [edges + k * np.spacing(edges), edges - k * np.spacing(edges)]
+        values = np.concatenate(near)
+        values = np.concatenate([values, -values])
+        assert same_text(cli._format_floats(values), dumps_text(values))
+
+    def test_non_contiguous_slice(self):
+        values = np.linspace(-1e-3, 1e20, 3001)[::7]
+        values[::5] = 1.5e-5
+        assert not values.flags.c_contiguous
+        assert same_text(cli._format_floats(values), dumps_text(values))
+        header, column = ["v"], values.tolist()
+        assert "".join(_render_csv(header, [values])) == render_csv_rows(header, [[v] for v in column])
+
+    def test_non_finite_csv_cells_are_written_as_repr_writes_them(self):
+        values = np.array([np.nan, 1e-6, np.inf, -np.inf, 1.5e-5, -0.0])
+        expected = render_csv_rows(["v", "i"], [[v, i] for i, v in enumerate(values.tolist())])
+        assert "".join(_render_csv(["v", "i"], [values, range(6)])) == expected
+        assert expected.splitlines()[1:5] == ["nan,0", "1e-06,1", "inf,2", "-inf,3"]
+
+    def test_a_layout_already_like_repr_is_left_alone(self, monkeypatch):
+        # Exponents that have their sign and two digits are not touched again,
+        # so a release of orjson with another layout fails the tests above
+        # rather than writing doubled signs.
+        values = np.array([1e16, 1e-06, 1.5e+300, 2.5e-100, 1.234e-05, 0.0001, -0.0])
+        repr_layout = dumps_text(values).encode()
+        fake = types.SimpleNamespace(OPT_SERIALIZE_NUMPY=0, dumps=lambda v, option: b"[" + repr_layout + b"]")
+        monkeypatch.setattr(cli, "orjson", fake)
+        assert cli._format_floats(values) == repr_layout.decode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_main_never_forks(fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == (BIG + 2 if fmt == "csv" else 1)  # CSV: a header and N + 1 rows
+    assert run_cli(capsys, *argv, "--output", str(tmp_path / "out")) == (0, "")
+    assert (tmp_path / "out").read_text() == out
+
+
+# (--output target, error kind) of runs whose output is not written in full
+FAILED_WRITES = {
     "unwritable-output": ("missing/out", "FileNotFoundError"),
-    "failing-worker": ("out", "OSError"),
+    "failing-formatter": ("out", "OSError"),
+    "interrupted": ("out", "KeyboardInterrupt"),
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("run", list(REAPED_RUNS))
-def test_every_worker_is_reaped(run, fmt, tmp_path, capsys, monkeypatch):
-    target, kind = REAPED_RUNS[run]
-    with_cpus(monkeypatch, 3)
-    if run == "failing-worker":
-        main_pid, chunk_of = os.getpid(), getattr(cli, f"_{fmt}_chunk")
+@pytest.mark.parametrize("run", list(FAILED_WRITES))
+def test_a_failed_write_leaves_no_file(run, fmt, tmp_path, capsys, monkeypatch):
+    target, kind = FAILED_WRITES[run]
+    if run != "unwritable-output":  # fails on the second chunk, after text was written
+        calls = iter(range(10 ** 6))
+        format_floats = cli._format_floats
 
-        def failing(job):
-            if os.getpid() != main_pid:
-                raise RuntimeError("formatter failed")
-            return chunk_of(job)
+        def failing(values):
+            if next(calls) == 1:
+                raise {"OSError": OSError, "KeyboardInterrupt": KeyboardInterrupt}[kind]("stopped")
+            return format_floats(values)
 
-        monkeypatch.setattr(cli, f"_{fmt}_chunk", failing)
-    argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt]
-    code, out = run_cli(capsys, *argv, *(["--output", str(tmp_path / target)] if target else []))
-    assert_no_children()
-    if kind is None:
-        assert code == 0
+        monkeypatch.setattr(cli, "_format_floats", failing)
+    argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt, "--output", str(tmp_path / target)]
+    if kind == "KeyboardInterrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
     else:
+        code, out = run_cli(capsys, *argv)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == kind
-        assert list(tmp_path.iterdir()) == []  # no target and no temp file
+    assert list(tmp_path.iterdir()) == []  # no target and no temp file
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_file_takes_the_mode_a_redirect_gives(umask, tmp_path, capsys):
+    old = os.umask(umask)
+    try:
+        code, _ = run_cli(capsys, "solve", "--n", "5", "--force", "0", "--output", str(tmp_path / "out"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(tmp_path / "out").st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("interrupt", [BrokenPipeError, KeyboardInterrupt])
-def test_workers_are_reaped_when_writing_stops(interrupt, tmp_path, capsys, monkeypatch):
+def test_writing_stops_on_an_interrupt(interrupt, fmt, tmp_path, capsys, monkeypatch):
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
 
     class Stdout(io.StringIO):
@@ -604,28 +676,27 @@ def test_workers_are_reaped_when_writing_stops(interrupt, tmp_path, capsys, monk
         def fileno(self):
             return fd
 
-    with_cpus(monkeypatch, 3)
     monkeypatch.setattr(sys, "stdout", Stdout())
-    argv = ["solve", "--n", str(BIG), "--force", "0"]
-    if interrupt is KeyboardInterrupt:
-        # The traceback held here keeps main's frames, and so its chunk
-        # generator, alive: main must have closed it itself.
-        with pytest.raises(KeyboardInterrupt) as interrupted:
-            main(argv)
-        assert_no_children()
-        assert interrupted.traceback
-    else:
-        assert main(argv) == 1
-        assert sys.stdout.getvalue() == ""  # no error object follows
-        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-        assert_no_children()
-    os.close(fd)
+    argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt]
+    try:
+        if interrupt is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            assert sys.stdout.getvalue() == ""  # no error object follows
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
-def test_a_reader_that_stops_early_ends_the_run_quietly():
-    # The reader closes after 100 of 786,306 bytes, many pipe buffers long.
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(fmt):
+    # The reader closes after 100 of 786,306 (JSON) or 1,684,307 (CSV) bytes,
+    # many pipe buffers long.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    argv = [sys.executable, "-m", "coulomb_chain.cli", "solve", "--n", "12287", "--force", "0"]
+    argv = [sys.executable, "-m", "coulomb_chain.cli", "solve", "--n", "12287", "--force", "0",
+            "--format", fmt]
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
@@ -638,8 +709,9 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
 def test_import_loads_neither_scipy_nor_mpmath():
     # scipy is a test reference only: importing its LAPACK from the package
     # would double the peak memory of every coulomb-chain process.  Output is
-    # formatted by forked workers, not by a pool from multiprocessing or
-    # concurrent.futures, whose imports every process would pay for.
+    # formatted in the one process, so no pool from multiprocessing or
+    # concurrent.futures is imported either, whose imports every process
+    # would pay for.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys, coulomb_chain.cli; "

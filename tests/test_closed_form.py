@@ -228,3 +228,15 @@ class TestAsymptoticDensity:
             asymptotic_density(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             asymptotic_density(1.0, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("closed_form", [
+    lambda L: critical_force_exact(5, L),
+    c_critical,
+    lambda L: phase2_scaling_factor(1.0, L),
+    lambda L: asymptotic_density(1.0, 1.0, L),
+], ids=["critical_force_exact", "c_critical", "phase2_scaling_factor", "asymptotic_density"])
+def test_a_length_outside_zero_to_inf_is_rejected(closed_form, L):
+    with pytest.raises(ValueError, match=f"segment length must be positive, got {L}"):
+        closed_form(L)
