@@ -36,7 +36,6 @@ from .closed_form import (
     aux_model_gaps,
     c_critical,
     critical_force_exact,
-    phase2_scaling_factor,
     shifted_inverse_sqrt_sum,
 )
 from .errors import (
@@ -102,7 +101,6 @@ __all__ = [
     "minimize",
     "multi_start_fixed_points",
     "nonuniqueness_params",
-    "phase2_scaling_factor",
     "residuals",
     "shifted_inverse_sqrt_sum",
     "shoot",

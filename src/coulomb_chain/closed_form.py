@@ -12,21 +12,17 @@ Setting that extent equal to L yields the exact wall-departure force
 
     F_cr(N, L) = (sum_{k=1..N} k**-0.5 / L)**2  ~  (4 / L**2) N.
 
-Asymptotic densities follow from the gap sequences by a change of variables.
-Write k = a N with a in [0, 1] and let x(a) = -sum of the first a N gaps;
-then rho(x(a)) = 1 / |dx/da|.  Two regimes have closed forms:
+Asymptotic densities follow from one continuum law.  With gaps 1/(N rho)
+the pressures are f = N**2 rho**2, and the balance f_k - f_{k+1} = F(x_k)
+becomes rho' = F / (2N).  Under F = c N**gamma the density is a line of
+slope (c/2) N**(gamma-1) with unit mass, which leaves four phases:
 
-* Pinned regime, F = c N with c <= 4/L**2: with delta_1 = b L / N the
-  continuum normalization integral gives 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1
-  (equivalently b = 4 / (4 + c L**2)), and inverting x(a) yields the linear
-  density rho(x) = 1/(b L) + c x / 2, positive on (-L, 0).
-* Detached regime, F = c N with c > 4/L**2: gaps follow the half-line law,
-  x(a) = -(2/sqrt(c)) (1 - sqrt(1-a)), and the density is
-  rho(x) = sqrt(c) (1 + x sqrt(c) / 2) supported on [-2/sqrt(c), 0].
-
-Both integrate to one exactly.  Forces growing slower than N leave the
-density uniform at 1/L; forces growing faster concentrate all mass at the
-origin.
+* gamma < 1: the slope vanishes and rho = 1/L on [-L, 0];
+* gamma = 1 and c <= 4/L**2: pinned, rho(0) = 1/L + c L/4 with slope c/2 on
+  [-L, 0], where rho(-L) = 1/L - c L/4 stays non-negative;
+* gamma = 1 beyond: detached, the line reaches zero at an edge -l with unit
+  mass rho(0) l / 2 = 1, so rho(0) = sqrt(c) and l = 2/sqrt(c);
+* gamma > 1: the slope diverges and all mass collapses to the origin.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "aux_model_gaps",
     "c_critical",
     "critical_force_exact",
-    "phase2_scaling_factor",
     "shifted_inverse_sqrt_sum",
 ]
 
@@ -95,97 +90,72 @@ def shifted_inverse_sqrt_sum(u: float, n: int) -> float:
     return math.fsum(terms)
 
 
-def critical_force_exact(n: int, L: float) -> float:
-    """Exact wall-departure force (Z(1, n) / L)**2; F equal to it is pinned (the tie rule)."""
+def _check_length(L: float) -> None:
     if not 0.0 < L < math.inf:
         raise ValueError(f"segment length must be positive, got {L}")
-    return (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2
+
+
+def _finite_in_length(formula, L: float) -> float:
+    """formula(L) for a checked L; a ValueError naming L where it overflows."""
+    _check_length(L)
+    try:
+        value = formula(L)
+    except (OverflowError, ZeroDivisionError):  # ** overflows, L * L underflows
+        value = math.inf
+    if value < math.inf:
+        return value
+    raise ValueError(f"segment length too short for a finite critical force, got {L}")
+
+
+def critical_force_exact(n: int, L: float) -> float:
+    """Exact wall-departure force (Z(1, n) / L)**2; F equal to it is pinned (the tie rule)."""
+    return _finite_in_length(lambda L: (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2, L)
 
 
 def c_critical(L: float) -> float:
     """Large-N coefficient of the critical force, F_cr ~ (4 / L**2) N."""
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"segment length must be positive, got {L}")
-    return 4.0 / (L * L)
-
-
-def phase2_scaling_factor(c: float, L: float) -> float:
-    """Continuum limit of delta_1 * N / L in the pinned linear-force regime.
-
-    The normalization 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1 is solved exactly
-    by b = 4 / (4 + c L**2): square sqrt(1 - b**2 c L**2) = 2 b - 1.
-    Defined for 0 < c <= 4/L**2; at the upper end b = 1/2, and b -> 1 as
-    c -> 0 recovers the uniform chain.
-    """
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"segment length must be positive, got {L}")
-    ccr = c_critical(L)
-    if not (0.0 < c <= ccr * (1.0 + 1e-12)):
-        raise ValueError(f"scaling coefficient must lie in (0, {ccr}], got {c}")
-    return 4.0 / (4.0 + c * L * L)
+    return _finite_in_length(lambda L: 4.0 / (L * L), L)
 
 
 @dataclass(frozen=True)
 class AsymptoticDensity:
-    """Limiting particle density for a force scaling F = c * N**gamma.
+    """Limiting density rho0 + slope * x on [support_left, 0], of unit mass.
 
-    ``b`` is set in the smooth pinned phase, ``support_left`` in the detached
-    phase.  The point-mass phase carries no pointwise evaluator.
+    The point-mass phase is the limit rho0 = slope = inf, support_left = 0,
+    and carries no pointwise evaluator.
     """
 
     phase: Phase
-    L: float
-    c: float
-    gamma: float
-    b: float | None = None
-    support_left: float | None = None
+    rho0: float
+    slope: float
+    support_left: float
 
     def density(self, x):
         """Pointwise density rho(x); zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        if self.phase is Phase.UNIFORM:
-            rho = np.where((x >= -self.L) & (x <= 0.0), 1.0 / self.L, 0.0)
-        elif self.phase is Phase.SMOOTH_POSITIVE:
-            rho = np.where(
-                (x >= -self.L) & (x <= 0.0),
-                1.0 / (self.b * self.L) + 0.5 * self.c * x,
-                0.0,
-            )
-        elif self.phase is Phase.DETACHED:
-            rc = math.sqrt(self.c)
-            rho = np.where((x >= self.support_left) & (x <= 0.0), rc * (1.0 + 0.5 * rc * x), 0.0)
-        else:
+        if self.phase is Phase.DELTA_AT_ORIGIN:
             raise ValueError("point-mass limit has no pointwise density")
+        x = np.asarray(x, dtype=float)
+        # clipped, so that a steep line far off its support cannot overflow
+        line = self.rho0 + self.slope * np.clip(x, self.support_left, 0.0)
+        rho = np.where((x >= self.support_left) & (x <= 0.0), line, 0.0)
         return float(rho) if rho.ndim == 0 else rho
 
 
 def asymptotic_density(c: float, gamma: float, L: float) -> AsymptoticDensity:
-    """Classify the density phase of the scaling F = c * N**gamma.
+    """The line of slope (c/2) N**(gamma-1) and unit mass for F = c * N**gamma.
 
-    gamma < 1 leaves the density uniform; gamma = 1 gives the linear pinned
-    profile up to c = 4/L**2 (the boundary value included) and the detached
-    profile beyond it; gamma > 1 collapses all mass to the origin.
+    gamma < 1 leaves the density uniform; gamma = 1 gives the line pinned at
+    -L up to c = 4/L**2 (the boundary value included) and the detached line
+    beyond it; gamma > 1 collapses all mass to the origin.  The phase is
+    decided from gamma and c alone, never from the rounded slope.
     """
     if not (c > 0.0) or not (gamma > 0.0):
         raise ValueError(f"need c > 0 and gamma > 0, got c={c}, gamma={gamma}")
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"segment length must be positive, got {L}")
+    _check_length(L)
     if gamma < 1.0:
-        return AsymptoticDensity(phase=Phase.UNIFORM, L=L, c=c, gamma=gamma)
+        return AsymptoticDensity(Phase.UNIFORM, 1.0 / L, 0.0, -L)
     if gamma > 1.0:
-        return AsymptoticDensity(phase=Phase.DELTA_AT_ORIGIN, L=L, c=c, gamma=gamma)
+        return AsymptoticDensity(Phase.DELTA_AT_ORIGIN, math.inf, math.inf, 0.0)
     if c <= c_critical(L):
-        return AsymptoticDensity(
-            phase=Phase.SMOOTH_POSITIVE,
-            L=L,
-            c=c,
-            gamma=gamma,
-            b=phase2_scaling_factor(c, L),
-        )
-    return AsymptoticDensity(
-        phase=Phase.DETACHED,
-        L=L,
-        c=c,
-        gamma=gamma,
-        support_left=-2.0 / math.sqrt(c),
-    )
+        return AsymptoticDensity(Phase.SMOOTH_POSITIVE, 1.0 / L + 0.25 * c * L, 0.5 * c, -L)
+    return AsymptoticDensity(Phase.DETACHED, math.sqrt(c), 0.5 * c, -2.0 / math.sqrt(c))

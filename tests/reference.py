@@ -24,6 +24,24 @@ admissibility rule, once methods of every force profile.
 ``exact_integral`` integrates a piecewise-linear profile in rational
 arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
 ``Configuration``'s earlier validation, five array passes in a fixed order.
+
+``phase_density`` gives the limiting density phase by the three per-phase
+formulas that the continuum law replaced, each found from the gap sequences
+by a change of variables.  Write k = a N with a in [0, 1] and let x(a) = -sum
+of the first a N gaps; then rho(x(a)) = 1 / |dx/da|.
+
+* Pinned regime, F = c N with c <= 4/L**2: with delta_1 = b L / N the
+  continuum normalization integral gives 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1
+  (equivalently b = 4 / (4 + c L**2), ``phase2_scaling_factor``), and
+  inverting x(a) yields the linear density rho(x) = 1/(b L) + c x / 2,
+  positive on (-L, 0).
+* Detached regime, F = c N with c > 4/L**2: gaps follow the half-line law,
+  x(a) = -(2/sqrt(c)) (1 - sqrt(1-a)), and the density is
+  rho(x) = sqrt(c) (1 + x sqrt(c) / 2) supported on [-2/sqrt(c), 0].
+
+Both integrate to one exactly.  Forces growing slower than N leave the
+density uniform at 1/L; forces growing faster concentrate all mass at the
+origin.
 """
 
 import csv
@@ -44,7 +62,9 @@ from coulomb_chain import (
     FixedPointResult,
     ModelParams,
     NoConvergence,
+    Phase,
     PiecewiseLinear,
+    c_critical,
     residuals,
     shoot,
 )
@@ -93,6 +113,37 @@ def aux_model_extent(F: float, n: int) -> float:
     if not (F > 0.0):
         raise ValueError(f"half-line model needs F > 0, got {F}")
     return inverse_sqrt_sum(n) / math.sqrt(F)
+
+
+def phase2_scaling_factor(c: float, L: float) -> float:
+    """Continuum limit of delta_1 * N / L in the pinned linear-force regime.
+
+    The normalization 2 b / (1 + sqrt(1 - b**2 c L**2)) = 1 is solved exactly
+    by b = 4 / (4 + c L**2): square sqrt(1 - b**2 c L**2) = 2 b - 1.
+    Defined for 0 < c <= 4/L**2; at the upper end b = 1/2, and b -> 1 as
+    c -> 0 recovers the uniform chain.
+    """
+    ccr = c_critical(L)
+    if not (0.0 < c <= ccr * (1.0 + 1e-12)):
+        raise ValueError(f"scaling coefficient must lie in (0, {ccr}], got {c}")
+    return 4.0 / (4.0 + c * L * L)
+
+
+def phase_density(c: float, gamma: float, L: float):
+    """(phase, rho) of F = c N**gamma by the per-phase formulas; rho is None for the point mass."""
+    if gamma < 1.0:
+        return Phase.UNIFORM, lambda x: np.where((x >= -L) & (x <= 0.0), 1.0 / L, 0.0)
+    if gamma > 1.0:
+        return Phase.DELTA_AT_ORIGIN, None
+    if c <= c_critical(L):
+        b = phase2_scaling_factor(c, L)
+        return Phase.SMOOTH_POSITIVE, lambda x: np.where(
+            (x >= -L) & (x <= 0.0), 1.0 / (b * L) + 0.5 * c * x, 0.0
+        )
+    rc = math.sqrt(c)
+    return Phase.DETACHED, lambda x: np.where(
+        (x >= -2.0 / rc) & (x <= 0.0), rc * (1.0 + 0.5 * rc * x), 0.0
+    )
 
 
 def wall_force(params: ModelParams, tol_rel: float = 1e-9, max_iter: int = 200) -> float:

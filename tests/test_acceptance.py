@@ -28,12 +28,11 @@ from coulomb_chain import (
     minimize,
     multi_start_fixed_points,
     nonuniqueness_params,
-    phase2_scaling_factor,
     solve_fixed_point,
     uniform_configuration,
 )
 from coulomb_chain.closed_form import Phase
-from reference import wall_force
+from reference import phase2_scaling_factor, wall_force
 
 
 class criterion:

@@ -154,6 +154,16 @@ class TestCriticalCommand:
             "kind": "ValueError", "message": f"segment length must be positive, got {length}"
         }
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("length", ["1e-155", "1e-200"])
+    def test_too_short_a_length_is_an_error_object(self, length, fmt, capsys):
+        code, out = run_cli(capsys, "critical", "--n", "10", "--length", length, "--format", fmt)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "ValueError",
+            "message": f"segment length too short for a finite critical force, got {float(length)}",
+        }
+
     def test_csv_matches_json(self, capsys):
         code, jout = run_cli(capsys, "critical", "--n", "10")
         code, cout = run_cli(capsys, "critical", "--n", "10", "--format", "csv")
@@ -174,6 +184,25 @@ class TestDensityCommand:
         assert len(payload["mass"]) == 10
         assert payload["prediction"] is not None
         assert sum(payload["mass"]) == pytest.approx(1.0, abs=1e-12)
+
+    # (--force-scaled, L, rho(0), slope, left edge) of the law rho(0) + slope * x
+    @pytest.mark.parametrize("scaled, length, rho0, slope, left", [
+        ("3,0.5", 2.0, 0.5, 0.0, -2.0),
+        ("2,1", 1.0, 1.5, 1.0, -1.0),
+        ("3,1", 0.5, 2.375, 1.5, -0.5),
+        ("16,1", 1.0, 4.0, 8.0, -0.5),
+    ])
+    def test_prediction_is_the_law_at_the_bin_centres(self, capsys, scaled, length, rho0, slope, left):
+        code, out = run_cli(
+            capsys, "density", "--n", "400", f"--length={length}",
+            "--force-scaled", scaled, "--bins", "16",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        edges = np.array(payload["bin_edges"])
+        centres = 0.5 * (edges[:-1] + edges[1:])
+        law = np.where(centres >= left, rho0 + slope * centres, 0.0)
+        np.testing.assert_allclose(payload["prediction"], law, rtol=0, atol=4 * np.finfo(float).eps * rho0)
 
     def test_constant_force_prediction_is_null(self, capsys):
         code, out = run_cli(

@@ -1,9 +1,12 @@
 """Closed-form gap sequences, critical force and asymptotic densities."""
 
 import math
+from fractions import Fraction
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coulomb_chain import (
@@ -15,13 +18,21 @@ from coulomb_chain import (
     c_critical,
     PiecewiseLinear,
     critical_force_exact,
-    phase2_scaling_factor,
     residuals,
     shifted_inverse_sqrt_sum,
     shoot,
 )
 from coulomb_chain.model import Configuration
-from reference import PositivityError, aux_model_extent, gaps_constant_force, inverse_sqrt_sum
+from reference import (
+    PositivityError,
+    aux_model_extent,
+    gaps_constant_force,
+    inverse_sqrt_sum,
+    phase2_scaling_factor,
+    phase_density,
+)
+
+EPS = np.finfo(float).eps
 
 
 class TestGapsConstantForce:
@@ -204,7 +215,7 @@ class TestAsymptoticDensity:
     def test_critical_coupling_still_smooth(self):
         dens = asymptotic_density(4.0, 1.0, 1.0)
         assert dens.phase is Phase.SMOOTH_POSITIVE
-        assert dens.b == pytest.approx(0.5, abs=1e-9)
+        assert 1.0 / dens.rho0 == pytest.approx(0.5, abs=1e-9)  # b = 1/(L rho0) at L = 1
         assert dens.density(-1.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_detached_profile(self):
@@ -216,6 +227,12 @@ class TestAsymptoticDensity:
         assert dens.density(-0.7) == 0.0
         total, _ = quad(dens.density, -1.0, 0.0, points=[-0.5])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_steep_line_far_off_its_support_does_not_overflow(self):
+        dens = asymptotic_density(1e300, 1.0, 1e10)  # slope * -L would be -5e309
+        with np.errstate(all="raise"):
+            rho = dens.density(np.linspace(-1e10, 0.0, 5))
+        np.testing.assert_array_equal(rho, [0.0, 0.0, 0.0, 0.0, 1e150])
 
     def test_point_mass_phase(self):
         dens = asymptotic_density(2.0, 2.0, 1.0)
@@ -229,8 +246,33 @@ class TestAsymptoticDensity:
         with pytest.raises(ValueError):
             asymptotic_density(1.0, -2.0, 1.0)
 
+    def test_smallest_coefficient_is_pinned_though_its_slope_rounds_to_zero(self):
+        dens = asymptotic_density(5e-324, 1.0, 1.0)
+        assert dens.slope == 0.0
+        assert dens.phase is Phase.SMOOTH_POSITIVE
 
-@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(
+        log_L=st.floats(-3.0, 3.0),
+        log_ratio=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),  # 0: c = 4/(L*L) exactly
+        gamma=st.sampled_from([0.5, 1.0]),
+    )
+    def test_the_law_matches_the_per_phase_formulas(self, log_L, log_ratio, gamma):
+        L = 10.0 ** log_L
+        c = 10.0 ** log_ratio * (4.0 / (L * L))
+        dens = asymptotic_density(c, gamma, L)
+        phase, rho = phase_density(c, gamma, L)
+        assert dens.phase is phase
+        xs = np.concatenate([np.linspace(-1.25 * L, 0.25 * L, 61), [dens.support_left, 0.0]])
+        assert np.max(np.abs(dens.density(xs) - rho(xs))) <= 4 * EPS * dens.rho0
+        width = -Fraction(dens.support_left)  # the mass of the stored line, in exact arithmetic
+        mass = width * Fraction(dens.rho0) - Fraction(dens.slope) * width * width / 2
+        assert abs(mass - 1) <= 4 * EPS
+        if phase is Phase.SMOOTH_POSITIVE:
+            assert 1.0 / (L * dens.rho0) == pytest.approx(phase2_scaling_factor(c, L), abs=4 * EPS)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan, 1e-155, 1e-170, 5e-324])
 @pytest.mark.parametrize("closed_form", [
     lambda L: critical_force_exact(5, L),
     c_critical,
@@ -238,5 +280,8 @@ class TestAsymptoticDensity:
     lambda L: asymptotic_density(1.0, 1.0, L),
 ], ids=["critical_force_exact", "c_critical", "phase2_scaling_factor", "asymptotic_density"])
 def test_a_length_outside_zero_to_inf_is_rejected(closed_form, L):
-    with pytest.raises(ValueError, match=f"segment length must be positive, got {L}"):
+    message = f"segment length must be positive, got {L}"
+    if 0.0 < L < math.inf:  # a float, but 4/L**2 overflows
+        message = f"segment length too short for a finite critical force, got {L}"
+    with pytest.raises(ValueError, match=message):
         closed_form(L)
