@@ -317,8 +317,9 @@ class Residuals(NamedTuple):
 class FixedPointResult:
     """A solved configuration plus classification and solve diagnostics.
 
-    ``delta1`` is read off ``config``.  ``iterations`` counts Brent shots
-    (piecewise force), Z evaluations (constant force) or descent steps.
+    ``delta1`` is read off ``config``.  ``iterations`` counts shots
+    (piecewise force, the bracket probes included), Z evaluations (constant
+    force) or descent steps.
     """
 
     config: Configuration

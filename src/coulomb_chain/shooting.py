@@ -12,7 +12,8 @@ one continuous, decreasing terminal function
 with a collapsed shot (some pressure hits zero) counted as negative: the
 positions run to -inf as a pressure nears zero, so a collapse is the limit
 h -> -inf.  h > 0 for tiny delta_1 and h <= 0 for delta_1 >= L/N; the fixed
-point is its root, located by a safeguarded Brent root-find.  Whichever
+point is its root, located by a safeguarded Brent root-find seeded from the
+continuum law rho' = F/(2N) (see ``solve_fixed_point``).  Whichever
 terminal condition crossed first there decides the classification: the
 wall (left particle pinned at -L with non-negative slack) or the exact
 terminal balance f_N = F(x_N) in the interior.  That hypothesis on the force
@@ -161,6 +162,37 @@ def _validate_monotone(profile: ForceProfile, L: float) -> float:
     return force_min
 
 
+def _continuum_first_gap(profile: PiecewiseLinear, L: float, n: int) -> float:
+    """First gap 1/(N rho(0)) of the continuum law rho' = F/(2N): a hint, maybe nan.
+
+    With A(l), B(l) the integrals of F(y), |y| F(y) over [-l, 0], unit mass
+    gives rho(0) = (1 + (L A(L) - B(L)) / (2N)) / L while B(L) <= 2N (pinned);
+    beyond, it detaches at the edge l where B(l) = 2N, and rho(0) = A(l) / (2N).
+    Both integrals are exact per linear piece (trapezoid, Simpson); B is convex
+    in l, so Newton from the left end of the edge's piece nears it from above.
+    """
+    xs = [0.0, *sorted((x for x in profile.breakpoints.tolist() if -L < x < 0.0), reverse=True), -L]
+    fs = profile.force_at(np.array(xs)).tolist()
+
+    def moment(y, fy, q, fq):  # B over [y, q] for F linear there
+        return (q - y) * (-y * fy - (y + q) * (fy + fq) - q * fq) / 6.0
+
+    area = mom = 0.0
+    for q, fq, p, fp in zip(xs, fs, xs[1:], fs[1:]):
+        if mom + moment(p, fp, q, fq) > 2.0 * n:  # detached, edge y = -l in [p, q]
+            y, fy = p, fp
+            for _ in range(60):  # the floors 1e-300 keep an underflow from raising
+                step = (mom + moment(y, fy, q, fq) - 2.0 * n) / max(-y * fy, 1e-300)
+                y += step
+                fy = fp + (fq - fp) * ((y - p) / (q - p))
+                if not step > 1e-13 * -y:
+                    break
+            return 2.0 / max(area + 0.5 * (q - y) * (fy + fq), 1e-300)
+        area += 0.5 * (q - p) * (fp + fq)
+        mom += moment(p, fp, q, fq)
+    return L / (n + 0.5 * (L * area - mom))
+
+
 def _constant_chain(params: ModelParams, F: float) -> tuple[np.ndarray, Classification, int]:
     """Positions, label and Z evaluations; the gaps are aux_model_gaps(F, N, u).
 
@@ -198,17 +230,20 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     A ``Constant`` profile (``Scaled`` resolves to one) takes no search: see
     ``_constant_chain``.  A ``PiecewiseLinear`` one takes Brent's root-find
     (zeroin) on the terminal function h of the module docstring, over the
-    first gap.  The sign bracket is rigorous: h > 0 at a machine-tiny gap, and
-    h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9), because gaps never shrink
-    along the chain (so x_N <= -N delta_1) and no force term is below F(0) (so
-    f_N - F(x_N) <= delta_1**-2 - N F(0)).  Should rounding ever break that,
-    the search raises NoConvergence with the bracket rather than widening it.
+    first gap.  It shoots the continuum first gap d (under 0.3/N off the
+    root), then d (1 +- 4/N) on the side the sign of h points to.  Where that
+    keeps the sign, N <= 4 or d lies beyond them, the rigorous ends take
+    over: h > 0 at a machine-tiny gap, and h <= 0 at min(L/N, (N F(0))**-0.5)
+    * (1 + 1e-9), as gaps never shrink along the chain (so x_N <= -N delta_1)
+    and no force term is below F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0));
+    ValueError, naming L/N or N F(0), where they leave no room.  Should
+    rounding break the signs, NoConvergence carries the bracket.
     Each step interpolates (secant or inverse quadratic) and falls back to
     bisection whenever the interpolant leaves the bracket or does not shrink
     it fast enough.  The search sees h / (1 + |h|), which has the same sign
     and root, reads -1 at a collapse and stays finite for interpolation.  It
     stops at a relative bracket width of ``TOL_REL`` = 1e-14, and spends at
-    most ``MAX_ITER`` = 200 shots, the two bracket ends included;
+    most ``MAX_ITER`` = 200 shots, the two or three bracket probes included;
     NoConvergence, carrying the shots spent and the last bracket, when the
     bracket is not that narrow by then.
 
@@ -247,13 +282,22 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         h = min((out.x_terminal + L) / L, out.terminal_slack / pressure_scale)
         return _Probe(d1, h / (1.0 + abs(h)), out)
 
-    hi = L / n
-    if force_min > 0.0:  # no F(x_k) is smaller, x_k <= 0
-        hi = min(hi, (n * force_min) ** -0.5)
-    hi *= 1.0 + 1e-9
+    # no F(x_k) is smaller than F(0), x_k <= 0; N F(0) may overflow to inf
+    force_bound = (n * force_min) ** -0.5 if force_min > 0.0 else math.inf
+    hi = min(L / n, force_bound) * (1.0 + 1e-9)
     if _TINY_DELTA1 >= hi:
-        raise ValueError("segment too short per gap to bracket the first gap")
-    a, b = probe(_TINY_DELTA1), probe(hi)
+        bound = f"L/N = {L / n}" if L / n <= force_bound else f"N F(0) = {n * force_min}"
+        raise ValueError(f"{bound} leaves no first gap above {_TINY_DELTA1} to bracket")
+    seed = _continuum_first_gap(params.profile, L, n)
+    below = seed * (1.0 - 4.0 / n)  # N <= 4 leaves no near end below the seed
+    if not (_TINY_DELTA1 < below and seed < hi):
+        a, b = probe(_TINY_DELTA1), probe(hi)
+    elif (at_seed := probe(seed)).h > 0.0:  # the root lies above the seed
+        b = probe(min(seed * (1.0 + 4.0 / n), hi))
+        a, b = (at_seed, b) if b.h <= 0.0 else (b, probe(hi))
+    else:
+        a = probe(below)
+        a, b = (a, at_seed) if a.h > 0.0 else (probe(_TINY_DELTA1), a)
     if not a.h > 0.0 or b.h > 0.0:
         raise NoConvergence(
             "terminal function does not change sign over the first-gap bracket",

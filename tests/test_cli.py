@@ -125,16 +125,36 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "DegenerateConfigurationError"
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["--force-piecewise=-1:1e308,0:1e308"], "N F(0) = inf "),  # N F(0) overflows
+            (["--force-piecewise=-1:1e301,0:1e300"], "N F(0) = 1e+301 "),
+            (["--length", "1e-152", "--force-piecewise=-1:1,0:1"], "L/N = 1e-153 "),
+        ],
+    )
+    def test_first_gap_bound_below_the_bracket_is_named(self, capsys, argv, bound):
+        code, out = run_cli(capsys, "solve", "--n", "10", *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ValueError"
+        assert error["message"].startswith(bound)
+
     def test_exhausted_shot_budget_is_an_error_object(self, capsys, monkeypatch):
+        # constant force takes no search; a piecewise profile takes Brent, and
+        # this one needs more than three shots from its continuum seed
+        argv = ("solve", "--n", "80", "--force-piecewise=-1:300,-0.5:100,0:0")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        root = json.loads(out)["delta1"]
         monkeypatch.setattr(shooting, "MAX_ITER", 3)
-        # constant force takes no search; a flat piecewise profile takes Brent
-        code, out = run_cli(capsys, "solve", "--n", "40", "--force-piecewise=-1:0,0:0")
+        code, out = run_cli(capsys, *argv)
         assert code == 1
         error = json.loads(out)["error"]
         assert error["kind"] == "NoConvergence"
         assert error["iterations"] == 3
         lo, hi = error["bracket"]
-        assert lo < 1.0 / 40 < hi
+        assert lo < root < hi
 
 
 class TestCriticalCommand:

@@ -14,6 +14,7 @@ from coulomb_chain import (
     NoConvergence,
     PiecewiseLinear,
     aux_model_gaps,
+    c_critical,
     critical_force_exact,
     residuals,
     shoot,
@@ -272,12 +273,13 @@ class TestSolveFixedPoint:
         ],
         ids=["constant-pinned", "constant-interior", "piecewise-pinned", "piecewise-interior"],
     )
-    def test_root_find_beats_bisection_on_shots(self, profile):
-        # Bisection needs 49-55 shots here; a silent fall back to it fails.
-        n = 10 ** 4
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
+    def test_root_find_beats_bisection_on_shots(self, profile, n):
+        # Bisection needs 49-55 shots here, and Brent from the rigorous
+        # bracket alone 5-24; a silent fall back to either fails.
         p = params(n, force=profile(critical_force_exact(n, 1.0)))
         sol = solve_fixed_point(p)
-        assert sol.iterations <= 25
+        assert sol.iterations <= 8
         assert sol.classification is bisect_fixed_point(p).classification
 
     @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
@@ -471,6 +473,50 @@ class TestAgainstBisection:
         # x_N by at most ~1.3 N**1.5 * 1e-14 mean gaps (2e-9 at N = 3000).
         gap = np.max(np.abs(sol.config.positions - ref.config.positions))
         assert gap <= 1e-8 * L / n
+
+
+class TestContinuumSeed:
+    """The continuum first gap starts the search, and is only a hint."""
+
+    @pytest.mark.parametrize("c", [1.0, 3.0], ids=["pinned", "detached"])
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
+    def test_seed_is_the_first_gap_to_one_over_n(self, n, c):
+        g = [(-1.0, 2.0), (-0.5, 1.0), (0.0, 0.25)]
+        profile = PiecewiseLinear([(x, c * n * v) for x, v in g])
+        sol = solve_fixed_point(params(n, force=profile))
+        seed = shooting._continuum_first_gap(profile, 1.0, n)
+        assert abs(seed / sol.delta1 - 1.0) <= 1.0 / n
+
+    @pytest.mark.parametrize("L", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0])
+    def test_flat_seed_detaches_at_the_critical_coefficient(self, L, ratio):
+        # F = r c_critical(L) N: t = L sqrt(F/N) / 2 = sqrt(r), and N rho(0) L
+        # is 1 + t**2 pinned (t <= 1) or 2 t detached; they differ off t = 1.
+        n = 1000
+        F = ratio * c_critical(L) * n
+        t = L * np.sqrt(F / n) / 2.0
+        pinned, detached = L / (n * (1.0 + t * t)), L / (n * 2.0 * t)
+        seed = shooting._continuum_first_gap(flat(F, L), L, n)
+        expected, other = (pinned, detached) if ratio <= 1.0 else (detached, pinned)
+        assert seed == pytest.approx(expected, rel=1e-12)
+        assert abs(other / expected - 1.0) > 1e-5
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=st.integers(1, 3000), log_length=st.floats(-3.0, 3.0), data=st.data())
+    def test_any_seed_gives_the_bisection_fixed_point(self, n, log_length, data):
+        L = 10.0 ** log_length
+        force = data.draw(monotone_profiles(critical_force_exact(n, L), L))
+        if isinstance(force, Constant):  # the constant route takes no search
+            force = flat(force.value, L)
+        p = params(n, L, force)
+        ref = bisect_fixed_point(p)
+        for seed in [0.0, np.nan, np.inf, 1e-300, 1e300, 0.5 * ref.delta1, 2.0 * ref.delta1]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(shooting, "_continuum_first_gap", lambda *args: seed)
+                sol = solve_fixed_point(p)
+            assert sol.classification is ref.classification
+            gap = np.max(np.abs(sol.config.positions - ref.config.positions))
+            assert gap <= 1e-8 * L / n
 
 
 class TestWallForce:
