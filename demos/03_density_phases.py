@@ -11,6 +11,7 @@ from coulomb_chain import (
     ModelParams,
     Phase,
     Scaled,
+    asymptotic_density,
     classify_phase,
     histogram,
     solve_fixed_point,
@@ -41,10 +42,10 @@ for title, c, gamma in cases:
         print(f"histogram vs predicted density, sup deviation: "
               f"{report.sup_deviation:.4f}")
     if report.detected is Phase.DETACHED:
-        print(f"predicted support edge: {report.prediction.support_left:.4f} "
-              f"(-2/sqrt(c))")
+        edge = asymptotic_density(c, gamma, L).support_left
+        print(f"predicted support edge: {edge:.4f} (-2/sqrt(c))")
         hist = histogram(sol.config, params, n_bins=20)
-        left = hist.mass[hist.bin_edges[1:] <= report.prediction.support_left]
+        left = hist.mass[hist.bin_edges[1:] <= edge]
         print(f"mass left of the predicted edge: {float(left.sum()):.2e}")
     if report.detected is Phase.DELTA_AT_ORIGIN:
         hist = histogram(sol.config, params, n_bins=100)

@@ -17,8 +17,8 @@ renormalized external force, by three complementary routes:
 physics: the energy, its gradient and the force-balance residuals read off
 that gradient, which every route calls.
 
-:mod:`coulomb_chain.analysis` turns solutions into densities, phase reports
-and sweep tables, and :mod:`coulomb_chain.cli` exposes everything as the
+:mod:`coulomb_chain.analysis` turns solutions into densities, classified
+sweep rows and convergence tables, and :mod:`coulomb_chain.cli` exposes everything as the
 ``coulomb-chain`` command.
 """
 

@@ -2,19 +2,19 @@
 
 Connects finite-N solver output to the asymptotic predictions: histograms
 estimate the particle density, a small set of documented evidence thresholds
-maps a solved chain onto one of the four density phases, and the sweep /
-convergence helpers produce flat, deterministic tables for the CLI.
+maps a solved chain onto one of the four density phases in a sweep row, and
+the sweep / convergence helpers produce flat, deterministic tables for the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import AsymptoticDensity, Phase, asymptotic_density
+from .closed_form import Phase, asymptotic_density
 from .errors import CoulombChainError
 from .model import Configuration, Constant, FixedPointResult, ModelParams, Scaled
 from .shooting import solve_fixed_point
@@ -22,7 +22,6 @@ from .shooting import solve_fixed_point
 __all__ = [
     "ConvergenceRow",
     "DensityHistogram",
-    "PhaseReport",
     "SweepRow",
     "classify_phase",
     "convergence_study",
@@ -77,27 +76,6 @@ def histogram(config: Configuration, params: ModelParams, n_bins: int | None = N
     return DensityHistogram(bin_edges=edges, mass=np.diff(below) / config.positions.size)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseReport:
-    """Detected phase of one solved chain plus the evidence behind it."""
-
-    c: float
-    gamma: float
-    detected: Phase
-    ambiguous: bool
-    x_leftmost: float
-    delta1_scaled: float  # delta_1 * N / L
-    n_max_gap_dev: float  # N * max_k |delta_k - L/N|
-    sup_deviation: float | None  # histogram vs prediction at bin centers
-    prediction: AsymptoticDensity
-
-
-def _sup_deviation(hist: DensityHistogram, prediction: AsymptoticDensity) -> float | None:
-    if prediction.phase is Phase.DELTA_AT_ORIGIN:
-        return None
-    return float(np.max(np.abs(hist.density - prediction.density(hist.centers))))
-
-
 def _evidence(solved: FixedPointResult, L: float) -> tuple[float, float, float]:
     """(x_N, delta_1 N / L, N max_k |delta_k - L/N|) of one solved chain."""
     n = solved.config.n_gaps
@@ -108,14 +86,14 @@ def _evidence(solved: FixedPointResult, L: float) -> tuple[float, float, float]:
     )
 
 
-def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport:
+def classify_phase(params: ModelParams, solved: FixedPointResult) -> SweepRow:
     """Map a solved chain onto a density phase from finite-N evidence.
 
     Requires the force declared as a scaling (c, gamma); the decision
     thresholds are the module-level heuristics, and near-threshold evidence
     sets the ``ambiguous`` flag instead of being resolved.  ``sup_deviation``
     compares the prediction with ``histogram``'s default of round(sqrt(N))
-    bins.
+    bins.  The result is the point's ``sweep`` row, with no ``seconds``.
     """
     if not isinstance(params.force, Scaled):
         raise TypeError("phase classification needs a force declared as Scaled(c, gamma)")
@@ -124,7 +102,10 @@ def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport
 
     x_left, delta1_scaled, n_max_gap_dev = _evidence(solved, L)
     prediction = asymptotic_density(c, gamma, L)
-    sup_dev = _sup_deviation(histogram(solved.config, params), prediction)
+    sup_dev = None  # histogram vs prediction at bin centers
+    if prediction.phase is not Phase.DELTA_AT_ORIGIN:
+        hist = histogram(solved.config, params)
+        sup_dev = float(np.max(np.abs(hist.density - prediction.density(hist.centers))))
 
     uniform_ratio = n_max_gap_dev / _UNIFORM_THRESHOLD
     collapse_ratio = abs(x_left) / (_COLLAPSE_FACTOR * L / math.sqrt(n))
@@ -146,16 +127,19 @@ def classify_phase(params: ModelParams, solved: FixedPointResult) -> PhaseReport
     lo, hi = _AMBIGUOUS_BAND
     ambiguous = any(lo <= r <= hi for r in deciding)
 
-    return PhaseReport(
-        c=c,
-        gamma=gamma,
+    return SweepRow(
+        n_gaps=n,
+        L=L,
+        c=float(c),
+        gamma=float(gamma),
         detected=detected,
         ambiguous=ambiguous,
         x_leftmost=x_left,
         delta1_scaled=delta1_scaled,
         n_max_gap_dev=n_max_gap_dev,
         sup_deviation=sup_dev,
-        prediction=prediction,
+        iterations=solved.iterations,
+        max_residual=solved.max_residual,
     )
 
 
@@ -167,7 +151,7 @@ class SweepRow:
     L: float
     c: float
     gamma: float
-    detected: str | None = None
+    detected: Phase | None = None
     ambiguous: bool | None = None
     x_leftmost: float | None = None
     delta1_scaled: float | None = None
@@ -194,22 +178,8 @@ def sweep(grid) -> list[SweepRow]:
         t0 = time.perf_counter()
         try:
             params = ModelParams(L=float(L), n_gaps=int(n), force=Scaled(c=c, gamma=gamma))
-            solved = solve_fixed_point(params)
-            report = classify_phase(params, solved)
-            rows.append(
-                SweepRow(
-                    **point,
-                    detected=report.detected.value,
-                    ambiguous=report.ambiguous,
-                    x_leftmost=report.x_leftmost,
-                    delta1_scaled=report.delta1_scaled,
-                    n_max_gap_dev=report.n_max_gap_dev,
-                    sup_deviation=report.sup_deviation,
-                    iterations=solved.iterations,
-                    max_residual=solved.max_residual,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+            row = classify_phase(params, solve_fixed_point(params))
+            rows.append(replace(row, seconds=time.perf_counter() - t0))
         except (CoulombChainError, ValueError, TypeError) as exc:
             rows.append(
                 SweepRow(

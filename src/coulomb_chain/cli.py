@@ -94,8 +94,13 @@ def _parse_force(args):
     return _parse_piecewise(args.force_piecewise)
 
 
-def _add_force_flags(p: argparse.ArgumentParser):
-    group = p.add_mutually_exclusive_group(required=True)
+def _build_parser() -> argparse.ArgumentParser:
+    # Flags that several subcommands share, each declared once and taken
+    # as argparse parents.
+    size, length, force, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    size.add_argument("--n", type=int, required=True, help="number of gaps N")
+    length.add_argument("--length", type=float, default=1.0, help="segment length L")
+    group = force.add_mutually_exclusive_group(required=True)
     group.add_argument("--force", type=float, metavar="F", help="constant force magnitude")
     group.add_argument(
         "--force-scaled", metavar="C,GAMMA", help="force c*N**gamma resolved against --n"
@@ -105,67 +110,47 @@ def _add_force_flags(p: argparse.ArgumentParser):
         metavar="X:V,X:V,...",
         help="piecewise-linear breakpoints on [-L, 0]",
     )
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument(
+        "--output", metavar="PATH", help="write here (atomically) instead of stdout"
+    )
 
-
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", metavar="PATH", help="write here (atomically) instead of stdout")
-
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulomb-chain",
         description="Equilibrium chains of like charges on a segment under an external force.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="shooting solver for a monotone force")
-    p.add_argument("--n", type=int, required=True, help="number of gaps N")
-    p.add_argument("--length", type=float, default=1.0, help="segment length L")
-    _add_force_flags(p)
-    _add_output_flags(p)
+    solver = [size, length, force, output]
+    sub.add_parser("solve", parents=solver, help="shooting solver for a monotone force")
+    sub.add_parser("critical", parents=[size, length, output], help="exact wall-departure force")
 
-    p = sub.add_parser("critical", help="exact wall-departure force")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=float, default=1.0)
-    _add_output_flags(p)
-
-    p = sub.add_parser("density", help="empirical density vs asymptotic prediction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=float, default=1.0)
+    p = sub.add_parser("density", parents=solver, help="empirical density vs asymptotic prediction")
     p.add_argument("--bins", type=int, default=None, help="bin count (default round(sqrt(N)))")
-    _add_force_flags(p)
-    _add_output_flags(p)
 
-    p = sub.add_parser("sweep", help="solve and classify a (N, L, c, gamma) grid")
+    p = sub.add_parser("sweep", parents=[output], help="solve and classify a (N, L, c, gamma) grid")
     p.add_argument(
         "--grid",
         required=True,
         metavar="N,L,C,GAMMA;...",
         help="semicolon-separated grid points",
     )
-    _add_output_flags(p)
 
-    p = sub.add_parser("converge", help="solver output across increasing N")
+    p = sub.add_parser(
+        "converge", parents=[length, output], help="solver output across increasing N"
+    )
     p.add_argument("--c", type=float, required=True, help="force coefficient (0 means no force)")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
-    _add_output_flags(p)
 
-    p = sub.add_parser("oracle", help="projected Newton energy minimization")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=float, default=1.0)
-    _add_force_flags(p)
-    _add_output_flags(p)
+    sub.add_parser("oracle", parents=solver, help="projected Newton energy minimization")
 
-    p = sub.add_parser("nonunique", help="multi-start search on the tent profile")
+    p = sub.add_parser("nonunique", parents=[output], help="multi-start search on the tent profile")
     p.add_argument("--a", type=float, default=1.0, help="peak value of the base force")
     p.add_argument("--b", type=float, default=2.0, help="left slope parameter (b > a)")
     p.add_argument("--n", type=int, default=51)
     p.add_argument("--c-grid", default="2,4,8,16,32", metavar="C1,C2,...")
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
 
     return parser
 

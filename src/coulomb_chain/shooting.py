@@ -19,8 +19,9 @@ wall (left particle pinned at -L with non-negative slack) or the exact
 terminal balance f_N = F(x_N) in the interior.  That hypothesis on the force
 is checked here and nowhere else: ``solve_fixed_point`` raises
 MonotonicityViolation for a profile that rises or goes negative on [-L, 0].
-Only a ``PiecewiseLinear`` profile is shot (constant F as the flat [(-L, F),
-(0, F)]); ``solve_fixed_point`` builds a ``Constant`` one's chain in closed form.
+``shoot`` is one shot: the positions x_0..x_N and the slack f_N - F(x_N)
+of a ``PiecewiseLinear`` profile (constant F as the flat [(-L, F), (0, F)]);
+``solve_fixed_point`` builds a ``Constant`` one's chain in closed form.
 
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
@@ -86,20 +87,19 @@ class ShootingOutcome(NamedTuple):
     def complete(self) -> bool:
         return self.positions is not None
 
-    @property
-    def x_terminal(self) -> float:
-        if not self.complete:
-            raise ValueError("no terminal position: shooting collapsed")
-        return float(self.positions[-1])
 
-    @property
-    def config(self) -> Configuration:
-        if not self.complete:
-            raise ValueError("no configuration: shooting collapsed")
-        return Configuration(self.positions)
+def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
+    """Generate the chain induced by a trial first gap, ignoring the wall.
 
-
-def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> ShootingOutcome:
+    Only a ``PiecewiseLinear`` profile is shot (TypeError otherwise).
+    Pressure collapse (some f_k <= 0) is a normal outcome, reported as an
+    outcome with no positions; only ``delta1 <= 0`` is an error.
+    """
+    if not (delta1 > 0.0):
+        raise ValueError(f"first gap must be positive, got {delta1}")
+    profile, n, delta1 = params.profile, params.n_gaps, float(delta1)
+    if not isinstance(profile, PiecewiseLinear):
+        raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
     bx = profile.breakpoints.tolist()
     by = profile.values.tolist()
     slopes = profile.slopes.tolist()
@@ -125,20 +125,6 @@ def _shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shootin
             k += 1
     pos = np.array(positions)
     return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
-
-
-def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
-    """Generate the chain induced by a trial first gap, ignoring the wall.
-
-    Pressure collapse (some f_k <= 0) is a normal outcome, reported as an
-    outcome with no positions; only ``delta1 <= 0`` is an error.
-    """
-    if not (delta1 > 0.0):
-        raise ValueError(f"first gap must be positive, got {delta1}")
-    profile = params.profile
-    if isinstance(profile, PiecewiseLinear):
-        return _shoot_piecewise(float(delta1), profile, params.n_gaps)
-    raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
 
 
 def _validate_monotone(profile: ForceProfile, L: float) -> float:
@@ -270,6 +256,8 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     L, n = params.L, params.n_gaps
     if n / L >= 2.0 ** 512:  # some gap is at most L/n <= 2**-512: no finite pressure
         raise DegenerateConfigurationError("gap too small for a finite pressure")
+    if n / L < 2.0 ** -511:  # (N/L)**2 < 2**-1022: h's pressure scale is subnormal or 0
+        raise ValueError(f"N/L = {n / L} leaves no normal pressure scale (N/L)**2")
     pressure_scale = (n / L) ** 2
     shots = 0
 
@@ -279,7 +267,7 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         out = shoot(d1, params)
         if not out.complete:
             return _Probe(d1, -1.0, out)
-        h = min((out.x_terminal + L) / L, out.terminal_slack / pressure_scale)
+        h = min((float(out.positions[-1]) + L) / L, out.terminal_slack / pressure_scale)
         return _Probe(d1, h / (1.0 + abs(h)), out)
 
     # no F(x_k) is smaller than F(0), x_k <= 0; N F(0) may overflow to inf
@@ -352,28 +340,19 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     lo, hi = (b, c) if b.h > 0.0 else (c, b)
     out_lo, out_hi = lo.out, hi.out
 
-    def is_pinned(out: ShootingOutcome) -> bool:
-        # Collapse inside the final bracket means the wall was crossed there
-        # too (positions run to -inf before pressures hit zero), so both
-        # terminal conditions are unresolved at this width: treat as the tie.
-        if not out.complete:
-            return True
-        # Tie (both crossed) classifies as pinned: equality belongs to the
-        # pinned branch of the critical-force dichotomy.
-        return out.x_terminal <= -L
-
-    if is_pinned(out_hi):
-        positions = out_lo.positions * (-L / out_lo.x_terminal)
+    # Collapse inside the final bracket means the wall was crossed there
+    # too (positions run to -inf before pressures hit zero), so both
+    # terminal conditions are unresolved at this width: treat as the tie.
+    # Tie (both crossed) classifies as pinned: equality belongs to the
+    # pinned branch of the critical-force dichotomy.
+    if not out_hi.complete or float(out_hi.positions[-1]) <= -L:
+        positions = out_lo.positions * (-L / float(out_lo.positions[-1]))
         positions[-1] = -L
         classification = Classification.BOUNDARY_PINNED
     else:
         # Both bracket ends are valid near-fixed-points; keep the one with
         # the smaller terminal imbalance.
-        best = out_lo
-        if out_hi.complete and out_hi.x_terminal > -L:
-            if abs(out_hi.terminal_slack) < abs(out_lo.terminal_slack):
-                best = out_hi
-        positions = best.positions
+        positions = min(out_lo, out_hi, key=lambda out: abs(out.terminal_slack)).positions
         classification = Classification.INTERIOR
 
     config = Configuration(positions)

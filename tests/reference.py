@@ -206,7 +206,7 @@ def bisect_fixed_point(
             return shoot(d1, params)
 
     def predicate(out) -> bool:
-        return out.complete and out.x_terminal > -L and out.terminal_slack > 0.0
+        return out.complete and out.positions[-1] > -L and out.terminal_slack > 0.0
 
     def bisect(lo, out_lo, hi, out_hi, iterations, budget, width):
         while hi - lo > width * hi and iterations < budget:
@@ -233,7 +233,7 @@ def bisect_fixed_point(
         raise NoConvergence(f"bisection did not reach tol_rel={tol_rel}")
 
     def is_pinned(out) -> bool:
-        return not out.complete or out.x_terminal <= -L
+        return not out.complete or out.positions[-1] <= -L
 
     if is_pinned(out_hi):
         lo, out_lo, hi, out_hi, iterations = bisect(
@@ -245,7 +245,7 @@ def bisect_fixed_point(
         classification = Classification.BOUNDARY_PINNED
     else:
         best = out_lo
-        if out_hi.complete and out_hi.x_terminal > -L:
+        if out_hi.complete and out_hi.positions[-1] > -L:
             if abs(out_hi.terminal_slack) < abs(out_lo.terminal_slack):
                 best = out_hi
         positions = best.positions

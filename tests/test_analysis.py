@@ -173,6 +173,20 @@ class TestSweep:
     def test_empty_grid(self):
         assert sweep([]) == []
 
+    @pytest.mark.parametrize(
+        "n, L, c, gamma",
+        [(500, 1.0, 1.0, 0.5), (500, 2.0, 2.0, 1.0), (500, 1.0, 16.0, 1.0), (400, 0.5, 1.0, 2.0)],
+    )
+    def test_a_classified_point_is_its_sweep_row(self, n, L, c, gamma):
+        p, sol = solved_scaled(n, c, gamma, L)
+        row = classify_phase(p, sol)
+        (swept,) = sweep([(n, L, c, gamma)])
+        assert isinstance(row.detected, Phase) and swept.detected is row.detected
+        assert row.seconds is None and swept.seconds > 0.0
+        for field in dataclasses.fields(row):
+            if field.name != "seconds":
+                assert getattr(swept, field.name) == getattr(row, field.name), field.name
+
     def test_phase_switch_across_critical_coupling(self):
         rows = sweep([(10 ** 4, 1.0, 3.9, 1.0), (10 ** 4, 1.0, 4.1, 1.0)])
         assert rows[0].detected == "smooth_positive"

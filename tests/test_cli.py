@@ -125,6 +125,16 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "DegenerateConfigurationError"
 
+    @pytest.mark.parametrize("length", ["1e160", "1e200"])
+    def test_pressure_underflow_at_huge_length_is_an_error_object(self, capsys, length):
+        # (N/L)**2 is subnormal or zero: no chain, and no traceback
+        code = main(["solve", "--n", "10", "--length", length, "--force-piecewise=-1e200:0,0:0"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ValueError"
+        assert error["message"].startswith("N/L = ")
+
     @pytest.mark.parametrize(
         "argv, bound",
         [
@@ -253,6 +263,13 @@ class TestTableCommands:
         code, cout = run_cli(capsys, *args, "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(cout)))
         assert [r["detected"] for r in rows] == detected
+
+    def test_sweep_writes_the_bare_phase_value(self, capsys):
+        args = ("sweep", "--grid", "200,1,16,1")
+        code, jout = run_cli(capsys, *args)
+        assert code == 0 and '"detached"' in jout and "Phase" not in jout
+        code, cout = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0 and ",detached," in cout and "Phase" not in cout
 
     def test_converge_table(self, capsys):
         code, out = run_cli(

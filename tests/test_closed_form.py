@@ -71,7 +71,7 @@ class TestGapsConstantForce:
             out = shoot(d1, ModelParams(L=1000.0, n_gaps=n, force=flat))
             assert out.complete
             np.testing.assert_allclose(
-                gaps_constant_force(d1, F, n), out.config.gaps, rtol=1e-10
+                gaps_constant_force(d1, F, n), -np.diff(out.positions), rtol=1e-10
             )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coulomb_chain import (
     Classification,
+    Configuration,
     Constant,
     DegenerateConfigurationError,
     ModelParams,
@@ -55,17 +56,18 @@ class TestShoot:
         p = params(4, force=flat(0.0))
         out = shoot(0.25, p)
         assert out.complete
-        assert out.x_terminal == -1.0
-        np.testing.assert_allclose(out.config.gaps, 0.25)
+        assert out.positions[-1] == -1.0
+        np.testing.assert_allclose(Configuration(out.positions).gaps, 0.25)
 
     def test_two_step_constant_recursion(self):
         p = params(2, force=flat(1.0))
         out = shoot(2.0 ** -0.5, p)
         assert out.complete
-        assert out.config.pressures[0] == pytest.approx(2.0, rel=1e-14)
+        config = Configuration(out.positions)
+        assert config.pressures[0] == pytest.approx(2.0, rel=1e-14)
         assert out.terminal_slack == pytest.approx(0.0, abs=1e-14)  # f_2 = 1 = F
-        assert out.config.gaps[1] == pytest.approx(1.0, rel=1e-14)
-        assert out.x_terminal == pytest.approx(-(2.0 ** -0.5 + 1.0), rel=1e-14)
+        assert config.gaps[1] == pytest.approx(1.0, rel=1e-14)
+        assert out.positions[-1] == pytest.approx(-(2.0 ** -0.5 + 1.0), rel=1e-14)
 
     def test_collapse_at_the_constant_force_bound(self):
         n, F = 6, 2.0
@@ -130,8 +132,9 @@ class TestShoot:
         d1 = float(rng.uniform(0.2, 0.8)) * L / n
         a, b = shoot(d1, p), shoot(1.2 * d1, p)
         assert a.complete and b.complete
-        assert np.all(b.config.pressures < a.config.pressures)
-        assert np.all(b.config.gaps > a.config.gaps)
+        a, b = Configuration(a.positions), Configuration(b.positions)
+        assert np.all(b.pressures < a.pressures)
+        assert np.all(b.gaps > a.gaps)
         assert np.all(b.positions[1:] < a.positions[1:])
 
     def test_gaps_never_decrease_under_nonnegative_force(self):
@@ -139,7 +142,7 @@ class TestShoot:
         p = params(20, force=random_monotone_piecewise(rng, 1.0, 10.0))
         out = shoot(0.02, p)
         assert out.complete
-        assert np.all(np.diff(out.config.gaps) >= 0.0)
+        assert np.all(np.diff(Configuration(out.positions).gaps) >= 0.0)
 
     def test_strict_gap_growth_below_force_support(self):
         # force vanishes right of y = -0.3 and is positive left of it
@@ -250,6 +253,13 @@ class TestSolveFixedPoint:
         with pytest.raises(DegenerateConfigurationError):
             solve_fixed_point(params(10, L=1e-160, force=force))
 
+    @pytest.mark.parametrize("L", [1e160, 1e200])
+    def test_huge_segment_names_n_over_l(self, L):
+        # (N/L)**2 is subnormal at L = 1e160 and zero at 1e200, so h would
+        # lose digits or divide by zero
+        with pytest.raises(ValueError, match=r"^N/L = "):
+            solve_fixed_point(params(10, L=L, force=PiecewiseLinear([(-1e200, 0.0), (0.0, 0.0)])))
+
     def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
         # search needs only a handful of shots; constant force is nonlinear.
@@ -276,11 +286,18 @@ class TestSolveFixedPoint:
     @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
     def test_root_find_beats_bisection_on_shots(self, profile, n):
         # Bisection needs 49-55 shots here, and Brent from the rigorous
-        # bracket alone 5-24; a silent fall back to either fails.
-        p = params(n, force=profile(critical_force_exact(n, 1.0)))
+        # bracket alone 5-24; a silent fall back to either fails.  Each
+        # profile lies below F_cr on [-L, 0] (pinned) or above it (interior),
+        # which by comparison with constant force sets the label.
+        fcr = critical_force_exact(n, 1.0)
+        p = params(n, force=profile(fcr))
         sol = solve_fixed_point(p)
         assert sol.iterations <= 8
-        assert sol.classification is bisect_fixed_point(p).classification
+        pinned = bool(np.all(p.profile.values < fcr))
+        assert pinned or np.all(p.profile.values > fcr)
+        assert sol.classification is (
+            Classification.BOUNDARY_PINNED if pinned else Classification.INTERIOR
+        )
 
     @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
     @pytest.mark.parametrize("ratio", [0.0, 0.5])
