@@ -96,12 +96,14 @@ def _check_length(L: float) -> None:
 
 
 def _finite_in_length(formula, L: float) -> float:
-    """formula(L) for a checked L; a ValueError naming L where it overflows."""
+    """formula(L) for a checked L; a ValueError naming L where it overflows or is not normal."""
     _check_length(L)
     try:
         value = formula(L)
     except (OverflowError, ZeroDivisionError):  # ** overflows, L * L underflows
         value = math.inf
+    if value < 2.0 ** -1022:  # subnormal or 0: L * L overflows, (Z/L)**2 underflows
+        raise ValueError(f"segment length too long for a normal critical force, got {L}")
     if value < math.inf:
         return value
     raise ValueError(f"segment length too short for a finite critical force, got {L}")

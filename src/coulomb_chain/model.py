@@ -20,8 +20,8 @@ balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
 the statement dU/dx_k = 0.  The solvers and the descent oracle call these
 three instead of restating them, and both return through
 ``FixedPointResult.from_residuals``, which reads a result's diagnostics off
-``residuals``.  Which profiles admit a unique fixed point (non-negative and
-non-increasing) is the shooting solver's check, not a profile method.
+``residuals``.  ``ModelParams`` gates the force type and N/L; the uniqueness
+hypothesis (F non-negative, non-increasing) is the shooting solver's check.
 
 Every type is an immutable value object and every operation a pure function,
 so concurrent use needs no coordination.
@@ -43,7 +43,6 @@ __all__ = [
     "Configuration",
     "Constant",
     "FixedPointResult",
-    "ForceProfile",
     "ModelParams",
     "PiecewiseLinear",
     "Residuals",
@@ -67,32 +66,8 @@ class Classification(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-class ForceProfile:
-    """Renormalized external force as an evaluable profile on [-L, 0].
-
-    Subclasses are immutable value objects.  Evaluation is clamped to a
-    constant outside the profile's native range, which matters only while the
-    shooting recursion transiently overshoots the left wall.
-    """
-
-    def force_at(self, x):
-        raise NotImplementedError
-
-    def integral_between(self, a, b):
-        """Exact integral of the force from a to b, elementwise.
-
-        Accurate at the scale of b - a, so that the energy change of a tiny
-        move keeps its digits.
-        """
-        raise NotImplementedError
-
-    def slope_at(self, x):
-        """Derivative F'(x); at a breakpoint, the slope of the segment to its right."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Constant(ForceProfile):
+class Constant:
     """Spatially uniform non-negative force."""
 
     value: float
@@ -109,16 +84,18 @@ class Constant(ForceProfile):
         return float(out) if out.ndim == 0 else out
 
     def integral_between(self, a, b):
+        """Exact integral value * (b - a), elementwise, accurate at the scale of b - a."""
         out = self.value * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def slope_at(self, x):
+        """Derivative F'(x) = 0, elementwise."""
         out = np.zeros_like(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(ForceProfile):
+class PiecewiseLinear:
     """Continuous piecewise-linear force given by (position, value) breakpoints.
 
     ``points`` is the only field set by the caller; equality compares it.
@@ -165,10 +142,12 @@ class PiecewiseLinear(ForceProfile):
         object.__setattr__(self, "kinks", kinks)
 
     def force_at(self, x):
+        """F(x), clamped to the end values beyond the breakpoints (a shot may overshoot -L)."""
         out = np.interp(x, self.breakpoints, self.values)
         return float(out) if np.ndim(out) == 0 else out
 
     def integral_between(self, a, b):
+        """Exact integral from a to b, elementwise, accurate at the scale of b - a."""
         # Trapezoid rule minus one term per kink: a slope change ds at p adds
         # ds (x - p)_+ to F, whose integral over a < b falls short of its
         # trapezoid by ds (q - a)(b - q) / 2, with q = p clipped to [a, b]
@@ -187,6 +166,7 @@ class PiecewiseLinear(ForceProfile):
         return float(out) if np.ndim(out) == 0 else out
 
     def slope_at(self, x):
+        """Derivative F'(x); at a breakpoint, the slope of the segment to its right."""
         bx = self.breakpoints
         x = np.asarray(x, dtype=float)
         j = np.searchsorted(bx[1:-1], x, side="right")
@@ -195,7 +175,7 @@ class PiecewiseLinear(ForceProfile):
 
 
 @dataclass(frozen=True)
-class Scaled(ForceProfile):
+class Scaled:
     """Constant force that grows with the chain size as c * N**gamma.
 
     Stays symbolic: ``ModelParams`` resolves it against its gap count into
@@ -221,14 +201,17 @@ class ModelParams:
     """Segment length, gap count and force profile of one chain instance.
 
     ``n_gaps`` is the number of gaps N; the chain has N + 1 particles.
-    ``force`` is kept as declared; ``profile`` is the evaluable force, with a
-    ``Scaled(c, gamma)`` declaration resolved to ``Constant(c * N**gamma)``.
+    ``force`` is a ``Constant``, ``PiecewiseLinear`` or ``Scaled`` as declared;
+    ``profile`` is the evaluable force, ``Scaled(c, gamma)`` resolved to
+    ``Constant(c * N**gamma)``.  Every route needs the pressure scale (N/L)**2
+    normal, 2**-511 <= N/L < 2**512: DegenerateConfigurationError above it,
+    ValueError naming N/L below.
     """
 
     L: float
     n_gaps: int
-    force: ForceProfile
-    profile: ForceProfile = field(init=False, compare=False)
+    force: Constant | PiecewiseLinear | Scaled
+    profile: Constant | PiecewiseLinear = field(init=False, compare=False)
 
     def __post_init__(self):
         if not (float(self.L) > 0.0) or not math.isfinite(float(self.L)):
@@ -237,8 +220,8 @@ class ModelParams:
             raise ValueError(f"n_gaps must be an integer >= 1, got {self.n_gaps}")
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "n_gaps", int(self.n_gaps))
-        if not isinstance(self.force, ForceProfile):
-            raise TypeError("force must be a ForceProfile")
+        if not isinstance(self.force, (Constant, PiecewiseLinear, Scaled)):
+            raise TypeError("force must be Constant, PiecewiseLinear or Scaled")
         if isinstance(self.force, PiecewiseLinear):
             bx = self.force.breakpoints
             if bx[0] > -self.L or bx[-1] < 0.0:
@@ -253,6 +236,10 @@ class ModelParams:
             except OverflowError:
                 raise ValueError(f"scaled force c * N**gamma overflows at N = {self.n_gaps}") from None
         object.__setattr__(self, "profile", profile)
+        if self.n_gaps / self.L >= 2.0 ** 512:  # some gap is at most L/N <= 2**-512
+            raise DegenerateConfigurationError("gap too small for a finite pressure")
+        if self.n_gaps / self.L < 2.0 ** -511:  # (N/L)**2 < 2**-1022: subnormal or 0
+            raise ValueError(f"N/L = {self.n_gaps / self.L} leaves no normal pressure scale (N/L)**2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Given the first gap delta_1, the whole chain follows by induction: f_1 =
 delta_1**-2, then f_{k+1} = f_k - F(x_k), delta_{k+1} = f_{k+1}**-0.5,
 x_{k+1} = x_k - delta_{k+1}, with x_0 = 0.  For a non-negative, non-increasing
-force every generated quantity is monotone in delta_1 (pressures and
-positions decrease, gaps increase), so both terminal conditions fold into
-one continuous, decreasing terminal function
+force every generated quantity is monotone in delta_1 (pressures and positions
+decrease, gaps increase), so both terminal conditions fold into one continuous,
+decreasing terminal function, whose scale (N/L)**2 ``ModelParams`` keeps normal
 
     h(delta_1) = min((x_N + L) / L, (f_N - F(x_N)) / (N/L)**2),
 
@@ -39,14 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import aux_model_gaps, critical_force_exact, shifted_inverse_sqrt_sum
-from .errors import DegenerateConfigurationError, MonotonicityViolation, NoConvergence
+from .closed_form import aux_model_gaps, shifted_inverse_sqrt_sum
+from .errors import MonotonicityViolation, NoConvergence
 from .model import (
     Classification,
     Configuration,
     Constant,
     FixedPointResult,
-    ForceProfile,
     ModelParams,
     PiecewiseLinear,
     residuals,
@@ -127,7 +126,7 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
 
 
-def _validate_monotone(profile: ForceProfile, L: float) -> float:
+def _validate_monotone(profile: Constant | PiecewiseLinear, L: float) -> float:
     """Reject a profile outside the uniqueness hypothesis; return F(0).
 
     Non-increasing: no piecewise segment overlapping (-L, 0) rises.  F(0) is
@@ -182,17 +181,17 @@ def _continuum_first_gap(profile: PiecewiseLinear, L: float, n: int) -> float:
 def _constant_chain(params: ModelParams, F: float) -> tuple[np.ndarray, Classification, int]:
     """Positions, label and Z evaluations; the gaps are aux_model_gaps(F, N, u).
 
-    u = 1 if F > ``critical_force_exact`` (shrunk a float off the wall should
-    rounding reach it); else Z(u, N) = L sqrt(F), bisected to float exhaustion
-    on [max(1, s**2 - N + 1), s**2], s = N / (L sqrt(F)), as N (u + N - 1)**-0.5
-    <= Z <= N u**-0.5 (<= ~52 + log2(N) evaluations), stretched to x_N = -L.
-    Uniform where u would exceed N / eps, F = 0 included.
+    u = 1 if F > F_cr = (Z(1, N) / L)**2, subnormal or not (shrunk a float off
+    the wall should rounding reach it); else Z(u, N) = L sqrt(F), bisected to
+    float exhaustion on [max(1, s**2 - N + 1), s**2], s = N / (L sqrt(F)), as
+    N (u + N - 1)**-0.5 <= Z <= N u**-0.5 (<= ~52 + log2(N) evaluations),
+    stretched to x_N = -L.  Uniform where u would exceed N / eps, F = 0 included.
     """
     L, n = params.L, params.n_gaps
     target = L * math.sqrt(F)
     if target < math.sqrt(n * np.finfo(float).eps):
         return np.linspace(0.0, -L, n + 1), Classification.BOUNDARY_PINNED, 0
-    pinned = F <= critical_force_exact(n, L)
+    pinned = F <= (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2
     s, u, evaluations = n / target, 1.0, 0
     if pinned:
         u, hi = max(1.0, s * s - (n - 1)), s * s
@@ -254,10 +253,6 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         config = Configuration(positions)
         return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
     L, n = params.L, params.n_gaps
-    if n / L >= 2.0 ** 512:  # some gap is at most L/n <= 2**-512: no finite pressure
-        raise DegenerateConfigurationError("gap too small for a finite pressure")
-    if n / L < 2.0 ** -511:  # (N/L)**2 < 2**-1022: h's pressure scale is subnormal or 0
-        raise ValueError(f"N/L = {n / L} leaves no normal pressure scale (N/L)**2")
     pressure_scale = (n / L) ** 2
     shots = 0
 

@@ -92,6 +92,26 @@ class TestSolveCommand:
         assert error["kind"] == "ValueError"
         assert "too narrow" in error["message"]
 
+    def test_non_finite_breakpoint_is_an_error_object(self, capsys):
+        code, out = run_cli(capsys, "solve", "--n", "3", "--force-piecewise=-1:nan,0:0")
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "ValueError", "message": "breakpoints must be finite"}
+
+    @pytest.mark.parametrize("argv, skipped", [
+        (["solve", "--n", "10", "--force-piecewise=-1:1,0:1"], ["solve", "--n", "10", "--force-piecewise=-1:1,,0:1, "]),
+        (["sweep", "--grid", "100,1,2,1"], ["sweep", "--grid", "100,1,2,1;; "]),
+    ], ids=["piecewise", "grid"])
+    def test_empty_chunks_are_skipped(self, capsys, argv, skipped):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        code, skipped_out = run_cli(capsys, *skipped)
+        assert code == 0
+        if argv[0] == "sweep":  # the seconds column is a timing
+            out, skipped_out = (json.loads(text)["rows"] for text in (out, skipped_out))
+            for row in out + skipped_out:
+                del row[-2]
+        assert skipped_out == out
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--n", "10"])  # no force specification
@@ -126,9 +146,17 @@ class TestSolveCommand:
         assert json.loads(out)["error"]["kind"] == "DegenerateConfigurationError"
 
     @pytest.mark.parametrize("length", ["1e160", "1e200"])
-    def test_pressure_underflow_at_huge_length_is_an_error_object(self, capsys, length):
-        # (N/L)**2 is subnormal or zero: no chain, and no traceback
-        code = main(["solve", "--n", "10", "--length", length, "--force-piecewise=-1e200:0,0:0"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "10", "--force-piecewise=-1e200:0,0:0"],
+        ["solve", "--n", "10", "--force", "0"],
+        ["solve", "--n", "10", "--force", "10"],
+        ["oracle", "--n", "10", "--force", "0"],
+        ["density", "--n", "10", "--force-scaled", "1,0.5"],
+        ["converge", "--c", "1", "--n-list", "10"],
+    ], ids=["solve-piecewise", "solve-zero", "solve-ten", "oracle", "density-scaled", "converge"])
+    def test_pressure_underflow_at_huge_length_is_an_error_object(self, capsys, argv, length):
+        # (N/L)**2 is subnormal or zero on every route: no chain, and no traceback
+        code = main([*argv, "--length", length])
         out, err = capsys.readouterr()
         assert code == 1 and err == ""
         error = json.loads(out)["error"]
@@ -194,6 +222,18 @@ class TestCriticalCommand:
             "message": f"segment length too short for a finite critical force, got {float(length)}",
         }
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("length", ["1e160", "1e200"])
+    def test_too_long_a_length_is_an_error_object(self, length, fmt, capsys):
+        # the critical force would be subnormal (1e160) or 0 (1e200)
+        code = main(["critical", "--n", "10", "--length", length, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "ValueError",
+            "message": f"segment length too long for a normal critical force, got {float(length)}",
+        }
+
     def test_csv_matches_json(self, capsys):
         code, jout = run_cli(capsys, "critical", "--n", "10")
         code, cout = run_cli(capsys, "critical", "--n", "10", "--format", "csv")
@@ -249,6 +289,11 @@ class TestDensityCommand:
         assert code == 0
         assert json.loads(out)["prediction"] is None
 
+    def test_zero_bins_is_an_error_object(self, capsys):
+        code, out = run_cli(capsys, "density", "--n", "10", "--force", "1", "--bins", "0")
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "ValueError", "message": "need at least one bin, got 0"}
+
 
 class TestTableCommands:
     def test_sweep_json_and_csv(self, capsys):
@@ -282,12 +327,16 @@ class TestTableCommands:
         ]
         assert [row[0] for row in payload["rows"]] == [10, 20]
 
-    def test_sweep_records_an_overflowing_force_and_goes_on(self, capsys):
-        code, out = run_cli(capsys, "sweep", "--grid", "10,1,1,400;100,1,1,1")
+    @pytest.mark.parametrize("point, error", [
+        ("10,1,1,400", "ValueError: scaled force c * N**gamma overflows at N = 10"),
+        ("10,1e200,1,1", "ValueError: N/L = 1e-199 leaves no normal pressure scale (N/L)**2"),
+    ], ids=["overflowing-force", "no-pressure-scale"])
+    def test_sweep_records_an_overflowing_force_and_goes_on(self, capsys, point, error):
+        code, out = run_cli(capsys, "sweep", "--grid", f"{point};100,1,1,1")
         assert code == 0
         payload = json.loads(out)
         first, second = (dict(zip(payload["columns"], row)) for row in payload["rows"])
-        assert first["error"].startswith("ValueError: ") and first["detected"] is None
+        assert first["error"] == error and first["detected"] is None
         assert second["error"] is None and second["detected"] == "smooth_positive"
 
     @pytest.mark.parametrize("n", ["inf", "nan", "10.7"])

@@ -1,6 +1,7 @@
 """Closed-form gap sequences, critical force and asymptotic densities."""
 
 import math
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -105,6 +106,11 @@ class TestAuxiliaryModel:
     def test_rejects_nonpositive_force(self):
         with pytest.raises(ValueError):
             aux_model_gaps(0.0, 3)
+
+    @pytest.mark.parametrize("closed_form", [aux_model_gaps, shifted_inverse_sqrt_sum])
+    def test_rejects_zero_gaps(self, closed_form):
+        with pytest.raises(ValueError, match="0$"):
+            closed_form(1.0, 0)
 
     @pytest.mark.parametrize("u", [1.0, 1.5, 40.0])
     def test_terminal_pressure_u_f_gives_a_pinned_fixed_point(self, u):
@@ -272,7 +278,7 @@ class TestAsymptoticDensity:
             assert 1.0 / (L * dens.rho0) == pytest.approx(phase2_scaling_factor(c, L), abs=4 * EPS)
 
 
-@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan, 1e-155, 1e-170, 5e-324])
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan, 1e-155, 1e-170, 5e-324, 1e160, 1e200])
 @pytest.mark.parametrize("closed_form", [
     lambda L: critical_force_exact(5, L),
     c_critical,
@@ -281,7 +287,9 @@ class TestAsymptoticDensity:
 ], ids=["critical_force_exact", "c_critical", "phase2_scaling_factor", "asymptotic_density"])
 def test_a_length_outside_zero_to_inf_is_rejected(closed_form, L):
     message = f"segment length must be positive, got {L}"
-    if 0.0 < L < math.inf:  # a float, but 4/L**2 overflows
+    if 0.0 < L < 1.0:  # a float, but 4/L**2 overflows
         message = f"segment length too short for a finite critical force, got {L}"
-    with pytest.raises(ValueError, match=message):
+    elif 1.0 <= L < math.inf:  # a float, but 4/L**2 is subnormal (1e160) or 0 (1e200)
+        message = f"segment length too long for a normal critical force, got {L}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         closed_form(L)

@@ -415,6 +415,10 @@ class TestMultiStart:
                 )
                 assert gap > 1e-3 * 2.0 / 21
 
+    def test_needs_a_start(self):
+        with pytest.raises(ValueError, match="^need at least one start, got 0$"):
+            multi_start_fixed_points(ModelParams(L=1.0, n_gaps=4, force=Constant(1.0)), 0)
+
     def test_deterministic_given_seed(self):
         params = nonuniqueness_params(1.0, 2.0, 8.0, 15)
         a = multi_start_fixed_points(params, 5)

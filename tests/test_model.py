@@ -158,8 +158,14 @@ class TestForceProfiles:
             Scaled(c=1.0, gamma=0.0)
 
     def test_scaled_must_be_resolved(self):
-        with pytest.raises(RuntimeError):
-            Scaled(c=1.0, gamma=1.0).force_at(0.0)
+        # only the Constant that ModelParams.profile resolves it to evaluates
+        f = Scaled(c=1.0, gamma=1.0)
+        assert not any(hasattr(f, m) for m in ("force_at", "integral_between", "slope_at"))
+        with pytest.raises(AttributeError):
+            f.force_at(0.0)
+
+    def test_the_three_force_types_share_no_base(self):
+        assert Constant.__mro__[1:] == PiecewiseLinear.__mro__[1:] == Scaled.__mro__[1:] == (object,)
 
 
 class TestModelParams:
@@ -173,6 +179,22 @@ class TestModelParams:
         f = PiecewiseLinear([(-0.5, 1.0), (0.0, 0.0)])
         with pytest.raises(ValueError):
             ModelParams(L=1.0, n_gaps=3, force=f)
+
+    @pytest.mark.parametrize("force", [object(), 1.0, None, "constant"])
+    def test_force_is_one_of_the_three_types(self, force):
+        with pytest.raises(TypeError, match="^force must be Constant, PiecewiseLinear or Scaled$"):
+            ModelParams(L=1.0, n_gaps=3, force=force)
+
+    @pytest.mark.parametrize("force", [Constant(0.0), Scaled(c=1.0, gamma=1.0)])
+    def test_pressure_scale_bounds_n_over_l(self, force):
+        # 2**-511 <= N/L < 2**512: (N/L)**2 is a normal float, on both ends
+        for n, L in [(1, 2.0 ** 511), (4, 2.0 ** 513), (1, math.nextafter(2.0 ** -512, 1.0))]:
+            assert ModelParams(L=L, n_gaps=n, force=force).n_gaps == n
+        for n in (1, 3):
+            with pytest.raises(ValueError, match=r"^N/L = .* leaves no normal pressure scale \(N/L\)\*\*2$"):
+                ModelParams(L=n * math.nextafter(2.0 ** 511, math.inf), n_gaps=n, force=force)
+            with pytest.raises(DegenerateConfigurationError, match="^gap too small for a finite pressure$"):
+                ModelParams(L=n * 2.0 ** -512, n_gaps=n, force=force)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +218,11 @@ class TestConfiguration:
             Configuration([0.0, -0.7, -0.3])
         with pytest.raises(ValueError):
             Configuration([0.1, -0.5])
+
+    @pytest.mark.parametrize("positions", [[0.0], [], [[0.0, -1.0]], [[0.0], [-1.0]]])
+    def test_needs_a_flat_array_of_two_positions(self, positions):
+        with pytest.raises(ValueError, match="^need a 1-D array of at least two positions$"):
+            Configuration(positions)
 
     def test_smallest_gap_with_a_finite_pressure(self):
         # (2**-512)**-2 = 2**1024 overflows; the next float up is the bound

@@ -79,6 +79,8 @@ class TestShoot:
         assert shoot(((n - 1) * F) ** -0.5, params(n - 1, force=flat(F))).complete
         # even larger first gap collapses no later
         assert not shoot(2.0 * ((n - 1) * F) ** -0.5, p).complete
+        # a first gap whose pressure underflows to 0 has collapsed already
+        assert shoot(1e200, p) == (None, None)
 
     def test_collapse_reports_smallest_index_piecewise(self):
         f = PiecewiseLinear([(-1.0, 5.0), (0.0, 5.0)])
@@ -254,11 +256,12 @@ class TestSolveFixedPoint:
             solve_fixed_point(params(10, L=1e-160, force=force))
 
     @pytest.mark.parametrize("L", [1e160, 1e200])
-    def test_huge_segment_names_n_over_l(self, L):
+    @pytest.mark.parametrize("force", [Constant(0.0), flat(0.0, L=1e200)], ids=["constant", "piecewise"])
+    def test_huge_segment_names_n_over_l(self, force, L):
         # (N/L)**2 is subnormal at L = 1e160 and zero at 1e200, so h would
-        # lose digits or divide by zero
+        # lose digits or divide by zero, and a residual would check nothing
         with pytest.raises(ValueError, match=r"^N/L = "):
-            solve_fixed_point(params(10, L=L, force=PiecewiseLinear([(-1e200, 0.0), (0.0, 0.0)])))
+            solve_fixed_point(params(10, L=L, force=force))
 
     def test_iteration_budget_enforced(self, monkeypatch):
         # At F = 0 the terminal function is linear in the first gap and the
@@ -404,6 +407,19 @@ class TestConstantRoute:
         exact = -np.cumsum(aux_model_gaps(F, n))
         assert sol.config.positions[1:].tobytes() == exact.tobytes()
 
+    @pytest.mark.parametrize("F, label", [(1.0, Classification.INTERIOR), (1e-310, Classification.BOUNDARY_PINNED)])
+    def test_a_subnormal_critical_force_still_decides(self, F, label):
+        # N/L leaves (N/L)**2 normal, but F_cr ~ 4 N / L**2 is subnormal here
+        n, L = 1000, 1e156
+        with pytest.raises(ValueError, match="too long for a normal critical force"):
+            critical_force_exact(n, L)
+        sol = solve_fixed_point(params(n, L, Constant(F)))
+        assert sol.classification is label
+        if label is Classification.INTERIOR:
+            assert sol.config.positions[1:].tobytes() == (-np.cumsum(aux_model_gaps(F, n))).tobytes()
+        else:
+            assert sol.config.positions[-1] == -L
+
     @pytest.mark.parametrize("n", [1, 100, 10 ** 6])
     def test_the_critical_force_itself_is_pinned(self, n):
         L = 1.0
@@ -478,6 +494,21 @@ def monotone_profiles(draw, fcr, L):
 
 
 class TestAgainstBisection:
+    @pytest.mark.parametrize("points, n, L", [
+        ([(-1.0, 1e200), (0.0, 0.0)], 10, 1.0),
+        ([(-1e100, 1.0), (0.0, 0.0)], 3, 1e100),
+        ([(-1.0, 1e300), (-0.999, 0.0), (0.0, 0.0)], 2, 1.0),
+        ([(-1.0, 5.0), (0.0, 1.0)], 1, 1.0),
+    ])
+    def test_pathological_profiles_match_the_reference(self, points, n, L):
+        # Forces and slopes at the edge of the float range: a root-find that
+        # passes every random profile can still spend its 200 shots on these.
+        p = params(n, L, PiecewiseLinear(points))
+        sol, ref = solve_fixed_point(p), bisect_fixed_point(p)
+        assert sol.classification is ref.classification is Classification.INTERIOR
+        assert np.max(np.abs(sol.config.positions - ref.config.positions)) <= 1e-12 * L / n
+        assert sol.iterations <= 100
+
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(n=st.integers(1, 3000), log_length=st.floats(-3.0, 3.0), data=st.data())
     def test_root_find_matches_the_bisection_reference(self, n, log_length, data):
