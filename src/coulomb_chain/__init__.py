@@ -5,7 +5,7 @@ N + 1 equal charges on [-L, 0] with nearest-neighbour 1/r repulsion and a
 renormalized external force, by three complementary routes:
 
 * :mod:`coulomb_chain.shooting` -- the fast solver: generate the chain from
-  its first gap, root-find the terminal conditions (Brent); constant force needs no search.
+  its first gap, Newton on the terminal conditions; constant force needs no search.
 * :mod:`coulomb_chain.closed_form` -- exact constant-force formulas: gap
   sequences, the half-line model, the wall-departure (critical) force and
   the four asymptotic density phases.

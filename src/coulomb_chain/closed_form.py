@@ -158,6 +158,7 @@ def asymptotic_density(c: float, gamma: float, L: float) -> AsymptoticDensity:
         return AsymptoticDensity(Phase.UNIFORM, 1.0 / L, 0.0, -L)
     if gamma > 1.0:
         return AsymptoticDensity(Phase.DELTA_AT_ORIGIN, math.inf, math.inf, 0.0)
-    if c <= c_critical(L):
+    # where L * L overflows, c_critical(L) is not normal and c L**2 <= 4 decides
+    if (c * L * L <= 4.0) if L * L == math.inf else (c <= c_critical(L)):
         return AsymptoticDensity(Phase.SMOOTH_POSITIVE, 1.0 / L + 0.25 * c * L, 0.5 * c, -L)
     return AsymptoticDensity(Phase.DETACHED, math.sqrt(c), 0.5 * c, -2.0 / math.sqrt(c))

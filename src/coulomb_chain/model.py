@@ -305,8 +305,8 @@ class FixedPointResult:
     """A solved configuration plus classification and solve diagnostics.
 
     ``delta1`` is read off ``config``.  ``iterations`` counts shots
-    (piecewise force, the bracket probes included), Z evaluations (constant
-    force) or descent steps.
+    (piecewise force: lean tangent and recording shots alike), Z evaluations
+    (constant force) or descent steps.
     """
 
     config: Configuration

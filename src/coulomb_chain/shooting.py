@@ -12,8 +12,8 @@ decreasing terminal function, whose scale (N/L)**2 ``ModelParams`` keeps normal
 with a collapsed shot (some pressure hits zero) counted as negative: the
 positions run to -inf as a pressure nears zero, so a collapse is the limit
 h -> -inf.  h > 0 for tiny delta_1 and h <= 0 for delta_1 >= L/N; the fixed
-point is its root, located by a safeguarded Brent root-find seeded from the
-continuum law rho' = F/(2N) (see ``solve_fixed_point``).  Whichever
+point is its root, located by safeguarded Newton seeded from the continuum
+law rho' = F/(2N) (see ``solve_fixed_point``).  Whichever
 terminal condition crossed first there decides the classification: the
 wall (left particle pinned at -L with non-negative slack) or the exact
 terminal balance f_N = F(x_N) in the interior.  That hypothesis on the force
@@ -62,13 +62,9 @@ MAX_ITER = 200
 # positive, large enough that delta**-2 stays below overflow.
 _TINY_DELTA1 = 1e-150
 
-
-class _Probe(NamedTuple):
-    """One shot of the root-find: first gap, squashed h, and the outcome."""
-
-    d1: float
-    h: float
-    out: ShootingOutcome
+# A collapsed shot's x_N, f_N (or slack) and their derivatives in delta_1:
+# positions run to -inf, and there is no slope.
+_COLLAPSED = (-math.inf, -math.inf, math.nan, math.nan)
 
 
 class ShootingOutcome(NamedTuple):
@@ -99,22 +95,13 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     profile, n, delta1 = params.profile, params.n_gaps, float(delta1)
     if not isinstance(profile, PiecewiseLinear):
         raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
-    bx = profile.breakpoints.tolist()
-    by = profile.values.tolist()
-    slopes = profile.slopes.tolist()
-    # x only moves left, so the pieces are visited right to left: segment j
-    # while x >= bx[j], then the flat extension left of bx[0].  Each piece
-    # is (left end, anchor, value at anchor, slope).
-    pieces = [(bx[j], bx[j], by[j], slopes[j]) for j in range(len(bx) - 2, -1, -1)]
-    pieces.append((-math.inf, bx[0], by[0], 0.0))
-
     f = delta1 ** -2.0
     if not f > 0.0:
         return ShootingOutcome(None, None)
     x = -delta1
     positions = [0.0, x]
     k = 1
-    for left, x0, v0, s in pieces:
+    for left, x0, v0, s in _pieces(profile):
         while k < n and x >= left:
             f -= v0 + s * (x - x0)
             if f <= 0.0:
@@ -124,6 +111,45 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
             k += 1
     pos = np.array(positions)
     return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
+
+
+def _pieces(profile: PiecewiseLinear) -> list[tuple[float, float, float, float]]:
+    """The pieces of a shot, each (left end, anchor, value at anchor, slope).
+
+    x only moves left, so they are visited right to left: segment j while
+    x >= bx[j], then the flat extension left of bx[0].
+    """
+    bx, by, slopes = profile.breakpoints.tolist(), profile.values.tolist(), profile.slopes.tolist()
+    pieces = [(bx[j], bx[j], by[j], slopes[j]) for j in range(len(bx) - 2, -1, -1)]
+    pieces.append((-math.inf, bx[0], by[0], 0.0))
+    return pieces
+
+
+def _lean_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, float] | None:
+    """(x_N, f_N) of ``shoot`` bit for bit, and their derivatives (dx_N, df_N) in delta1.
+
+    Keeps no positions, and returns None where ``shoot`` collapses.
+    """
+    f = delta1 ** -2.0
+    if not f > 0.0:
+        return None
+    # e = df / 2 saves a product per step; halving is exact, so df is unchanged
+    x, dx, e = -delta1, -1.0, -f / delta1
+    steps = iter(range(1, n))  # shared by the pieces, like shoot's k
+    for left, x0, v0, s in pieces:
+        half_s = 0.5 * s
+        if x >= left:
+            for _ in steps:
+                f -= v0 + s * (x - x0)
+                if f <= 0.0:
+                    return None
+                e -= half_s * dx
+                g = f ** -0.5
+                x -= g
+                dx += g * g * g * e
+                if x < left:
+                    break
+    return x, f, dx, 2.0 * e
 
 
 def _validate_monotone(profile: Constant | PiecewiseLinear, L: float) -> float:
@@ -213,34 +239,41 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     """Locate the unique fixed point for a non-increasing, non-negative force.
 
     A ``Constant`` profile (``Scaled`` resolves to one) takes no search: see
-    ``_constant_chain``.  A ``PiecewiseLinear`` one takes Brent's root-find
-    (zeroin) on the terminal function h of the module docstring, over the
-    first gap.  It shoots the continuum first gap d (under 0.3/N off the
-    root), then d (1 +- 4/N) on the side the sign of h points to.  Where that
-    keeps the sign, N <= 4 or d lies beyond them, the rigorous ends take
-    over: h > 0 at a machine-tiny gap, and h <= 0 at min(L/N, (N F(0))**-0.5)
-    * (1 + 1e-9), as gaps never shrink along the chain (so x_N <= -N delta_1)
-    and no force term is below F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0));
-    ValueError, naming L/N or N F(0), where they leave no room.  Should
-    rounding break the signs, NoConvergence carries the bracket.
-    Each step interpolates (secant or inverse quadratic) and falls back to
-    bisection whenever the interpolant leaves the bracket or does not shrink
-    it fast enough.  The search sees h / (1 + |h|), which has the same sign
-    and root, reads -1 at a collapse and stays finite for interpolation.  It
-    stops at a relative bracket width of ``TOL_REL`` = 1e-14, and spends at
-    most ``MAX_ITER`` = 200 shots, the two or three bracket probes included;
+    ``_constant_chain``.  A ``PiecewiseLinear`` one takes safeguarded Newton
+    (rtsafe, Numerical Recipes 9.4) on the terminal function h of the module
+    docstring, over the first gap, from the continuum first gap (under 0.3/N
+    off the root).  Its shots are lean: they carry the tangent (dx_k, df_k)
+    of (x_k, f_k) in delta_1 and keep no positions, and h' is dx_N / L on the
+    wall branch, (df_N - F'(x_N) dx_N) / (N/L)**2 on the slack branch.  A
+    sign bracket starts at the rigorous ends: h > 0 at a machine-tiny gap,
+    and h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9), as gaps never
+    shrink along the chain (so x_N <= -N delta_1) and no force term is below
+    F(0) (so f_N - F(x_N) <= delta_1**-2 - N F(0)); ValueError, naming L/N
+    or N F(0), where they leave no room.  A Newton step is taken only when
+    it lands strictly inside the bracket; otherwise, and after a collapse,
+    which has no slope, the bracket is bisected (on the geometric mean while
+    its ends differ by more than a factor 2).  Once a Newton step is below
+    1e-8 relative at |h| < 1e-4 (far off, where rounding flattens F but not
+    its slope, the step alone can be tiny), the endgame shoots
+    q (1 - 0.4 ``TOL_REL``) at the Newton estimate q, recording, then
+    gallops away from it on the side the sign of h points to, the distance
+    doubling, and bisects once the sign has turned; q (1 + 0.4 ``TOL_REL``),
+    shot lean, mostly closes the bracket.  It stops at a relative bracket
+    width of ``TOL_REL`` = 1e-14, and spends at most ``MAX_ITER`` = 200
+    shots, lean and recording ones alike (3-7 on most profiles);
     NoConvergence, carrying the shots spent and the last bracket, when the
     bracket is not that narrow by then.
 
-    On the pinned branch the chain (of a piecewise profile, the shot of the
-    bracket's positive end) is stretched so that x_N = -L exactly.  That
-    spreads the wall correction over all gaps instead of dumping the summation
-    error into the last one.  ``max_residual`` then sits at the rounding floor
-    of positions summed from gaps: at most 1.95 N eps times the largest
-    pressure in constant-force checks from N = 10 to 10**7 and L = 1e-3 to
-    1e3, which at F = 0 is a scaled residual ``max_residual / (N/L)**2`` of
-    about N eps.  Interior positions of a piecewise profile are the shot of
-    the bracket end with the smaller terminal imbalance.
+    The result is the recorded shot of the bracket's h > 0 end (shot once
+    more, recording, should it have run lean).  Where the other end crossed
+    the wall or collapsed, the chain (like a pinned constant-force one) is
+    stretched so that x_N = -L exactly; otherwise it is interior.  The
+    stretch spreads the wall correction over all gaps instead of dumping the
+    summation error into the last one.  ``max_residual`` then sits at the
+    rounding floor of positions summed from gaps: at most 1.95 N eps times
+    the largest pressure in constant-force checks from N = 10 to 10**7 and
+    L = 1e-3 to 1e3, which at F = 0 is a scaled residual
+    ``max_residual / (N/L)**2`` of about N eps.
 
     Args:
         params: chain parameters; ``params.profile`` must be continuous,
@@ -252,103 +285,77 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         positions, label, evaluations = _constant_chain(params, force_min)
         config = Configuration(positions)
         return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
-    L, n = params.L, params.n_gaps
+    L, n, profile = params.L, params.n_gaps, params.profile
     pressure_scale = (n / L) ** 2
-    shots = 0
-
-    def probe(d1: float) -> _Probe:
-        nonlocal shots
-        shots += 1
-        out = shoot(d1, params)
-        if not out.complete:
-            return _Probe(d1, -1.0, out)
-        h = min((float(out.positions[-1]) + L) / L, out.terminal_slack / pressure_scale)
-        return _Probe(d1, h / (1.0 + abs(h)), out)
-
     # no F(x_k) is smaller than F(0), x_k <= 0; N F(0) may overflow to inf
     force_bound = (n * force_min) ** -0.5 if force_min > 0.0 else math.inf
     hi = min(L / n, force_bound) * (1.0 + 1e-9)
     if _TINY_DELTA1 >= hi:
         bound = f"L/N = {L / n}" if L / n <= force_bound else f"N F(0) = {n * force_min}"
         raise ValueError(f"{bound} leaves no first gap above {_TINY_DELTA1} to bracket")
-    seed = _continuum_first_gap(params.profile, L, n)
-    below = seed * (1.0 - 4.0 / n)  # N <= 4 leaves no near end below the seed
-    if not (_TINY_DELTA1 < below and seed < hi):
-        a, b = probe(_TINY_DELTA1), probe(hi)
-    elif (at_seed := probe(seed)).h > 0.0:  # the root lies above the seed
-        b = probe(min(seed * (1.0 + 4.0 / n), hi))
-        a, b = (at_seed, b) if b.h <= 0.0 else (b, probe(hi))
-    else:
-        a = probe(below)
-        a, b = (a, at_seed) if a.h > 0.0 else (probe(_TINY_DELTA1), a)
-    if not a.h > 0.0 or b.h > 0.0:
-        raise NoConvergence(
-            "terminal function does not change sign over the first-gap bracket",
-            iterations=shots, bracket=(a.d1, b.d1),
-        )
-
-    # Brent (1973), zeroin: b is the best estimate, c the other end of the
-    # sign bracket, a the previous b; d is the last step, e the one before.
-    c = a
-    d = e = b.d1 - a.d1
-    half_width = 0.5 * TOL_REL
+    # h > 0 at lo, with its recorded shot once there is one; h <= 0 at hi,
+    # with x_N there, -inf while hi is unshot or collapsed
+    lo, lo_out, hi_x = _TINY_DELTA1, None, -math.inf
+    pieces = _pieces(profile)
+    d = _continuum_first_gap(profile, L, n)
+    if not lo < d < hi:
+        d = math.sqrt(lo * hi)
+    shots, gap, record = 0, 0.0, False
     while True:
-        if (b.h > 0.0) == (c.h > 0.0):
-            c = a
-            d = e = b.d1 - a.d1
-        if abs(c.h) < abs(b.h):
-            a, b, c = b, c, b
-        tol = half_width * b.d1
-        m = 0.5 * (c.d1 - b.d1)
-        if abs(m) <= tol:
+        narrow = hi - lo <= TOL_REL * hi
+        if narrow and lo_out is not None:
             break
+        if narrow:  # the h > 0 end ran lean: shoot it again, recording
+            d, record = lo, True
         if shots >= MAX_ITER:
             raise NoConvergence(
                 f"first-gap search did not reach TOL_REL={TOL_REL} "
                 f"within MAX_ITER={MAX_ITER} shots",
-                iterations=shots, bracket=tuple(sorted((b.d1, c.d1))),
+                iterations=shots, bracket=(lo, hi),
             )
-        if b.h == 0.0:
-            # b is a root to rounding: the minimum step toward c closes the
-            # bracket (Brent stops here, but TOL_REL bounds the bracket).
-            e, d = d, 0.0
-        elif abs(e) >= tol and abs(a.h) > abs(b.h):
-            s = b.h / a.h
-            if a is c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = a.h / c.h, b.h / c.h
-                p = s * (2.0 * m * q * (q - r) - (b.d1 - a.d1) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = m
+        shots += 1
+        if record:
+            out = shoot(d, params)
+            x, slack, dx, dslack = _COLLAPSED
+            if out.complete:
+                x, slack = float(out.positions[-1]), out.terminal_slack
         else:
-            d = e = m
-        a = b
-        b = probe(b.d1 + (d if abs(d) > tol else math.copysign(tol, m)))
+            out, (x, f, dx, df) = None, _lean_shot(d, n, pieces) or _COLLAPSED
+            slack, dslack = f - profile.force_at(x), df - profile.slope_at(x) * dx
+        wall, slack = (x + L) / L, slack / pressure_scale
+        h, slope = (wall, dx / L) if wall <= slack else (slack, dslack / pressure_scale)
+        if h > 0.0:
+            lo, lo_out = d, out
+        else:
+            hi, hi_x = d, x
+        record = False
+        if gap:  # endgame: gallop away from q on the side h points to, then bisect
+            gap *= 2.0
+            d = lo + gap if h > 0.0 else hi - gap
+            if 2.0 * gap >= hi - lo:
+                d = 0.5 * (lo + hi)
+            continue
+        step = -h / slope if -math.inf < slope < 0.0 else math.nan
+        if abs(step) < 1e-8 * d and abs(h) < 1e-4:
+            gap = 0.4 * TOL_REL * (d + step)
+            d, record = min(max(d + step - gap, lo + gap), hi - gap), True
+            continue
+        if lo < d + step < hi:
+            d += step
+        else:  # no slope, or a step that leaves the bracket: bisect
+            d = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
 
-    lo, hi = (b, c) if b.h > 0.0 else (c, b)
-    out_lo, out_hi = lo.out, hi.out
-
-    # Collapse inside the final bracket means the wall was crossed there
-    # too (positions run to -inf before pressures hit zero), so both
-    # terminal conditions are unresolved at this width: treat as the tie.
-    # Tie (both crossed) classifies as pinned: equality belongs to the
-    # pinned branch of the critical-force dichotomy.
-    if not out_hi.complete or float(out_hi.positions[-1]) <= -L:
-        positions = out_lo.positions * (-L / float(out_lo.positions[-1]))
+    positions = lo_out.positions
+    # Collapse at the other end means the wall was crossed there too
+    # (positions run to -inf before pressures hit zero), so both terminal
+    # conditions are unresolved at this width: treat as the tie.  Tie (both
+    # crossed) classifies as pinned: equality belongs to the pinned branch
+    # of the critical-force dichotomy.
+    if hi_x <= -L:
+        positions = positions * (-L / float(positions[-1]))
         positions[-1] = -L
         classification = Classification.BOUNDARY_PINNED
     else:
-        # Both bracket ends are valid near-fixed-points; keep the one with
-        # the smaller terminal imbalance.
-        positions = min(out_lo, out_hi, key=lambda out: abs(out.terminal_slack)).positions
         classification = Classification.INTERIOR
-
     config = Configuration(positions)
     return FixedPointResult.from_residuals(config, residuals(config, params), classification, shots)

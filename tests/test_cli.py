@@ -179,8 +179,8 @@ class TestSolveCommand:
         assert error["message"].startswith(bound)
 
     def test_exhausted_shot_budget_is_an_error_object(self, capsys, monkeypatch):
-        # constant force takes no search; a piecewise profile takes Brent, and
-        # this one needs more than three shots from its continuum seed
+        # constant force takes no search; a piecewise profile takes the
+        # Newton search, and this one needs five shots from its continuum seed
         argv = ("solve", "--n", "80", "--force-piecewise=-1:300,-0.5:100,0:0")
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -338,6 +338,21 @@ class TestTableCommands:
         first, second = (dict(zip(payload["columns"], row)) for row in payload["rows"])
         assert first["error"] == error and first["detected"] is None
         assert second["error"] is None and second["detected"] == "smooth_positive"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_classifies_gamma_one_where_l_squared_overflows(self, capsys, fmt):
+        # c_critical(1e156) is not normal; the point still gets a full row,
+        # with a density to compare (the prediction is detached, not a point mass)
+        code, out = run_cli(capsys, "sweep", "--grid", "1000,1e156,1,1", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            row = dict(zip(payload["columns"], payload["rows"][0]))
+        else:
+            row = next(csv.DictReader(io.StringIO(out)))
+        assert row["error"] in (None, "")
+        assert float(row["sup_deviation"]) >= 0.0
+        assert float(row["x_leftmost"]) == pytest.approx(-2.0, rel=0.05)
 
     @pytest.mark.parametrize("n", ["inf", "nan", "10.7"])
     def test_sweep_rejects_a_non_integer_n(self, capsys, n):

@@ -252,6 +252,26 @@ class TestAsymptoticDensity:
         with pytest.raises(ValueError):
             asymptotic_density(1.0, -2.0, 1.0)
 
+    @pytest.mark.parametrize("L", [1e156, 1e160, 1e200])
+    def test_gamma_one_decides_where_the_critical_coefficient_is_not_normal(self, L):
+        # 4/L**2 is subnormal or 0 here, so c_critical(L) raises; c L**2
+        # still says the chain detaches at c = 1
+        with pytest.raises(ValueError, match="too long"):
+            c_critical(L)
+        dens = asymptotic_density(1.0, 1.0, L)
+        assert dens.phase is Phase.DETACHED
+        assert (dens.rho0, dens.support_left) == (1.0, -2.0)
+        assert asymptotic_density(1e-320, 1.0, 1e156).phase is Phase.SMOOTH_POSITIVE
+
+    def test_the_tie_stays_pinned_where_l_squared_overflows(self):
+        # L = 2**512 is the first L whose L * L overflows; c = 4/L**2 =
+        # 2**-1022 is exact and normal, and c L**2 = 4 is the tie
+        L, c = 2.0 ** 512, 2.0 ** -1022
+        assert asymptotic_density(c, 1.0, L).phase is Phase.SMOOTH_POSITIVE
+        assert asymptotic_density(math.nextafter(c, 1.0), 1.0, L).phase is Phase.DETACHED
+        below = math.nextafter(L, 0.0)  # c_critical(below) is normal: the exact rule
+        assert asymptotic_density(4.0 / (below * below), 1.0, below).phase is Phase.SMOOTH_POSITIVE
+
     def test_smallest_coefficient_is_pinned_though_its_slope_rounds_to_zero(self):
         dens = asymptotic_density(5e-324, 1.0, 1.0)
         assert dens.slope == 0.0
@@ -278,12 +298,16 @@ class TestAsymptoticDensity:
             assert 1.0 / (L * dens.rho0) == pytest.approx(phase2_scaling_factor(c, L), abs=4 * EPS)
 
 
+def _gamma_one_density(L):
+    return asymptotic_density(1.0, 1.0, L)
+
+
 @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan, 1e-155, 1e-170, 5e-324, 1e160, 1e200])
 @pytest.mark.parametrize("closed_form", [
     lambda L: critical_force_exact(5, L),
     c_critical,
     lambda L: phase2_scaling_factor(1.0, L),
-    lambda L: asymptotic_density(1.0, 1.0, L),
+    _gamma_one_density,
 ], ids=["critical_force_exact", "c_critical", "phase2_scaling_factor", "asymptotic_density"])
 def test_a_length_outside_zero_to_inf_is_rejected(closed_form, L):
     message = f"segment length must be positive, got {L}"
@@ -291,5 +315,8 @@ def test_a_length_outside_zero_to_inf_is_rejected(closed_form, L):
         message = f"segment length too short for a finite critical force, got {L}"
     elif 1.0 <= L < math.inf:  # a float, but 4/L**2 is subnormal (1e160) or 0 (1e200)
         message = f"segment length too long for a normal critical force, got {L}"
+        if closed_form is _gamma_one_density:  # c L**2 <= 4 decides there instead
+            assert closed_form(L).phase is Phase.DETACHED
+            return
     with pytest.raises(ValueError, match=re.escape(message)):
         closed_form(L)
