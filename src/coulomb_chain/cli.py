@@ -5,9 +5,10 @@ solver), ``critical`` (exact wall-departure force), ``density`` (histogram
 plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
 ``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
 tent profile).  Output is compact JSON or CSV, byte for byte as ``json.dumps``
-and ``csv.writer`` write it; float arrays take repr's shortest round-trip
-digits from ``orjson``.  Both formats stream: the text is formatted and
-written a chunk at a time, in one process.  Model errors, and an ``--output``
+and ``csv.writer`` write it.  Float arrays and the CSV row index take their
+digits from one ``orjson`` call per chunk, and only the layouts in which
+orjson and repr differ are rewritten.  Both formats stream: the text is
+formatted and written a chunk at a time, in one process.  Model errors, and an ``--output``
 path that cannot be written, exit 1 with a machine-readable JSON error
 object; a stdout closed early exits 1 with no more output; usage errors exit 2.
 
@@ -189,80 +190,98 @@ _IS_DIGIT = np.zeros(256, bool)
 _IS_DIGIT[ord("0"):ord("9") + 1] = True
 
 
-def _format_floats(values) -> str:
+def _format_floats(values, sep: str = ",") -> str:
     """A 1-D float64 array as ``json.dumps(values.tolist())`` writes it, with
-    ``,`` for its ``, `` separators and no brackets; a non-finite value is ``null``.
+    ``sep`` for its ``, `` separators and no brackets; a non-finite value is ``null``.
 
     orjson writes repr's shortest round-trip digits (Ryu) in another layout:
     ``1e16`` and ``1e-6`` for repr's ``1e+16`` and ``1e-06``, and values in
     [1e-5, 1e-4) positionally, ``0.00001234`` for ``1.234e-05``.  Only those
-    layouts are rewritten: a sign goes only where an exponent has none, a
-    zero only before a lone exponent digit.
+    layouts are rewritten, and the text decides each fix: a sign goes only
+    where an exponent has none, a zero only before a lone exponent digit.
+    The array only says which fields may read ``0.0000``; text with nothing
+    to fix is orjson's bytes as they are.
     """
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    t = np.frombuffer(text, np.uint8).copy()
-    e = np.flatnonzero(t == ord("e"))
-    unsigned = _IS_DIGIT[t[e + 1]]
-    first = e + 2 - unsigned  # an exponent's first digit
-    at = [e[unsigned] + 1, first[~_IS_DIGIT[t[first + 1]]]]
-    # A value written 0.0000dddd (after any sign) becomes d.ddde-05: its
-    # "0.0000" is set to NUL bytes, which orjson never writes, and dropped.
-    ends = np.flatnonzero((t == ord(",")) | (t == ord("]")))
-    starts = np.concatenate(([1], ends[:-1] + 1))
-    starts += t[starts] == ord("-")
-    fits = ends - starts >= 7
-    s, end = starts[fits], ends[fits]
-    lead = s[:, None] + np.arange(6)
-    small = t[lead].view("S6")[:, 0] == b"0.0000"
-    s, end = s[small], end[small]
-    t[lead[small]] = 0
-    at += [s[end > s + 7] + 7, end, end, end, end]
-    chars = np.repeat(np.frombuffer(b"+0.e-05", np.uint8), [len(i) for i in at])
-    out = np.insert(t, np.concatenate(at), chars)  # equal indices keep their order: "e-05"
-    return (out[out != 0] if len(s) else out)[1:-1].tobytes().decode()
+    values = np.ascontiguousarray(values)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    near = np.flatnonzero(abs(abs(values) - 5.5e-5) < 4.6e-5)  # |v| in (9e-6, 1.01e-4)
+    if len(near) or b"e" in text:
+        t = np.frombuffer(text, np.uint8)
+        e = np.flatnonzero(t == ord("e"))
+        unsigned = _IS_DIGIT[t[e + 1]]
+        first = e + 2 - unsigned  # an exponent's first digit
+        ends = np.append(np.flatnonzero(t == ord(",")) if len(near) else near, len(t) - 1)
+        s, end = np.where(near, ends[near - 1] + 1, 1), ends[near]  # the fields, after any sign
+        s += t[s] == ord("-")
+        s, end = s[end - s >= 7], end[end - s >= 7]
+        small = (t[s] == ord("0")) & (t[s + 5] == ord("0"))  # not 0.0001dddd or d.ddde-6
+        s, end = s[small], end[small]
+        at = [e[unsigned] + 1, first[~_IS_DIGIT[t[first + 1]]]] + [end] * 4
+        if len(s):  # 0.0000dddd becomes d.ddde-05: "0.000" turns to NUL bytes, which orjson
+            t = t.copy()  # never writes, to drop; "0d" to "d." ("d" and NUL for a lone digit)
+            t[s[:, None] + np.arange(5)] = 0
+            t[s + 5], t[s + 6] = t[s + 6], np.where(end > s + 7, ord("."), 0)
+        if sum(map(len, at)):
+            chars = np.repeat(np.frombuffer(b"+0e-05", np.uint8), [len(i) for i in at])
+            t = np.insert(t, np.concatenate(at), chars)  # equal indices keep their order: "e-05"
+            text = (t[t != 0] if len(s) else t).tobytes()
+    text = text[1:-1]
+    return (text if sep == "," else text.replace(b",", sep.encode())).decode()
 
 
-def _csv_chunk(columns, n_rows: int, start: int, stop: int) -> str:
-    """Rows ``start`` to ``stop`` of a table, as ``csv.writer`` writes them."""
-    cells = []
-    for col in columns:
-        if isinstance(col, str):  # a scalar's cell
-            cells.append(itertools.repeat(col, stop - start))
+def _csv_chunk(cells, n_rows: int, start: int, stop: int, sep: str) -> str:
+    """Rows ``start`` to ``stop`` of a table, each line ended by ``sep``."""
+    step, rows = 2 * len(cells), stop - start
+    text = [","] * (step * rows)  # cell, ",", cell, ..., cell, sep: one join for every row
+    for j, col in enumerate(cells):
+        if isinstance(col, str):  # a run of scalars' cells
+            text[2 * j::step] = [col] * rows
             continue
         skip = n_rows - len(col)
         part = col[max(start - skip, 0):max(stop - skip, 0)]
-        if isinstance(part, range):
-            body = map(str, part)
+        if not len(part):
+            body = []
+        elif isinstance(part, range):
+            ints = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+            body = orjson.dumps(ints, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         elif getattr(part, "dtype", None) == float:
-            body = _format_floats(part).split(",") if len(part) else []
+            body = _format_floats(part).split(",")
             for i in np.flatnonzero(~np.isfinite(part)):  # orjson's null
                 body[i] = float.__repr__(float(part[i]))
         else:
-            body = map(_csv_cell, part.tolist() if hasattr(part, "tolist") else part)
-        cells.append(itertools.chain(itertools.repeat("", max(skip - start, 0)), body))
-    lines = map(",".join, zip(*cells, strict=True))
-    if len(cells) == 1:  # csv quotes a lone empty field so the line is not blank
-        lines = (line or '""' for line in lines)
-    return "\n".join(lines) + "\n"
+            body = list(map(_csv_cell, part.tolist() if hasattr(part, "tolist") else part))
+        text[2 * j::step] = [""] * max(skip - start, 0) + body
+    if step == 2 and sep == "\n":  # csv quotes a lone empty field so the line is not blank
+        text[::2] = [cell or '""' for cell in text[::2]]
+    text[step - 1::step] = [sep] * rows
+    return "".join(text)
 
 
 def _render_csv(header, columns):
     """Render a column-wise table as CSV, byte for byte as ``csv.writer`` would.
 
-    ``columns`` holds one entry per name in ``header``: a list, range or 1-D
-    array with one value per row, or a single scalar that is the same on
-    every row.  The longest sequence sets the row count (one row if there is
-    none); a shorter one fills the last rows, leaving the first ones empty.
-    None is an empty cell, a float is written by its round-trip repr, a bool
-    as ``true``/``false``, and strings get csv's minimal quoting.  A chunk of
-    ``_CSV_CHUNK_LINES`` rows formats one slice of each sequence.
+    ``columns`` holds one entry per name in ``header``: a list, an int64
+    range or a 1-D array with one value per row, or a single scalar that is
+    the same on every row.  The longest sequence sets the row count (one row
+    if there is none); a shorter one fills the last rows, leaving the first
+    ones empty.  None is an empty cell, a float is written by its round-trip
+    repr, a bool as ``true``/``false``, and strings get csv's minimal
+    quoting.  Each run of adjacent scalars is one cell, written once, and a
+    trailing run is part of the line end, so a ``solve`` row joins 4 cells,
+    not 10.  A chunk of ``_CSV_CHUNK_LINES`` rows takes a float array's or a
+    range's slice from one orjson call and joins all its rows at once.
     """
     columns = [col if isinstance(col, (list, range)) or getattr(col, "ndim", 0) == 1
                else _csv_cell(col) for col in columns]
     n_rows = max((len(col) for col in columns if not isinstance(col, str)), default=1)
-    yield _csv_chunk([_csv_cell(name) for name in header], 1, 0, 1)
+    yield _csv_chunk([_csv_cell(name) for name in header], 1, 0, 1, "\n")
+    cells, sep = [], "\n"
+    for scalar, run in itertools.groupby(columns, key=lambda col: isinstance(col, str)):
+        cells += [",".join(run)] if scalar else run
+    if len(cells) > 1 and isinstance(cells[-1], str):
+        sep = "," + cells.pop() + "\n"
     for start in range(0, n_rows, _CSV_CHUNK_LINES):
-        yield _csv_chunk(columns, n_rows, start, min(start + _CSV_CHUNK_LINES, n_rows))
+        yield _csv_chunk(cells, n_rows, start, min(start + _CSV_CHUNK_LINES, n_rows), sep)
 
 
 def _json_parts(value, parts: list) -> list:
@@ -290,7 +309,7 @@ def _json_parts(value, parts: list) -> list:
 def _render_json(payload):
     parts = _json_parts(payload, [])  # a non-finite float raises here, before any text
     parts.append("\n")
-    return (p if isinstance(p, str) else _format_floats(p).replace(",", ", ") for p in parts)
+    return (p if isinstance(p, str) else _format_floats(p, ", ") for p in parts)
 
 
 def _write_out(chunks, path: str | None):
@@ -330,11 +349,12 @@ def _params_dict(params: ModelParams) -> dict:
 
 
 def _solution_payload(params: ModelParams, result: FixedPointResult) -> dict:
+    gaps = result.config.gaps
     return {
         "params": _params_dict(params),
         "positions": result.config.positions,
-        "gaps": result.config.gaps,
-        "pressures": result.config.pressures,
+        "gaps": gaps,
+        "pressures": gaps ** -2.0,  # Configuration.pressures, without a second diff
         "classification": result.classification.value,
         "delta1": result.delta1,
         "max_residual": result.max_residual,
@@ -484,13 +504,13 @@ def _cmd_nonunique(args):
 
     def table():
         minima = payload["minima"]
-        chains = [m["positions"].tolist() for m in minima]
+        sizes = [len(m["positions"]) for m in minima]
         columns = [
             c_found,
-            [j for j, xs in enumerate(chains) for _ in xs],
-            [m["energy"] for m, xs in zip(minima, chains) for _ in xs],
-            [i for xs in chains for i in range(len(xs))],
-            [x for xs in chains for x in xs],
+            [j for j, size in enumerate(sizes) for _ in range(size)],
+            np.repeat([m["energy"] for m in minima], sizes),
+            [i for size in sizes for i in range(size)],
+            np.concatenate([m["positions"] for m in minima] or [np.empty(0)]),
         ]
         return ["c_found", "minimum", "energy", "particle", "position"], columns
 

@@ -515,18 +515,51 @@ cell_values = st.one_of(
 )
 
 
+# Float64 array cells: non-finite ones, and many from [1e-5, 1e-4), which
+# orjson and repr lay out differently.
+array_values = st.one_of(
+    st.floats(),
+    st.floats(1e-5, 1e-4),
+    st.floats(-1e-4, -1e-5),
+    st.sampled_from([1e-5, 1e-4, 9.999999999999999e-05, -1.5e-5, 1e16, 1e-7, -0.0, np.nan]),
+)
+
+
 @st.composite
 def column_tables(draw):
+    """A header and columns of every kind: scalars (so scalar runs at the
+    start, in the middle and at the end), lists, float64 arrays and ranges.
+    A sequence may be shorter than the longest and then fills the last rows."""
     n_rows = draw(st.integers(0, 5))
-    n_cols = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 6))
     names = st.text(alphabet='xy ,"\n\r', max_size=4)
     header = draw(st.lists(names, min_size=n_cols, max_size=n_cols))
-    scalar = draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
-    columns = [
-        draw(cell_values) if s else draw(st.lists(cell_values, min_size=n_rows, max_size=n_rows))
-        for s in scalar
-    ]
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["scalar", "list", "array", "range"]),
+                              min_size=n_cols, max_size=n_cols)):
+        size = draw(st.integers(0, n_rows))
+        if kind == "scalar":
+            columns.append(draw(cell_values))
+        elif kind == "list":
+            columns.append(draw(st.lists(cell_values, min_size=size, max_size=size)))
+        elif kind == "array":
+            columns.append(draw(hnp.arrays(np.float64, size, elements=array_values)))
+        else:
+            start, step = draw(st.integers(-10 ** 12, 10 ** 12)), draw(st.sampled_from([1, 7, -3]))
+            columns.append(range(start, start + step * size, step))
     return header, columns
+
+
+def reference_rows(columns) -> list[list]:
+    """The rows ``csv.writer`` is given for a column-wise table: each
+    sequence as a list, a shorter one after empty cells."""
+    sequences = [col for col in columns if isinstance(col, (list, range, np.ndarray))]
+    n_rows = max(map(len, sequences), default=1)
+    return table_rows([
+        [None] * (n_rows - len(col)) + (col.tolist() if isinstance(col, np.ndarray) else list(col))
+        if isinstance(col, (list, range, np.ndarray)) else col
+        for col in columns
+    ])
 
 
 class TestRenderCsv:
@@ -534,7 +567,7 @@ class TestRenderCsv:
     @hypothesis.given(column_tables())
     def test_matches_the_row_wise_csv_writer(self, table):
         header, columns = table
-        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, table_rows(columns))
+        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, reference_rows(columns))
 
     @pytest.mark.parametrize("table", [
         (["a"], [[None, "", 1.5]]),
@@ -542,10 +575,18 @@ class TestRenderCsv:
         (["a", "b"], [[], 3]),
         (["a", "b"], [True, None]),
         (["a", "b"], [[0.5 * i for i in range(2 * cli._CSV_CHUNK_LINES + 1)], True]),
-    ], ids=["lone-empty-cells", "scalar-string", "no-rows", "scalars-only", "several-chunks"])
+        (["c_found", "x"], [None, np.linspace(-1e-4, 0.0, cli._CSV_CHUNK_LINES + 3)]),
+        (["x", "s", "f", "n"], [np.geomspace(1e-7, 1e17, 2 * cli._CSV_CHUNK_LINES), "q", 2.5e-5, None]),
+        (["i", "x", "d"], [
+            range(2 * cli._CSV_CHUNK_LINES + 5),
+            np.linspace(-1.0, 0.0, 2 * cli._CSV_CHUNK_LINES + 5),
+            -np.geomspace(1e-6, 1e-4, cli._CSV_CHUNK_LINES + 5),
+        ]),
+    ], ids=["lone-empty-cells", "scalar-string", "no-rows", "scalars-only", "several-chunks",
+            "leading-scalar-only", "array-and-scalar-tail", "shorter-array-from-a-chunk-edge"])
     def test_edge_tables(self, table):
         header, columns = table
-        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, table_rows(columns))
+        assert "".join(_render_csv(header, columns)) == render_csv_rows(header, reference_rows(columns))
 
 
 # The CSV schema of each command, read back from its JSON payload.
@@ -765,10 +806,10 @@ def test_a_failed_write_leaves_no_file(run, fmt, tmp_path, capsys, monkeypatch):
         calls = iter(range(10 ** 6))
         format_floats = cli._format_floats
 
-        def failing(values):
+        def failing(values, *sep):
             if next(calls) == 1:
                 raise {"OSError": OSError, "KeyboardInterrupt": KeyboardInterrupt}[kind]("stopped")
-            return format_floats(values)
+            return format_floats(values, *sep)
 
         monkeypatch.setattr(cli, "_format_floats", failing)
     argv = ["solve", "--n", str(BIG), "--force", "0", "--format", fmt, "--output", str(tmp_path / target)]
