@@ -77,12 +77,14 @@ def histogram(config: Configuration, params: ModelParams, n_bins: int | None = N
 
 
 def _evidence(solved: FixedPointResult, L: float) -> tuple[float, float, float]:
-    """(x_N, delta_1 N / L, N max_k |delta_k - L/N|) of one solved chain."""
-    n = solved.config.n_gaps
+    """(x_N, delta_1 N / L, N max_k |delta_k - L/N|) of one solved chain; the
+    max is at the widest or the narrowest gap, as rounding is monotone."""
+    gaps, n = solved.config.gaps, solved.config.n_gaps
+    mean = L / n
     return (
         float(solved.config.positions[-1]),
         solved.delta1 * n / L,
-        float(n * np.max(np.abs(solved.config.gaps - L / n))),
+        float(n * max(gaps.max() - mean, mean - gaps.min())),
     )
 
 

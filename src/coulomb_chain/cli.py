@@ -299,7 +299,7 @@ def _json_parts(value, parts: list) -> list:
         # numpy scalars and other arrays reach ``default``; floats keep their repr
         parts.append(json.dumps(value, default=lambda v: v.tolist(), allow_nan=False))
     else:  # the ValueError json.dumps(allow_nan=False) raises at the first non-finite value
-        json.dumps(value[~(abs(value) < float("inf"))][:1].tolist(), allow_nan=False)
+        json.dumps(value[~np.isfinite(value)][:1].tolist(), allow_nan=False)  # N bools, not N floats
         for start in range(0, len(value), _CSV_CHUNK_LINES):
             parts += [", " if start else "[", value[start:start + _CSV_CHUNK_LINES]]
         parts.append("]" if len(value) else "[]")
@@ -349,12 +349,12 @@ def _params_dict(params: ModelParams) -> dict:
 
 
 def _solution_payload(params: ModelParams, result: FixedPointResult) -> dict:
-    gaps = result.config.gaps
+    config = result.config
     return {
         "params": _params_dict(params),
-        "positions": result.config.positions,
-        "gaps": gaps,
-        "pressures": gaps ** -2.0,  # Configuration.pressures, without a second diff
+        "positions": config.positions,
+        "gaps": config.gaps,
+        "pressures": config.pressures,
         "classification": result.classification.value,
         "delta1": result.delta1,
         "max_residual": result.max_residual,

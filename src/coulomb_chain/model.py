@@ -20,8 +20,11 @@ balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
 the statement dU/dx_k = 0.  The solvers and the descent oracle call these
 three instead of restating them, and both return through
 ``FixedPointResult.from_residuals``, which reads a result's diagnostics off
-``residuals``.  ``ModelParams`` gates the force type and N/L; the uniqueness
-hypothesis (F non-negative, non-increasing) is the shooting solver's check.
+``residuals``.  They read the gaps a ``Configuration`` keeps beside its
+positions, so a solved chain holds two arrays, and its residual pass forms
+one more, the gradient, in place.  ``ModelParams`` gates the force type and
+N/L; the uniqueness hypothesis (F non-negative, non-increasing) is the
+shooting solver's check.
 
 Every type is an immutable value object and every operation a pure function,
 so concurrent use needs no coordination.
@@ -30,7 +33,7 @@ so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -246,44 +249,47 @@ class ModelParams:
 class Configuration:
     """Ordered particle positions x_0 > x_1 > ... > x_N with x_0 <= 0.
 
-    Gaps and pressures are recomputed from positions on every access;
-    positions are the single source of truth.
+    ``positions``, a read-only copy of the caller's data, is the source of
+    truth; ``gaps`` is taken from it once, by the validating pass, and kept
+    read-only beside it.  ``pressures`` are formed on every access, not kept.
+    A solver hands over the fresh array it built with ``_owned`` = True,
+    which freezes that array instead of copying it.
     """
 
     positions: np.ndarray
+    gaps: np.ndarray = field(init=False, repr=False)
+    _owned: InitVar[bool] = False  # a keyword, which perfbench's tracer passes through
 
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
+    def __post_init__(self, _owned):
+        pos = self.positions if _owned else np.array(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size < 2:
             raise ValueError("need a 1-D array of at least two positions")
         # One pass: gaps above 2**-512 (its pressure overflows), finite ends, no NaN.
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails too
-            if not (-np.diff(pos).max() > 2.0 ** -512 and pos[0] <= 0.0 and math.isfinite(pos[-1])):
+            gaps = pos[:-1] - pos[1:]  # -np.diff(pos) bit for bit, as fl(b - a) = -fl(a - b)
+            if not (gaps.min() > 2.0 ** -512 and pos[0] <= 0.0 and math.isfinite(pos[-1])):
                 if not np.all(np.isfinite(pos)):
                     raise ValueError("positions must be finite")
                 if pos[0] > 0.0:
                     raise ValueError(f"right-most particle must satisfy x_0 <= 0, got {pos[0]}")
-                d = -np.diff(pos)
-                if np.any(d == 0.0):
+                if np.any(gaps == 0.0):
                     raise DegenerateConfigurationError("coinciding particles (zero gap)")
-                if np.any(d < 0.0):
+                if np.any(gaps < 0.0):
                     raise ValueError("positions must be strictly decreasing")
                 raise DegenerateConfigurationError("gap too small for a finite pressure")
-        pos.setflags(write=False)
+        for arr in (pos, pos.base, gaps):  # a solver's linspace is a view of its arange
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def n_gaps(self) -> int:
         return self.positions.size - 1
 
     @property
-    def gaps(self) -> np.ndarray:
-        """delta_k = x_{k-1} - x_k, k = 1..N."""
-        return -np.diff(self.positions)
-
-    @property
     def pressures(self) -> np.ndarray:
-        """f_k = delta_k**-2, k = 1..N."""
+        """f_k = delta_k**-2, k = 1..N, formed anew on each access."""
         return self.gaps ** -2.0
 
 
@@ -317,7 +323,7 @@ class FixedPointResult:
 
     @property
     def delta1(self) -> float:
-        return float(self.config.positions[0] - self.config.positions[1])
+        return float(self.config.gaps[0])
 
     @classmethod
     def from_residuals(
@@ -330,12 +336,15 @@ class FixedPointResult:
         """Result with diagnostics read off ``res``, the residuals of ``config``.
 
         ``max_residual`` is the largest interior imbalance, 0 when N = 1
-        leaves no interior particle.
+        leaves no interior particle.  It is taken as max(max r, -min r), with
+        no array of |r|; adding 0.0 turns a -0.0 into the 0.0 that |r| gives.
         """
+        interior = res.interior
+        worst = max(np.max(interior, initial=0.0), -np.min(interior, initial=0.0))
         return cls(
             config=config,
             classification=classification,
-            max_residual=float(np.max(np.abs(res.interior), initial=0.0)),
+            max_residual=float(worst) + 0.0,
             iterations=iterations,
             terminal_slack=res.terminal_slack,
         )
@@ -374,26 +383,32 @@ def energy_gradient(positions, params: ModelParams) -> np.ndarray:
 
     For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
     particles keep only their single interaction term.  ``positions`` may be
-    a Configuration or a plain array (the descent's unvalidated iterates).
+    a Configuration, whose cached gaps are read, or a plain array (the
+    descent's unvalidated iterates).  The pressures f_k are formed in the
+    result itself, at index k, and turned into the gradient in place; a
+    ``Constant`` force is subtracted as a scalar.
     """
-    x = positions.positions if isinstance(positions, Configuration) else np.asarray(positions, dtype=float)
-    fv = np.asarray(params.profile.force_at(x), dtype=float)
-    f = x[:-1] - x[1:]
-    np.power(f, -2.0, out=f)
+    cached = isinstance(positions, Configuration)
+    x = positions.positions if cached else np.asarray(positions, dtype=float)
+    d = positions.gaps if cached else x[:-1] - x[1:]
+    profile = params.profile  # a Constant broadcast: no array of N + 1 equal values
+    fv = np.broadcast_to(profile.value, x.shape) if isinstance(profile, Constant) else profile.force_at(x)
     g = np.empty_like(x)
+    f = np.power(d, -2.0, out=g[1:])
     g[0] = -f[0] - fv[0]
-    np.subtract(f[:-1], f[1:], out=g[1:-1])
+    np.subtract(g[1:-1], g[2:], out=g[1:-1])  # reads f_{i+1} before writing over it
     g[1:-1] -= fv[1:-1]
-    g[-1] = f[-1] - fv[-1]
+    g[-1] -= fv[-1]
     return g
 
 
 def residuals(config: Configuration, params: ModelParams) -> Residuals:
     """Interior force-balance residuals and the terminal slack.
 
-    Both are read off ``energy_gradient``: the interior balance is -dU/dx_k
-    and the slack is dU/dx_N.
+    Both are read off ``energy_gradient``: the interior balance is -dU/dx_k,
+    negated in place, and the slack is dU/dx_N.  So the pass allocates the
+    one gradient array (and the force values of a non-constant profile).
     """
     _check_fits(config, params)
     g = energy_gradient(config, params)
-    return Residuals(interior=-g[1:-1], terminal_slack=float(g[-1]))
+    return Residuals(interior=np.negative(g[1:-1], out=g[1:-1]), terminal_slack=float(g[-1]))

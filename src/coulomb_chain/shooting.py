@@ -283,7 +283,7 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     force_min = _validate_monotone(params.profile, params.L)
     if isinstance(params.profile, Constant):
         positions, label, evaluations = _constant_chain(params, force_min)
-        config = Configuration(positions)
+        config = Configuration(positions, _owned=True)
         return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
     L, n, profile = params.L, params.n_gaps, params.profile
     pressure_scale = (n / L) ** 2
@@ -357,5 +357,5 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         classification = Classification.BOUNDARY_PINNED
     else:
         classification = Classification.INTERIOR
-    config = Configuration(positions)
+    config = Configuration(positions, _owned=True)  # shot or stretched afresh
     return FixedPointResult.from_residuals(config, residuals(config, params), classification, shots)

@@ -24,6 +24,10 @@ admissibility rule, once methods of every force profile.
 ``exact_integral`` integrates a piecewise-linear profile in rational
 arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
 ``Configuration``'s earlier validation, five array passes in a fixed order.
+``diagnostics_by_diff`` reads a chain's gaps, pressures, residuals and phase
+evidence off its positions by the formulas the library used before it took
+the gaps once: ``-np.diff``, ``** -2.0``, the gradient with the force as an
+array, and ``np.max(np.abs(...), initial=0.0)``.
 
 ``phase_density`` gives the limiting density phase by the three per-phase
 formulas that the continuum law replaced, each found from the gap sequences
@@ -417,3 +421,29 @@ def configuration_error(positions) -> Exception | None:
         if not np.all(np.isfinite(d ** -2.0)):
             return DegenerateConfigurationError("gap too small for a finite pressure")
     return None
+
+
+def diagnostics_by_diff(positions, params: ModelParams) -> dict:
+    """Gaps, pressures, residuals and classify_phase evidence, one fresh array per step."""
+    x = np.array(positions, dtype=float)
+    n, L = params.n_gaps, params.L
+    gaps = -np.diff(x)
+    fv = np.asarray(params.profile.force_at(x), dtype=float)
+    f = x[:-1] - x[1:]
+    np.power(f, -2.0, out=f)
+    g = np.empty_like(x)
+    g[0] = -f[0] - fv[0]
+    np.subtract(f[:-1], f[1:], out=g[1:-1])
+    g[1:-1] -= fv[1:-1]
+    g[-1] = f[-1] - fv[-1]
+    interior = -g[1:-1]
+    return {
+        "gaps": gaps,
+        "pressures": gaps ** -2.0,
+        "interior": interior,
+        "terminal_slack": float(g[-1]),
+        "max_residual": float(np.max(np.abs(interior), initial=0.0)),
+        "x_leftmost": float(x[-1]),
+        "delta1_scaled": float(x[0] - x[1]) * n / L,
+        "n_max_gap_dev": float(n * np.max(np.abs(gaps - L / n))),
+    }

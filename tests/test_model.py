@@ -257,6 +257,22 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             c.positions[0] = 5.0
 
+    def test_gaps_are_frozen(self):
+        c = Configuration([0.0, -1.0, -3.0])
+        with pytest.raises(ValueError):
+            c.gaps[0] = 5.0
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_keeps_nothing_of_the_callers_data(self, as_array):
+        x = [0.0, -0.25, -0.75]
+        data = np.array(x) if as_array else list(x)
+        c = Configuration(data)
+        data[1] = -0.5
+        assert c.positions.tolist() == x
+        assert c.gaps.tolist() == [0.25, 0.5]
+        if as_array:
+            assert not np.shares_memory(c.positions, data)
+
     def test_uniform_configuration(self):
         p = ModelParams(L=2.0, n_gaps=4, force=Constant(0.0))
         c = uniform_configuration(p)

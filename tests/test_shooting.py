@@ -14,8 +14,10 @@ from coulomb_chain import (
     MonotonicityViolation,
     NoConvergence,
     PiecewiseLinear,
+    Scaled,
     aux_model_gaps,
     c_critical,
+    classify_phase,
     critical_force_exact,
     residuals,
     shoot,
@@ -24,6 +26,7 @@ from coulomb_chain import (
 from coulomb_chain import shooting
 from reference import (
     bisect_fixed_point,
+    diagnostics_by_diff,
     gaps_constant_force,
     min_on,
     non_increasing_on,
@@ -361,6 +364,86 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(p)
         res = residuals(sol.config, p)
         assert np.max(np.abs(res.interior)) == sol.max_residual
+
+
+def bits(values):
+    """The float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def writable_aliases(arr):
+    """Arrays reachable from ``arr`` through ``base`` that can be written."""
+    out = []
+    while isinstance(arr, np.ndarray):
+        out += [arr] if arr.flags.writeable else []
+        arr = arr.base
+    return out
+
+
+class TestSameBits:
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3000),
+        log_length=st.floats(-3.0, 3.0),
+        kind=st.sampled_from(["zero", "pinned", "interior", "piecewise"]),
+        data=st.data(),
+    )
+    def test_solve_matches_the_earlier_formulas(self, n, log_length, kind, data):
+        # gaps taken once, a scalar force and max(max r, -min r) must give
+        # the bits of -np.diff, a force array and max |r|, signed zeros included
+        L = 10.0 ** log_length
+        f_cr = critical_force_exact(n, L)
+        if kind == "zero":
+            force = Constant(0.0)
+        elif kind == "piecewise":
+            k = data.draw(st.integers(3, 4))
+            inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2, unique=True))
+            xs = [-L, *sorted(-L * u for u in inner), 0.0]
+            hypothesis.assume(all(a < b for a, b in zip(xs, xs[1:])))
+            vs = sorted(data.draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k)), reverse=True)
+            force = PiecewiseLinear([(x, f_cr * v) for x, v in zip(xs, vs)])
+        else:
+            ratio = data.draw(st.floats(0.05, 0.99) if kind == "pinned" else st.floats(1.01, 5.0))
+            force = Scaled(ratio * f_cr / n, 1.0)
+        p = params(n, L, force)
+        solved = solve_fixed_point(p)
+        config = solved.config
+        ref = diagnostics_by_diff(config.positions, p)
+        assert np.array_equal(bits(config.positions), bits(Configuration(config.positions.tolist()).positions))
+        for name in ("gaps", "pressures"):
+            assert np.array_equal(bits(getattr(config, name)), bits(ref[name]))
+        res = residuals(config, p)
+        assert np.array_equal(bits(res.interior), bits(ref["interior"]))
+        for name in ("max_residual", "terminal_slack"):
+            assert bits(getattr(solved, name)) == bits(ref[name])
+        if kind in ("pinned", "interior"):
+            row = classify_phase(p, solved)
+            for name in ("max_residual", "x_leftmost", "delta1_scaled", "n_max_gap_dev"):
+                assert bits(getattr(row, name)) == bits(ref[name])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_zero_max_residual_is_positive_zero(self, n):
+        # the uniform chain balances exactly: every residual is -0.0, as -g gives
+        p = params(n)
+        solved = solve_fixed_point(p)
+        assert np.all(bits(residuals(solved.config, p).interior) == bits(-0.0))
+        assert bits(solved.max_residual) == bits(diagnostics_by_diff(solved.config.positions, p)["max_residual"])
+        assert bits(solved.max_residual) == bits(0.0)
+
+
+class TestNoWritableAlias:
+    @pytest.mark.parametrize("force", [
+        Constant(0.0), Constant(10.0), Constant(1e4), flat(10.0), flat(1e4),
+    ], ids=["uniform", "pinned", "interior", "piecewise-pinned", "piecewise-interior"])
+    def test_a_result_holds_its_arrays_read_only(self, force):
+        config = solve_fixed_point(params(50, 1.0, force)).config
+        assert writable_aliases(config.positions) == []
+        assert writable_aliases(config.gaps) == []
+        assert not np.shares_memory(config.positions, config.gaps)
+        with pytest.raises(ValueError):
+            config.positions[1] = -0.5
+        with pytest.raises(ValueError):
+            config.gaps[0] = 0.5
 
 
 class TestLengthSymmetry:
