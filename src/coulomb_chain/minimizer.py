@@ -5,14 +5,14 @@ energy, with the walls enforced by clamping the end particles into [-L, 0].
 The energy, its gradient and the residuals come from ``model``; this module
 adds the Hessian, the Newton step and the line search.  The energy couples
 only nearest neighbours, so its Hessian is tridiagonal and each Newton step
-is an O(N) LDL^T (Thomas) solve over the free particles; where the Hessian
-is not positive definite (a rising force), a diagonal shift restores a
-descent direction.  It needs no monotonicity from
+is one O(N) LDL^T (Thomas) pass over the free particles, which replaces
+any pivot that is not positive (a rising force) so that the direction is
+one of descent.  It needs no monotonicity from
 the force profile, so it doubles as the oracle for solver verification and
 as the probe for non-monotone profiles where several local minima coexist.
 ``local_minimality_certificate`` certifies a returned point as a strict
 local minimum at O(N) cost: a gradient within tolerance over the particles
-free to move, and positive LDL^T pivots of the Hessian block over them.
+free to move, and no pivot replaced in the LDL^T pass over their Hessian.
 
 ``minimize`` is a pure function of (params, start, settings); the
 multi-start search is seeded and sorts before deduplicating, so its output
@@ -101,34 +101,37 @@ def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.nda
     return diag, -c
 
 
-def _ldl_solve(diag: list, off: list, rhs: list, shift: float) -> list | None:
-    """Solve (T + shift*I) p = rhs for symmetric tridiagonal T by LDL^T.
+def _ldl_solve(diag: list, off: list, rhs: list) -> tuple[list, bool]:
+    """Solve T p = rhs for symmetric tridiagonal T by one LDL^T pass.
 
-    Returns None as soon as a pivot is not positive, i.e. when the shifted
-    matrix is not positive definite.
+    A pivot that is not positive is replaced by its magnitude, floored at
+    1e-3 of its row's absolute sum (infinite where both are zero, which
+    leaves that particle in place), so the solve is with a positive definite
+    matrix (Nocedal & Wright, *Numerical Optimization*, §3.4).  Returns the
+    solution and whether any pivot was replaced.
     """
     n = len(diag)
+    off = [0.0, *off, 0.0]  # off[i] and off[i + 1] flank row i
     pivots = [0.0] * n
     ratios = [0.0] * n
     z = [0.0] * n
-    pivot = diag[0] + shift
-    if not pivot > 0.0:
-        return None
-    pivots[0] = pivot
-    z[0] = rhs[0]
-    for i in range(1, n):
-        r = off[i - 1] / pivot
-        pivot = diag[i] + shift - r * off[i - 1]
+    replaced = False
+    pivot = 1.0  # row 0 sees a zero coupling to it, and z[-1] = 0.0
+    for i in range(n):
+        r = off[i] / pivot
+        pivot = diag[i] - r * off[i]
         if not pivot > 0.0:
-            return None
-        ratios[i - 1] = r
+            row = abs(diag[i]) + abs(off[i]) + abs(off[i + 1])
+            pivot = max(abs(pivot), 1e-3 * row) or np.inf
+            replaced = True
+        ratios[i] = r
         pivots[i] = pivot
         z[i] = rhs[i] - r * z[i - 1]
     # back substitution, in place: z becomes the solution
     z[-1] /= pivots[-1]
     for i in range(n - 2, -1, -1):
-        z[i] = z[i] / pivots[i] - ratios[i] * z[i + 1]
-    return z
+        z[i] = z[i] / pivots[i] - ratios[i + 1] * z[i + 1]
+    return z, replaced
 
 
 def _free_range(x: np.ndarray, g: np.ndarray, L: float, tol: float) -> tuple[int, int]:
@@ -145,21 +148,16 @@ def _free_range(x: np.ndarray, g: np.ndarray, L: float, tol: float) -> tuple[int
 def _newton_direction(x: np.ndarray, g: np.ndarray, slope: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Projected Newton direction: zero outside the free range [lo, hi).
 
-    The diagonal shift starts at zero and, while the factorization fails,
-    doubles from a thousandth of the stiffest coupling 2/d**3, so the
-    direction is always one of descent.
+    One ``_ldl_solve`` pass over the free block of the Hessian, so the
+    direction is always one of descent.  Raises NoConvergence where it is
+    not finite.
     """
     diag, off = _hessian_bands(x, slope)
-    diag_free = diag[lo:hi].tolist()
-    off_free = off[lo:hi - 1].tolist()
-    rhs = (-g[lo:hi]).tolist()
-    shift = 0.0
-    while (p_free := _ldl_solve(diag_free, off_free, rhs, shift)) is None:
-        shift = 2.0 * shift if shift else -1e-3 * float(np.min(off))
-        if not np.isfinite(shift):
-            raise NoConvergence("Hessian is not finite: particles nearly coincide")
+    p_free, _ = _ldl_solve(diag[lo:hi].tolist(), off[lo:hi - 1].tolist(), (-g[lo:hi]).tolist())
     p = np.zeros_like(x)
     p[lo:hi] = p_free
+    if not np.all(np.isfinite(p)):
+        raise NoConvergence("Hessian is not finite: particles nearly coincide")
     return p
 
 
@@ -189,8 +187,8 @@ def minimize(
 
     Each iteration takes a projected Newton step.  An end particle that sits
     on its wall with the gradient pushing it into the wall is held fixed;
-    the tridiagonal Hessian over the other particles, shifted along its
-    diagonal when it is not positive definite, is solved by LDL^T.  The step
+    the tridiagonal Hessian over the other particles is solved in one LDL^T
+    pass that replaces any pivot that is not positive.  The step
     is backtracked by halving from its full length along the wall-clamped
     path until the trial keeps strict ordering and achieves Armijo
     decrease, so the energy is monotone along accepted steps.  The descent
@@ -273,12 +271,12 @@ def local_minimality_certificate(
     An end particle is held when it sits on its wall and the gradient pushes
     it into that wall by more than ``grad_tol``; every other particle is
     free.  The configuration is certified when the max-norm of the gradient
-    over the free particles is at most ``grad_tol`` and every LDL^T pivot of
-    the tridiagonal Hessian over the free particles is positive, i.e. that
-    block is positive definite (Nocedal & Wright, *Numerical Optimization*,
-    Thm 12.6).  With no free particle (N = 1, both ends held) it is
-    certified.  ``grad_tol`` defaults to 10 times
-    ``default_settings(params).grad_tol``, the residual bound
+    over the free particles is at most ``grad_tol`` and ``_ldl_solve``
+    replaces no pivot of the tridiagonal Hessian over them, i.e. every
+    LDL^T pivot is positive and that block is positive definite (Nocedal &
+    Wright, *Numerical Optimization*, Thm 12.6).  With no free particle
+    (N = 1, both ends held) it is certified.  ``grad_tol`` defaults to 10
+    times ``default_settings(params).grad_tol``, the residual bound
     ``multi_start_fixed_points`` accepts.
     """
     if grad_tol is None:
@@ -292,7 +290,8 @@ def local_minimality_certificate(
         return True
     diag, off = _hessian_bands(x, np.asarray(params.profile.slope_at(x), dtype=float))
     zeros = [0.0] * (hi - lo)  # only the pivots matter
-    return _ldl_solve(diag[lo:hi].tolist(), off[lo:hi - 1].tolist(), zeros, 0.0) is not None
+    _, replaced = _ldl_solve(diag[lo:hi].tolist(), off[lo:hi - 1].tolist(), zeros)
+    return not replaced
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,14 @@ row, and ``render_json`` its earlier unchunked JSON renderer: one
 ``json.dumps`` of the whole payload in one process.
 ``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
-2 (N + 1) full energy evaluations.  ``gaps_constant_force`` and
-``aux_model_extent`` restate closed forms that the library only uses
-implicitly (the constant-force shot, the critical force), and
+2 (N + 1) full energy evaluations.  ``ldl_solve_shifted`` and
+``newton_direction_by_shift`` are the descent's earlier Newton step: an
+LDL^T solve that gives up at the first pivot that is not positive, retried
+under a diagonal shift that starts at 1e-3 of the stiffest coupling and
+doubles (Nocedal & Wright, *Numerical Optimization*, Algorithm 3.3).
+``gaps_constant_force`` and ``aux_model_extent`` restate closed forms that
+the library only uses implicitly (the constant-force shot, the critical
+force), and
 ``inverse_sqrt_sum`` is the sum behind the critical force by direct O(N)
 summation.
 ``non_increasing_on`` and ``min_on`` are the shooting solver's earlier
@@ -72,6 +77,7 @@ from coulomb_chain import (
     residuals,
     shoot,
 )
+from coulomb_chain.minimizer import _hessian_bands
 from coulomb_chain.shooting import ShootingOutcome
 
 
@@ -381,6 +387,47 @@ def coordinate_certificate(
     trials = np.tile(x, (i.size, 1))
     trials[np.arange(i.size), i] = xi
     return not np.any(energy_of(trials) < u0 - guard)
+
+
+def ldl_solve_shifted(diag: list, off: list, rhs: list, shift: float) -> list | None:
+    """Solve (T + shift*I) p = rhs by LDL^T, or None at a pivot that is not positive."""
+    n = len(diag)
+    pivots = [0.0] * n
+    ratios = [0.0] * n
+    z = [0.0] * n
+    pivot = diag[0] + shift
+    if not pivot > 0.0:
+        return None
+    pivots[0] = pivot
+    z[0] = rhs[0]
+    for i in range(1, n):
+        r = off[i - 1] / pivot
+        pivot = diag[i] + shift - r * off[i - 1]
+        if not pivot > 0.0:
+            return None
+        ratios[i - 1] = r
+        pivots[i] = pivot
+        z[i] = rhs[i] - r * z[i - 1]
+    z[-1] /= pivots[-1]
+    for i in range(n - 2, -1, -1):
+        z[i] = z[i] / pivots[i] - ratios[i] * z[i + 1]
+    return z
+
+
+def newton_direction_by_shift(x, g, slope, lo: int, hi: int) -> np.ndarray:
+    """Projected Newton direction, the shift doubled until the factorization succeeds."""
+    diag, off = _hessian_bands(x, slope)
+    diag_free = diag[lo:hi].tolist()
+    off_free = off[lo:hi - 1].tolist()
+    rhs = (-g[lo:hi]).tolist()
+    shift = 0.0
+    while (p_free := ldl_solve_shifted(diag_free, off_free, rhs, shift)) is None:
+        shift = 2.0 * shift if shift else -1e-3 * float(np.min(off))
+        if not np.isfinite(shift):
+            raise NoConvergence("Hessian is not finite: particles nearly coincide")
+    p = np.zeros_like(x)
+    p[lo:hi] = p_free
+    return p
 
 
 def exact_integral(profile: PiecewiseLinear, a: float, b: float) -> Fraction:

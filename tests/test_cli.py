@@ -407,6 +407,14 @@ class TestNonuniqueCommand:
         assert len(payload["minima"]) == payload["distinct_count"]
         assert payload["minima"][0]["energy"] <= payload["minima"][-1]["energy"]
 
+    def test_n_101_at_c_32_converges(self, capsys):
+        # A descent stalled here, 298 steps in, under the doubling diagonal shift.
+        code, out = run_cli(capsys, "nonunique", "--n", "101", "--c-grid", "32")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["c_found"] == 32.0
+        assert payload["distinct_count"] >= 2
+
 
 class RecordingNamespace(argparse.Namespace):
     """Parsed arguments that record every name read from them in ``reads``."""

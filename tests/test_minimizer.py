@@ -1,6 +1,8 @@
 """Descent oracle: gradient, Hessian, convergence, certificates, multi-start."""
 
 import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from coulomb_chain import (
     uniform_configuration,
 )
 from coulomb_chain import minimizer
-from coulomb_chain.minimizer import _hessian_bands
-from reference import coordinate_certificate
+from coulomb_chain.minimizer import _hessian_bands, _ldl_solve
+from reference import coordinate_certificate, ldl_solve_shifted, newton_direction_by_shift
 
 
 def random_interior_config(rng, n, L=1.0, fill=0.85):
@@ -426,3 +428,134 @@ class TestMultiStart:
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.config.positions, rb.config.positions)
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``: equal bits, signed zeros and NaNs included."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """Symmetric tridiagonal (diag, off, rhs) with 1 to 60 rows, definite or not."""
+    n = draw(st.integers(1, 60))
+    entries = st.floats(-100.0, 100.0)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    rhs = draw(st.lists(entries, min_size=n, max_size=n))
+    if draw(st.booleans()):  # strictly diagonally dominant, so positive definite
+        pad = [0.0, *off, 0.0]
+        diag = [abs(d) + abs(pad[i]) + abs(pad[i + 1]) + 1.0 for i, d in enumerate(diag)]
+    return diag, off, rhs
+
+
+@st.composite
+def monotone_descents(draw):
+    """A non-increasing force, Constant or 3-4-node piecewise, and a jittered start."""
+    n = draw(st.integers(2, 400))
+    L = 10.0 ** draw(st.floats(-3.0, 3.0))
+    scale = draw(st.floats(0.0, 3.0)) * critical_force_exact(n, L)
+    n_nodes = draw(st.sampled_from([1, 3, 4]))
+    if n_nodes == 1:
+        force = Constant(scale)
+    else:
+        inner = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n_nodes - 2,
+                                     max_size=n_nodes - 2, unique=True)))
+        values = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=n_nodes,
+                                      max_size=n_nodes)), reverse=True)
+        xs = [-L, *(-L * (1.0 - t) for t in inner), 0.0]
+        force = PiecewiseLinear([(x, v * scale) for x, v in zip(xs, values)])
+    x = np.linspace(0.0, -L, n + 1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    x[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 1) * L / n
+    return ModelParams(L=L, n_gaps=n, force=force), Configuration(x)
+
+
+def descend(params, start):
+    """The positions' bits, label and step count of a descent, or its NoConvergence state."""
+    try:
+        r = minimize(params, start)
+    except NoConvergence as e:
+        return ("stalled", e.iterations, e.grad_norm)
+    return (bits(r.config.positions).tolist(), r.classification, r.iterations)
+
+
+class TestOnePassDirection:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(system=tridiagonal_systems())
+    @hypothesis.example(system=([1.0, 1.0], [1.0], [0.0, 1.0]))  # singular: second pivot 0.0
+    def test_matches_the_shifted_solve_where_it_needed_no_shift(self, system):
+        diag, off, rhs = system
+        p, replaced = _ldl_solve(diag, off, rhs)
+        reference = ldl_solve_shifted(diag, off, rhs, 0.0)
+        if reference is not None:
+            assert not replaced
+            np.testing.assert_array_equal(bits(p), bits(reference))
+        else:
+            assert replaced
+        # a descent direction: rhs . p > 0, taken exactly
+        if any(rhs) and all(np.isfinite(p)):
+            assert sum(Fraction(b) * Fraction(q) for b, q in zip(rhs, p)) > 0
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(case=monotone_descents())
+    def test_monotone_descents_match_the_shifted_descent(self, case):
+        params, start = case
+        one_pass = descend(params, start)
+        with mock.patch.object(minimizer, "_newton_direction", newton_direction_by_shift):
+            assert descend(params, start) == one_pass
+
+    def test_one_factorization_per_direction_on_a_tent_descent(self, monkeypatch):
+        newton_direction = minimizer._newton_direction
+        solves, directions = [], []  # directions[k]: solves made before direction k
+
+        def counting_solve(diag, off, rhs):
+            p, replaced = _ldl_solve(diag, off, rhs)
+            solves.append(replaced)
+            return p, replaced
+
+        def counting_direction(*args):
+            directions.append(len(solves))
+            return newton_direction(*args)
+
+        monkeypatch.setattr(minimizer, "_ldl_solve", counting_solve)
+        monkeypatch.setattr(minimizer, "_newton_direction", counting_direction)
+        params = nonuniqueness_params(1.0, 2.0, 8.0, 51)
+        start = minimizer._stratified_start(params, 26, -1.0, np.random.default_rng(0))
+        minimize(params, start)
+        assert directions == list(range(len(directions)))
+        assert len(solves) == len(directions) > 0
+        assert any(solves)  # the tent's rising side made some pivot not positive
+
+    @pytest.mark.parametrize("c", [4.0, 8.0])
+    def test_tent_descents_at_n_401_stay_short(self, c, monkeypatch):
+        # With the doubling shift the longest of these descents took 16,351
+        # (c = 4) and 2,950 (c = 8) steps.
+        steps = []
+
+        def recording_minimize(params, start, settings=None):
+            result = minimize(params, start, settings)
+            steps.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(minimizer, "minimize", recording_minimize)
+        params = nonuniqueness_params(1.0, 2.0, c, 401)
+        for seed in range(3):
+            multi_start_fixed_points(params, 8, default_settings(params, seed))
+        assert len(steps) == 24
+        assert max(steps) <= 270
+
+    def test_a_hessian_that_underflows_to_zero_stalls(self):
+        # 2/d**3 is 0.0 for gaps near 1e150, so the free particle's row is
+        # zero; the shifted descent doubled a zero shift forever here.
+        p = ModelParams(L=1e150, n_gaps=2, force=Constant(0.0))
+        start = Configuration([0.0, -0.3e150, -1e150])
+        with pytest.raises(NoConvergence, match="line search stalled"):
+            minimize(p, start)
+        assert not local_minimality_certificate(start, p, 1.0)
+
+    def test_certificate_rejects_an_overflowing_hessian_without_raising(self):
+        p = ModelParams(L=1.0, n_gaps=3, force=Constant(1.0))
+        config = Configuration([-1e-200, -1e-120, -0.5, -1.0])
+        with pytest.warns(RuntimeWarning):
+            assert not local_minimality_certificate(config, p, 1e300)
