@@ -23,6 +23,13 @@ slope (c/2) N**(gamma-1) with unit mass, which leaves four phases:
 * gamma = 1 beyond: detached, the line reaches zero at an edge -l with unit
   mass rho(0) l / 2 = 1, so rho(0) = sqrt(c) and l = 2/sqrt(c);
 * gamma > 1: the slope diverges and all mass collapses to the origin.
+
+The floats that reach output are formed with + - * / and sqrt alone, which
+IEEE 754 rounds correctly on every platform and at every SIMD width: the
+gaps as 1 / sqrt(f), the terms of Z as reciprocal square roots and their
+products and quotients, summed by ``math.fsum``, and the critical force as
+a product.  No pow, numpy's or the platform libm's, reaches output, so the
+bytes do not depend on numpy's SIMD dispatch or on the libm.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ def aux_model_gaps(F: float, n: int, u: float = 1.0) -> np.ndarray:
 
     With no left wall the terminal pressure must equal the force, so
     f_k = (n-k+1) F and delta_k = ((n-k+1) F)**-0.5.  A terminal pressure
-    u F, u >= 1, gives the pinned gaps ((u + n - k) F)**-0.5.
+    u F, u >= 1, gives the pinned gaps ((u + n - k) F)**-0.5.  Each is
+    formed as 1 / sqrt(f), within 2 ulp of numpy's pow.
     """
     if not (F > 0.0):
         raise ValueError(f"half-line model needs F > 0, got {F}")
@@ -67,7 +75,8 @@ def aux_model_gaps(F: float, n: int, u: float = 1.0) -> np.ndarray:
     f = np.arange(n, 0, -1, dtype=float)
     f += u - 1.0
     f *= F
-    return np.power(f, -0.5, out=f)
+    np.sqrt(f, out=f)
+    return np.divide(1.0, f, out=f)
 
 
 def shifted_inverse_sqrt_sum(u: float, n: int) -> float:
@@ -80,13 +89,17 @@ def shifted_inverse_sqrt_sum(u: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    terms = [(u + i) ** -0.5 for i in range(min(n, 16))]
+    terms = [1.0 / math.sqrt(u + i) for i in range(min(n, 16))]
     if n > 16:
         a, b = u + 16, u + n
-        terms += [2.0 * (n - 16) / (math.sqrt(a) + math.sqrt(b)), 0.5 * (a ** -0.5 - b ** -0.5)]
-        # sum_k B_2k / (2k)! f^(2k-1)(x), k = 1..4, taken as g(b) - g(a)
-        terms += [sign * (-x ** -1.5 / 24.0 + x ** -3.5 / 384.0 - x ** -5.5 / 1024.0
-                          + 143.0 * x ** -7.5 / 163840.0) for x, sign in ((b, 1.0), (a, -1.0))]
+        ra, rb = 1.0 / math.sqrt(a), 1.0 / math.sqrt(b)
+        terms += [2.0 * (n - 16) / (math.sqrt(a) + math.sqrt(b)), 0.5 * (ra - rb)]
+        # sum_k B_2k / (2k)! f^(2k-1)(x), k = 1..4, taken as g(b) - g(a),
+        # with t = x**-1.5 and w = x**-2
+        for x, r, sign in ((b, rb, 1.0), (a, ra, -1.0)):
+            t, w = r / x, 1.0 / x / x
+            terms.append(sign * (-t / 24.0 + t * w / 384.0 - t * w * w / 1024.0
+                                 + 143.0 * t * w * w * w / 163840.0))
     return math.fsum(terms)
 
 
@@ -100,7 +113,7 @@ def _finite_in_length(formula, L: float) -> float:
     _check_length(L)
     try:
         value = formula(L)
-    except (OverflowError, ZeroDivisionError):  # ** overflows, L * L underflows
+    except ZeroDivisionError:  # L * L underflows; an overflow is inf already
         value = math.inf
     if value < 2.0 ** -1022:  # subnormal or 0: L * L overflows, (Z/L)**2 underflows
         raise ValueError(f"segment length too long for a normal critical force, got {L}")
@@ -111,7 +124,12 @@ def _finite_in_length(formula, L: float) -> float:
 
 def critical_force_exact(n: int, L: float) -> float:
     """Exact wall-departure force (Z(1, n) / L)**2; F equal to it is pinned (the tie rule)."""
-    return _finite_in_length(lambda L: (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2, L)
+
+    def formula(L):
+        root = shifted_inverse_sqrt_sum(1.0, n) / L
+        return root * root
+
+    return _finite_in_length(formula, L)
 
 
 def c_critical(L: float) -> float:

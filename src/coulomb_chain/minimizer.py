@@ -14,6 +14,12 @@ as the probe for non-monotone profiles where several local minima coexist.
 local minimum at O(N) cost: a gradient within tolerance over the particles
 free to move, and no pivot replaced in the LDL^T pass over their Hessian.
 
+The Hessian's couplings 2/d**3 are formed as 2 (1/d)**3 by a divide and
+products, and the Armijo test's directional derivative as numpy's own sum
+of g * move, not a BLAS dot product, whose bits depend on the kernel
+OpenBLAS picks for the CPU.  With the model's + - * / and sqrt, a descent's
+bytes depend on its inputs alone.
+
 ``minimize`` is a pure function of (params, start, settings); the
 multi-start search is seeded and sorts before deduplicating, so its output
 does not depend on evaluation order.
@@ -82,9 +88,9 @@ def default_settings(params: ModelParams, seed: int = 0) -> MinimizeSettings:
     L, n = params.L, params.n_gaps
     scale = L / n
     push = max(0.0, params.profile.integral_between(-L, 0.0))
-    pressure = (1.0 + scale * push) / scale ** 2
+    pressure = (1.0 + scale * push) / (scale * scale)
     rounding_floor = 4.0 * np.finfo(float).eps * n * pressure
-    return MinimizeSettings(grad_tol=max(1e-10 / scale ** 2, rounding_floor), seed=seed)
+    return MinimizeSettings(grad_tol=max(1e-10 / (scale * scale), rounding_floor), seed=seed)
 
 
 def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +100,8 @@ def _hessian_bands(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.nda
     particles and -2/d**3 to the entry coupling them; the external work adds
     -F'(x_i) to the diagonal.
     """
-    c = 2.0 * (x[:-1] - x[1:]) ** -3.0
+    r = 1.0 / (x[:-1] - x[1:])
+    c = 2.0 * r * r * r
     diag = -np.asarray(slope, dtype=float)
     diag[:-1] += c
     diag[1:] += c
@@ -245,7 +252,7 @@ def minimize(
                 )
             if np.all(trial[:-1] > trial[1:]):
                 du = _delta_energy(x, trial, profile)
-                if du <= _ARMIJO * float(g @ move):
+                if du <= _ARMIJO * float(np.sum(g * move)):
                     break
             t *= 0.5
         x = trial

@@ -14,6 +14,14 @@ Derived quantities follow the same conventions everywhere:
 * pressure   f_k     = delta_k**-2
 * energy     U = sum_k 1/delta_k - sum_i integral_{-L}^{x_i} F(x) dx
 
+A pressure is formed as (1 / delta_k)**2, a divide and a product, which
+IEEE 754 rounds correctly at every SIMD width, so the output bytes do not
+depend on numpy's dispatch; 1 / (delta_k * delta_k) would round the product
+into the subnormals for the gaps below 2**-511 that ``ModelParams`` admits.
+The one pow left is the input's own, ``Scaled``'s c * N**gamma, which a
+libm within 1 ulp returns exactly wherever N**gamma is a float, as at
+gamma = 1.
+
 This module is the only one that writes U down.  ``energy`` evaluates it,
 ``energy_gradient`` differentiates it, and ``residuals`` reads the force
 balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
@@ -289,8 +297,9 @@ class Configuration:
 
     @property
     def pressures(self) -> np.ndarray:
-        """f_k = delta_k**-2, k = 1..N, formed anew on each access."""
-        return self.gaps ** -2.0
+        """f_k = delta_k**-2, k = 1..N, formed anew on each access as (1 / delta_k)**2."""
+        f = np.divide(1.0, self.gaps)
+        return np.multiply(f, f, out=f)
 
 
 class Residuals(NamedTuple):
@@ -384,9 +393,10 @@ def energy_gradient(positions, params: ModelParams) -> np.ndarray:
     For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
     particles keep only their single interaction term.  ``positions`` may be
     a Configuration, whose cached gaps are read, or a plain array (the
-    descent's unvalidated iterates).  The pressures f_k are formed in the
-    result itself, at index k, and turned into the gradient in place; a
-    ``Constant`` force is subtracted as a scalar.
+    descent's unvalidated iterates).  The pressures f_k, (1 / delta_k)**2 as
+    in ``Configuration.pressures``, are formed in the result itself, at
+    index k, and turned into the gradient in place; a ``Constant`` force is
+    subtracted as a scalar.
     """
     cached = isinstance(positions, Configuration)
     x = positions.positions if cached else np.asarray(positions, dtype=float)
@@ -394,7 +404,8 @@ def energy_gradient(positions, params: ModelParams) -> np.ndarray:
     profile = params.profile  # a Constant broadcast: no array of N + 1 equal values
     fv = np.broadcast_to(profile.value, x.shape) if isinstance(profile, Constant) else profile.force_at(x)
     g = np.empty_like(x)
-    f = np.power(d, -2.0, out=g[1:])
+    f = np.divide(1.0, d, out=g[1:])
+    np.multiply(f, f, out=f)
     g[0] = -f[0] - fv[0]
     np.subtract(g[1:-1], g[2:], out=g[1:-1])  # reads f_{i+1} before writing over it
     g[1:-1] -= fv[1:-1]

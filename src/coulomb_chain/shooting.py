@@ -23,6 +23,11 @@ MonotonicityViolation for a profile that rises or goes negative on [-L, 0].
 of a ``PiecewiseLinear`` profile (constant F as the flat [(-L, F), (0, F)]);
 ``solve_fixed_point`` builds a ``Constant`` one's chain in closed form.
 
+A shot forms its first pressure as (1 / delta_1)**2 and each step as
+1 / sqrt(f), and the search's scales as products and 1 / sqrt: + - * / and
+sqrt, which IEEE 754 rounds correctly everywhere, so a solve's bytes depend
+on its inputs alone, not on the platform's libm pow.
+
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
 most about 2 N eps times the largest pressure, pinned and interior alike.
@@ -88,16 +93,21 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
 
     Only a ``PiecewiseLinear`` profile is shot (TypeError otherwise).
     Pressure collapse (some f_k <= 0) is a normal outcome, reported as an
-    outcome with no positions; only ``delta1 <= 0`` is an error.
+    outcome with no positions; ``delta1 <= 0`` is an error, and so is a
+    ``delta1`` below about 2**-512, whose pressure is not finite.
     """
     if not (delta1 > 0.0):
         raise ValueError(f"first gap must be positive, got {delta1}")
     profile, n, delta1 = params.profile, params.n_gaps, float(delta1)
     if not isinstance(profile, PiecewiseLinear):
         raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
-    f = delta1 ** -2.0
+    r = 1.0 / delta1
+    f = r * r
     if not f > 0.0:
         return ShootingOutcome(None, None)
+    if f == math.inf:
+        raise ValueError(f"first gap {delta1} too small for a finite pressure")
+    sqrt = math.sqrt
     x = -delta1
     positions = [0.0, x]
     k = 1
@@ -106,7 +116,7 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
             f -= v0 + s * (x - x0)
             if f <= 0.0:
                 return ShootingOutcome(None, None)
-            x -= f ** -0.5
+            x -= 1.0 / sqrt(f)
             positions.append(x)
             k += 1
     pos = np.array(positions)
@@ -130,9 +140,11 @@ def _lean_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, floa
 
     Keeps no positions, and returns None where ``shoot`` collapses.
     """
-    f = delta1 ** -2.0
+    r = 1.0 / delta1
+    f = r * r
     if not f > 0.0:
         return None
+    sqrt = math.sqrt
     # e = df / 2 saves a product per step; halving is exact, so df is unchanged
     x, dx, e = -delta1, -1.0, -f / delta1
     steps = iter(range(1, n))  # shared by the pieces, like shoot's k
@@ -144,7 +156,7 @@ def _lean_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, floa
                 if f <= 0.0:
                     return None
                 e -= half_s * dx
-                g = f ** -0.5
+                g = 1.0 / sqrt(f)
                 x -= g
                 dx += g * g * g * e
                 if x < left:
@@ -217,7 +229,8 @@ def _constant_chain(params: ModelParams, F: float) -> tuple[np.ndarray, Classifi
     target = L * math.sqrt(F)
     if target < math.sqrt(n * np.finfo(float).eps):
         return np.linspace(0.0, -L, n + 1), Classification.BOUNDARY_PINNED, 0
-    pinned = F <= (shifted_inverse_sqrt_sum(1.0, n) / L) ** 2
+    root = shifted_inverse_sqrt_sum(1.0, n) / L
+    pinned = F <= root * root
     s, u, evaluations = n / target, 1.0, 0
     if pinned:
         u, hi = max(1.0, s * s - (n - 1)), s * s
@@ -286,9 +299,9 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         config = Configuration(positions, _owned=True)
         return FixedPointResult.from_residuals(config, residuals(config, params), label, evaluations)
     L, n, profile = params.L, params.n_gaps, params.profile
-    pressure_scale = (n / L) ** 2
+    pressure_scale = (n / L) * (n / L)
     # no F(x_k) is smaller than F(0), x_k <= 0; N F(0) may overflow to inf
-    force_bound = (n * force_min) ** -0.5 if force_min > 0.0 else math.inf
+    force_bound = 1.0 / math.sqrt(n * force_min) if force_min > 0.0 else math.inf
     hi = min(L / n, force_bound) * (1.0 + 1e-9)
     if _TINY_DELTA1 >= hi:
         bound = f"L/N = {L / n}" if L / n <= force_bound else f"N F(0) = {n * force_min}"

@@ -8,7 +8,8 @@ refined to float exhaustion on the pinned branch, where only the last
 position is snapped to -L; it shoots constant force with ``shoot_constant``,
 which the library no longer has.  ``shoot_constant`` is the constant-force
 shot as first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
-the piecewise shot as first written, one segment lookup per particle.  ``render_csv_rows`` is
+the piecewise shot as first written, one segment lookup per particle, with
+the library's step 1 / sqrt(f).  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
 row, and ``render_json`` its earlier unchunked JSON renderer: one
 ``json.dumps`` of the whole payload in one process.
@@ -31,8 +32,9 @@ arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
 ``Configuration``'s earlier validation, five array passes in a fixed order.
 ``diagnostics_by_diff`` reads a chain's gaps, pressures, residuals and phase
 evidence off its positions by the formulas the library used before it took
-the gaps once: ``-np.diff``, ``** -2.0``, the gradient with the force as an
-array, and ``np.max(np.abs(...), initial=0.0)``.
+the gaps once: ``-np.diff``, the pressure as ``(1 / d)**2`` (as the library
+forms it), the gradient with the force as an array, and
+``np.max(np.abs(...), initial=0.0)``.
 
 ``phase_density`` gives the limiting density phase by the three per-phase
 formulas that the continuum law replaced, each found from the gap sequences
@@ -313,7 +315,7 @@ def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shooting
     by = profile.values.tolist()
     slopes = profile.slopes.tolist()
     j = len(bx) - 2
-    f = delta1 ** -2.0
+    f = (1.0 / delta1) * (1.0 / delta1)
     if not f > 0.0:
         return ShootingOutcome(None, None)
     x = -delta1
@@ -328,7 +330,7 @@ def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shooting
         f -= fv
         if f <= 0.0:
             return ShootingOutcome(None, None)
-        x -= f ** -0.5
+        x -= 1.0 / math.sqrt(f)
         positions.append(x)
     pos = np.array(positions)
     return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
@@ -476,8 +478,8 @@ def diagnostics_by_diff(positions, params: ModelParams) -> dict:
     n, L = params.n_gaps, params.L
     gaps = -np.diff(x)
     fv = np.asarray(params.profile.force_at(x), dtype=float)
-    f = x[:-1] - x[1:]
-    np.power(f, -2.0, out=f)
+    f = 1.0 / (x[:-1] - x[1:])
+    f *= f
     g = np.empty_like(x)
     g[0] = -f[0] - fv[0]
     np.subtract(f[:-1], f[1:], out=g[1:-1])
@@ -486,7 +488,7 @@ def diagnostics_by_diff(positions, params: ModelParams) -> dict:
     interior = -g[1:-1]
     return {
         "gaps": gaps,
-        "pressures": gaps ** -2.0,
+        "pressures": (1.0 / gaps) ** 2,
         "interior": interior,
         "terminal_slack": float(g[-1]),
         "max_residual": float(np.max(np.abs(interior), initial=0.0)),

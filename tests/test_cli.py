@@ -885,6 +885,40 @@ def test_a_reader_that_stops_early_ends_the_run_quietly(fmt):
     assert (proc.wait(timeout=60), errors) == (1, b"")
 
 
+def dispatch_off_env(env):
+    """``env`` with numpy's SIMD dispatch above its baseline off and OpenBLAS on its oldest x86-64 kernel.
+
+    The names come from numpy's runtime report, limited to the features this
+    CPU has, which are the only ones numpy lets a process disable.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    off = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(off), "OPENBLAS_CORETYPE": "Prescott"}
+
+
+@pytest.mark.parametrize("command", [
+    "solve --n 100000 --force 1e6",
+    "solve --n 20000 --force-piecewise=-1:4e4,-0.5:2e4,0:5e3",
+    "oracle --n 2000 --force-scaled 8,1",
+    "critical --n 1000000",
+])
+def test_output_bytes_do_not_depend_on_simd_dispatch(command):
+    # Every float that reaches output is formed with + - * / and sqrt, which
+    # IEEE 754 rounds correctly at every SIMD width, and the one reduction of
+    # the descent is numpy's own sum, not a BLAS dot product.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "coulomb_chain.cli", *command.split()]
+    default = subprocess.run(argv, env=env, capture_output=True, check=True)
+    baseline = subprocess.run(argv, env=dispatch_off_env(env), capture_output=True, check=True)
+    assert (default.stderr, baseline.stderr) == (b"", b"")
+    assert default.stdout == baseline.stdout
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
     # scipy is a test reference only: importing its LAPACK from the package
     # would double the peak memory of every coulomb-chain process.  Output is

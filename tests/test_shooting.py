@@ -85,6 +85,11 @@ class TestShoot:
         # a first gap whose pressure underflows to 0 has collapsed already
         assert shoot(1e200, p) == (None, None)
 
+    def test_a_first_gap_whose_pressure_overflows_is_rejected(self):
+        # (1 / delta_1)**2 is inf below about 2**-512
+        with pytest.raises(ValueError, match="too small for a finite pressure"):
+            shoot(1e-200, params(3, force=flat(1.0)))
+
     def test_collapse_reports_smallest_index_piecewise(self):
         f = PiecewiseLinear([(-1.0, 5.0), (0.0, 5.0)])
         p = params(5, force=f)
@@ -429,6 +434,31 @@ class TestSameBits:
         assert np.all(bits(residuals(solved.config, p).interior) == bits(-0.0))
         assert bits(solved.max_residual) == bits(diagnostics_by_diff(solved.config.positions, p)["max_residual"])
         assert bits(solved.max_residual) == bits(0.0)
+
+
+def ulps(a, b):
+    """Largest distance in units in the last place between two arrays of positive floats."""
+    return int(np.max(np.abs(bits(a).astype(np.int64) - bits(b).astype(np.int64)), initial=0))
+
+
+class TestWithinTwoUlpOfPow:
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 10 ** 5),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.05, 5.0),
+        log_u=st.floats(0.0, 12.0),
+    )
+    def test_constant_force_gaps_and_pressures(self, n, log_length, ratio, log_u):
+        # 1 / sqrt(f) and (1 / d)**2 against the np.power forms they replaced,
+        # on an interior (u = 1) and a pinned (u > 1) terminal pressure u F
+        L = 10.0 ** log_length
+        F = ratio * critical_force_exact(n, L)
+        for u in (1.0, 10.0 ** log_u):
+            f = (np.arange(n, 0, -1, dtype=float) + (u - 1.0)) * F
+            assert ulps(aux_model_gaps(F, n, u), np.power(f, -0.5)) <= 2
+        config = solve_fixed_point(params(n, L, Constant(F))).config
+        assert ulps(config.pressures, np.power(config.gaps, -2.0)) <= 2
 
 
 class TestNoWritableAlias:
