@@ -17,19 +17,12 @@ renormalized external force, by three complementary routes:
 physics: the energy, its gradient and the force-balance residuals read off
 that gradient, which every route calls.
 
-:mod:`coulomb_chain.analysis` turns solutions into densities, classified
-sweep rows and convergence tables, and :mod:`coulomb_chain.cli` exposes everything as the
+:mod:`coulomb_chain.analysis` turns solutions into densities and classified
+sweep rows, and :mod:`coulomb_chain.cli` exposes everything as the
 ``coulomb-chain`` command.
 """
 
-from .analysis import (
-    ConvergenceRow,
-    SweepRow,
-    classify_phase,
-    convergence_study,
-    histogram,
-    sweep,
-)
+from .analysis import SweepRow, classify_phase, histogram, sweep
 from .closed_form import (
     Phase,
     asymptotic_density,
@@ -74,7 +67,6 @@ __all__ = [
     "Classification",
     "Configuration",
     "Constant",
-    "ConvergenceRow",
     "CoulombChainError",
     "DegenerateConfigurationError",
     "FixedPointResult",
@@ -91,7 +83,6 @@ __all__ = [
     "aux_model_gaps",
     "c_critical",
     "classify_phase",
-    "convergence_study",
     "critical_force_exact",
     "default_settings",
     "energy",

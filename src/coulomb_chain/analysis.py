@@ -1,30 +1,28 @@
-"""Empirical densities, phase classification, sweeps and convergence studies.
+"""Empirical densities, phase classification and sweeps.
 
 Connects finite-N solver output to the asymptotic predictions: histograms
 estimate the particle density, a small set of documented evidence thresholds
 maps a solved chain onto one of the four density phases in a sweep row, and
-the sweep / convergence helpers produce flat, deterministic tables for the CLI.
+the sweep produces flat, deterministic tables for the CLI: every row is a
+function of its grid point alone.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import Phase, asymptotic_density
 from .errors import CoulombChainError
-from .model import Configuration, Constant, FixedPointResult, ModelParams, Scaled
+from .model import Configuration, FixedPointResult, ModelParams, Scaled
 from .shooting import solve_fixed_point
 
 __all__ = [
-    "ConvergenceRow",
     "DensityHistogram",
     "SweepRow",
     "classify_phase",
-    "convergence_study",
     "histogram",
     "sweep",
 ]
@@ -95,7 +93,7 @@ def classify_phase(params: ModelParams, solved: FixedPointResult) -> SweepRow:
     thresholds are the module-level heuristics, and near-threshold evidence
     sets the ``ambiguous`` flag instead of being resolved.  ``sup_deviation``
     compares the prediction with ``histogram``'s default of round(sqrt(N))
-    bins.  The result is the point's ``sweep`` row, with no ``seconds``.
+    bins.  The result is the point's ``sweep`` row.
     """
     if not isinstance(params.force, Scaled):
         raise TypeError("phase classification needs a force declared as Scaled(c, gamma)")
@@ -161,7 +159,6 @@ class SweepRow:
     sup_deviation: float | None = None
     iterations: int | None = None
     max_residual: float | None = None
-    seconds: float | None = None
     error: str | None = None
 
 
@@ -171,48 +168,14 @@ def sweep(grid) -> list[SweepRow]:
     Each point is one ``solve_fixed_point`` (the search-free constant-force
     route) and one ``classify_phase`` (round(sqrt(N)) histogram bins).  Rows
     come back in grid order; a failing point records its error and the
-    sweep continues.  Everything except the ``seconds`` timing column is a
-    deterministic function of the grid.
+    sweep continues.  Every row is a deterministic function of its point.
     """
     rows: list[SweepRow] = []
     for n, L, c, gamma in grid:
         point = dict(n_gaps=int(n), L=float(L), c=float(c), gamma=float(gamma))
-        t0 = time.perf_counter()
         try:
             params = ModelParams(L=float(L), n_gaps=int(n), force=Scaled(c=c, gamma=gamma))
-            row = classify_phase(params, solve_fixed_point(params))
-            rows.append(replace(row, seconds=time.perf_counter() - t0))
+            rows.append(classify_phase(params, solve_fixed_point(params)))
         except (CoulombChainError, ValueError, TypeError) as exc:
-            rows.append(
-                SweepRow(
-                    **point,
-                    seconds=time.perf_counter() - t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return rows
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_gaps: int
-    x_leftmost: float
-    delta1_scaled: float
-    n_max_gap_dev: float
-
-
-def convergence_study(c: float, gamma: float, L: float, n_list) -> list[ConvergenceRow]:
-    """Track solver output across increasing N for one force scaling.
-
-    ``c = 0`` is accepted and means zero force.  The columns are the inputs
-    for monotone-convergence assertions: the wall distance of the left
-    particle, the scaled first gap, and N times the worst gap deviation from
-    uniform spacing.
-    """
-    rows = []
-    for n in n_list:
-        n = int(n)
-        force = Constant(0.0) if c == 0.0 else Scaled(c=c, gamma=gamma)
-        params = ModelParams(L=L, n_gaps=n, force=force)
-        rows.append(ConvergenceRow(n, *_evidence(solve_fixed_point(params), L)))
+            rows.append(SweepRow(**point, error=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -21,8 +21,9 @@ counts (none is needed under constant force); a descent at
 steps.  ``oracle`` descends from the uniform chain; ``nonunique`` runs 8
 stratified starts per coupling, jittered by ``--seed``.  ``sweep``
 classifies each point on round(sqrt(N)) histogram bins; only ``density``
-takes ``--bins``.  The ``sweep`` and ``converge`` columns are the fields of
-``SweepRow`` and ``ConvergenceRow``, in order.
+takes ``--bins``.  ``converge`` is a ``sweep`` over its N list at one
+(L, c, gamma), so both tables have the fields of ``SweepRow`` as columns,
+in order, and every row is a function of its grid point.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import tempfile
 import numpy as np
 import orjson
 
-from .analysis import ConvergenceRow, SweepRow, convergence_study, histogram, sweep
+from .analysis import SweepRow, histogram, sweep
 from .closed_form import Phase, asymptotic_density, c_critical, critical_force_exact
 from .errors import CoulombChainError
 from .minimizer import (
@@ -140,15 +141,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "converge", parents=[length, output], help="solver output across increasing N"
+        "converge", parents=[length, output], help="sweep of one (L, c, gamma) over increasing N"
     )
-    p.add_argument("--c", type=float, required=True, help="force coefficient (0 means no force)")
+    p.add_argument("--c", type=float, required=True, help="force coefficient")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--n-list", required=True, metavar="N1,N2,...")
 
     sub.add_parser("oracle", parents=solver, help="projected Newton energy minimization")
 
-    p = sub.add_parser("nonunique", parents=[output], help="multi-start search on the tent profile")
+    p = sub.add_parser(
+        "nonunique", parents=[output], help="multi-start search on the tent profile; counts are lower bounds"
+    )
     p.add_argument("--a", type=float, default=1.0, help="peak value of the base force")
     p.add_argument("--b", type=float, default=2.0, help="left slope parameter (b > a)")
     p.add_argument("--n", type=int, default=51)
@@ -431,12 +434,19 @@ def _cmd_density(args):
     return payload, table
 
 
-def _rows_table(row_type, rows):
-    """Payload and CSV table of analysis rows, one column per dataclass field."""
-    header = [f.name for f in dataclasses.fields(row_type)]
+def _sweep_table(grid):
+    """Payload and CSV table of a grid's sweep rows, one column per ``SweepRow`` field."""
+    rows = sweep(grid)
+    header = [f.name for f in dataclasses.fields(SweepRow)]
     columns = [[getattr(r, name) for r in rows] for name in header]
     payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
     return payload, lambda: (header, columns)
+
+
+def _grid_n(n: float) -> int:
+    if not n.is_integer():
+        raise ValueError(f"grid point N must be an integer, got {n}")
+    return int(n)
 
 
 def _cmd_sweep(args):
@@ -446,15 +456,13 @@ def _cmd_sweep(args):
         if not chunk:
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
-        if not n.is_integer():
-            raise ValueError(f"grid point N must be an integer, got {n}")
-        grid.append((int(n), L, c, gamma))
-    return _rows_table(SweepRow, sweep(grid))
+        grid.append((_grid_n(n), L, c, gamma))
+    return _sweep_table(grid)
 
 
 def _cmd_converge(args):
-    n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
-    return _rows_table(ConvergenceRow, convergence_study(args.c, args.gamma, args.length, n_list))
+    n_list = [_grid_n(float(part)) for part in args.n_list.split(",") if part.strip()]
+    return _sweep_table([(n, args.length, args.c, args.gamma) for n in n_list])
 
 
 def _cmd_oracle(args):

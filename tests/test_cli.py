@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coulomb_chain import Configuration, Constant, ModelParams, residuals
-from coulomb_chain import analysis, cli, minimizer, shooting
+from coulomb_chain import Configuration, Constant, ModelParams, SweepRow, residuals
+from coulomb_chain import cli, minimizer, shooting
 from coulomb_chain.cli import _render_csv, main
 from reference import render_csv_rows, render_json, table_rows
 
@@ -106,10 +107,6 @@ class TestSolveCommand:
         assert code == 0
         code, skipped_out = run_cli(capsys, *skipped)
         assert code == 0
-        if argv[0] == "sweep":  # the seconds column is a timing
-            out, skipped_out = (json.loads(text)["rows"] for text in (out, skipped_out))
-            for row in out + skipped_out:
-                del row[-2]
         assert skipped_out == out
 
     def test_usage_error_exits_two(self, capsys):
@@ -152,8 +149,7 @@ class TestSolveCommand:
         ["solve", "--n", "10", "--force", "10"],
         ["oracle", "--n", "10", "--force", "0"],
         ["density", "--n", "10", "--force-scaled", "1,0.5"],
-        ["converge", "--c", "1", "--n-list", "10"],
-    ], ids=["solve-piecewise", "solve-zero", "solve-ten", "oracle", "density-scaled", "converge"])
+    ], ids=["solve-piecewise", "solve-zero", "solve-ten", "oracle", "density-scaled"])
     def test_pressure_underflow_at_huge_length_is_an_error_object(self, capsys, argv, length):
         # (N/L)**2 is subnormal or zero on every route: no chain, and no traceback
         code = main([*argv, "--length", length])
@@ -317,15 +313,47 @@ class TestTableCommands:
         assert code == 0 and ",detached," in cout and "Phase" not in cout
 
     def test_converge_table(self, capsys):
+        # c = 0 is no scaling, and each N gets an error row, as in sweep
         code, out = run_cli(
             capsys, "converge", "--c", "0", "--gamma", "1", "--n-list", "10,20"
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["columns"] == [
-            "n_gaps", "x_leftmost", "delta1_scaled", "n_max_gap_dev",
-        ]
+        assert payload["columns"] == [f.name for f in dataclasses.fields(SweepRow)]
         assert [row[0] for row in payload["rows"]] == [10, 20]
+        assert [row[-1] for row in payload["rows"]] == ["ValueError: scaled force needs c > 0 and gamma > 0"] * 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_converge_prints_the_sweep_of_its_n_list(self, capsys, fmt):
+        code, converged = run_cli(capsys, "converge", "--c", "16", "--gamma", "1", "--length", "2",
+                                  "--n-list", "100,1000", "--format", fmt)
+        assert code == 0
+        code, swept = run_cli(capsys, "sweep", "--grid", "100,2,16,1;1000,2,16,1", "--format", fmt)
+        assert code == 0
+        assert converged == swept
+
+    @pytest.mark.parametrize("length", ["1e160", "1e200"])
+    def test_converge_records_a_pressure_underflow_as_an_error_row(self, capsys, length):
+        # (N/L)**2 is subnormal or zero: as in sweep, the row says why and the run exits 0
+        code = main(["converge", "--c", "1", "--n-list", "10", "--length", length])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        (row,) = (dict(zip(payload["columns"], row)) for row in payload["rows"])
+        assert row["error"].startswith("ValueError: N/L = ") and row["detected"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "{n},1,16,1"], ["converge", "--c", "16", "--n-list", "{n}"],
+    ], ids=["sweep", "converge"])
+    def test_n_is_read_the_same_way_by_both_tables(self, capsys, argv):
+        code, out = run_cli(capsys, *(arg.format(n="1e3") for arg in argv))
+        assert code == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == [1000]
+        code, out = run_cli(capsys, *(arg.format(n="10.5") for arg in argv))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "ValueError", "message": "grid point N must be an integer, got 10.5"
+        }
 
     @pytest.mark.parametrize("point, error", [
         ("10,1,1,400", "ValueError: scaled force c * N**gamma overflows at N = 10"),
@@ -650,9 +678,7 @@ COMMAND_TABLES = {
 
 
 @pytest.mark.parametrize("case", list(COMMAND_TABLES))
-def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys, monkeypatch):
-    # A still clock makes sweep's timing column the same in both runs.
-    monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+def test_csv_is_the_row_wise_rendering_of_the_json_payload(case, capsys):
     argv, rows_of = COMMAND_TABLES[case]
     code, jout = run_cli(capsys, *argv)
     assert code == 0
@@ -689,7 +715,6 @@ def same_text(a, b):
 
 @pytest.mark.parametrize("case", list(STREAMED))
 def test_streamed_output_is_the_unchunked_rendering(case, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     argv, rows_of = STREAMED[case]
     code, jout = run_cli(capsys, *argv)
     assert code == 0

@@ -1,10 +1,12 @@
-"""README's quick start runs as written, its comments hold, and its flag
-table matches the command line."""
+"""README's quick start runs as written, its comments hold, its command
+line examples print the same bytes on every run, and its flag table matches
+the command line."""
 
 import argparse
 import ast
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -58,6 +60,19 @@ def test_command_line_flag_table_lists_every_flag():
             flags |= listed[base.group(1)]
         listed[name] = flags
     assert listed == registered
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", re.findall(r"^coulomb-chain (.*)$", README.read_text(), re.M))
+def test_command_line_example_prints_the_same_bytes_twice(command, fmt, capsys):
+    # Every output byte is a function of the arguments: no clock, no state
+    # carried from one run to the next.
+    argv = [*shlex.split(command), "--format", fmt]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_every_exported_name_has_a_user():
