@@ -26,13 +26,14 @@ This module is the only one that writes U down.  ``energy`` evaluates it,
 ``energy_gradient`` differentiates it, and ``residuals`` reads the force
 balance f_{k+1} + F(x_k) = f_k off that gradient, because the balance is
 the statement dU/dx_k = 0.  The solvers and the descent oracle call these
-three instead of restating them, and both return through
-``FixedPointResult.from_residuals``, which reads a result's diagnostics off
-``residuals``.  They read the gaps a ``Configuration`` keeps beside its
-positions, so a solved chain holds two arrays, and its residual pass forms
-one more, the gradient, in place.  ``ModelParams`` gates the force type and
-N/L; the uniqueness hypothesis (F non-negative, non-increasing) is the
-shooting solver's check.
+three instead of restating them (the descent through ``gradient_terms``,
+which also hands back the gaps, reciprocal gaps and force values it
+formed), and both return through ``FixedPointResult.from_residuals``,
+which reads a result's diagnostics off ``residuals``.  They read the gaps
+a ``Configuration`` keeps beside its positions, so a solved chain holds
+two arrays, and its residual pass forms one more, the gradient, in place.
+``ModelParams`` gates the force type and N/L; the uniqueness hypothesis
+(F non-negative, non-increasing) is the shooting solver's check.
 
 Every type is an immutable value object and every operation a pure function,
 so concurrent use needs no coordination.
@@ -60,6 +61,7 @@ __all__ = [
     "Scaled",
     "energy",
     "energy_gradient",
+    "gradient_terms",
     "residuals",
     "uniform_configuration",
 ]
@@ -94,8 +96,11 @@ class Constant:
         out = np.full_like(x, self.value)
         return float(out) if out.ndim == 0 else out
 
-    def integral_between(self, a, b):
-        """Exact integral value * (b - a), elementwise, accurate at the scale of b - a."""
+    def integral_between(self, a, b, fa=None):
+        """Exact integral value * (b - a), elementwise, accurate at the scale of b - a.
+
+        ``fa``, the force at ``a`` where the caller has it, is not needed here.
+        """
         out = self.value * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
         return float(out) if out.ndim == 0 else out
 
@@ -157,8 +162,12 @@ class PiecewiseLinear:
         out = np.interp(x, self.breakpoints, self.values)
         return float(out) if np.ndim(out) == 0 else out
 
-    def integral_between(self, a, b):
-        """Exact integral from a to b, elementwise, accurate at the scale of b - a."""
+    def integral_between(self, a, b, fa=None):
+        """Exact integral from a to b, elementwise, accurate at the scale of b - a.
+
+        ``fa`` is ``force_at(a)`` where the caller has it already, as the
+        descent does from its gradient; it is formed here otherwise.
+        """
         # Trapezoid rule minus one term per kink: a slope change ds at p adds
         # ds (x - p)_+ to F, whose integral over a < b falls short of its
         # trapezoid by ds (q - a)(b - q) / 2, with q = p clipped to [a, b]
@@ -168,12 +177,20 @@ class PiecewiseLinear:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
+        first, last = lo.min(initial=np.inf), hi.max(initial=-np.inf)
         bend = np.zeros(np.broadcast(a, b).shape)
         for p, ds in zip(self.breakpoints.tolist(), self.kinks.tolist()):
+            # A kink at or beyond every point has q = a or q = b throughout,
+            # so its term is exactly +-0 while ds (last - first) is finite,
+            # and adding it would leave bend as it is.
+            if (p <= first or p >= last) and math.isfinite(ds * (last - first)):
+                continue
             q = np.minimum(np.maximum(p, lo), hi)
             bend += ds * (q - a) * (b - q)
         d = b - a
-        out = 0.5 * (d * (self.force_at(a) + self.force_at(b)) - np.sign(d) * bend)
+        if fa is None:
+            fa = self.force_at(a)
+        out = 0.5 * (d * (fa + self.force_at(b)) - np.sign(d) * bend)
         return float(out) if np.ndim(out) == 0 else out
 
     def slope_at(self, x):
@@ -387,30 +404,56 @@ def energy(config: Configuration, params: ModelParams) -> float:
     return float(np.sum(1.0 / config.gaps) - np.sum(work))
 
 
-def energy_gradient(positions, params: ModelParams) -> np.ndarray:
-    """Analytic gradient of the energy with respect to every position.
-
-    For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
-    particles keep only their single interaction term.  ``positions`` may be
-    a Configuration, whose cached gaps are read, or a plain array (the
-    descent's unvalidated iterates).  The pressures f_k, (1 / delta_k)**2 as
-    in ``Configuration.pressures``, are formed in the result itself, at
-    index k, and turned into the gradient in place; a ``Constant`` force is
-    subtracted as a scalar.
-    """
+def _chain_terms(positions, params: ModelParams):
+    """Positions, gaps and force values of a Configuration or a plain array."""
     cached = isinstance(positions, Configuration)
     x = positions.positions if cached else np.asarray(positions, dtype=float)
     d = positions.gaps if cached else x[:-1] - x[1:]
     profile = params.profile  # a Constant broadcast: no array of N + 1 equal values
     fv = np.broadcast_to(profile.value, x.shape) if isinstance(profile, Constant) else profile.force_at(x)
-    g = np.empty_like(x)
-    f = np.divide(1.0, d, out=g[1:])
-    np.multiply(f, f, out=f)
+    return x, d, fv
+
+
+def _gradient_from_pressures(g: np.ndarray, fv) -> np.ndarray:
+    """Turn ``g``, holding the pressure f_k at index k, into the gradient in place."""
+    f = g[1:]
     g[0] = -f[0] - fv[0]
     np.subtract(g[1:-1], g[2:], out=g[1:-1])  # reads f_{i+1} before writing over it
     g[1:-1] -= fv[1:-1]
     g[-1] -= fv[-1]
     return g
+
+
+def energy_gradient(positions, params: ModelParams) -> np.ndarray:
+    """Analytic gradient of the energy with respect to every position.
+
+    For an interior particle dU/dx_i = f_i - f_{i+1} - F(x_i); the end
+    particles keep only their single interaction term.  ``positions`` may be
+    a Configuration, whose cached gaps are read, or a plain array.  The
+    pressures f_k, (1 / delta_k)**2 as in ``Configuration.pressures``, are
+    formed in the result itself, at index k, and turned into the gradient in
+    place; a ``Constant`` force is subtracted as a scalar.
+    """
+    x, d, fv = _chain_terms(positions, params)
+    g = np.empty_like(x)
+    f = np.divide(1.0, d, out=g[1:])
+    np.multiply(f, f, out=f)
+    return _gradient_from_pressures(g, fv)
+
+
+def gradient_terms(positions, params: ModelParams):
+    """``energy_gradient`` with the terms it is formed from, bit for bit.
+
+    Returns (gaps, reciprocal gaps 1 / delta_k, force values F(x_i), gradient).
+    The descent reads all four: the reciprocal gaps give the Hessian's
+    couplings, the gaps and force values the energy change of a step.  The
+    force values of a ``Constant`` are a read-only broadcast of the scalar.
+    """
+    x, d, fv = _chain_terms(positions, params)
+    r = np.divide(1.0, d)
+    g = np.empty_like(x)
+    np.multiply(r, r, out=g[1:])
+    return d, r, fv, _gradient_from_pressures(g, fv)
 
 
 def residuals(config: Configuration, params: ModelParams) -> Residuals:

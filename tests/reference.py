@@ -15,7 +15,9 @@ row, and ``render_json`` its earlier unchunked JSON renderer: one
 ``json.dumps`` of the whole payload in one process.
 ``coordinate_certificate`` is the descent oracle's earlier minimality
 check: every feasible +-eps single-particle move must raise the energy, at
-2 (N + 1) full energy evaluations.  ``ldl_solve_shifted`` and
+2 (N + 1) full energy evaluations.  ``ldl_solve`` is the descent's
+one-pass modified LDL^T solve as first written, a Python loop over the rows,
+which the LAPACK route must match bit for bit.  ``ldl_solve_shifted`` and
 ``newton_direction_by_shift`` are the descent's earlier Newton step: an
 LDL^T solve that gives up at the first pivot that is not positive, retried
 under a diagonal shift that starts at 1e-3 of the stiffest coupling and
@@ -391,6 +393,39 @@ def coordinate_certificate(
     return not np.any(energy_of(trials) < u0 - guard)
 
 
+def ldl_solve(diag: list, off: list, rhs: list) -> tuple[list, bool]:
+    """Solve T p = rhs for symmetric tridiagonal T by one LDL^T pass.
+
+    A pivot that is not positive is replaced by its magnitude, floored at
+    1e-3 of its row's absolute sum (infinite where both are zero, which
+    leaves that particle in place), so the solve is with a positive definite
+    matrix (Nocedal & Wright, *Numerical Optimization*, §3.4).  Returns the
+    solution and whether any pivot was replaced.
+    """
+    n = len(diag)
+    off = [0.0, *off, 0.0]  # off[i] and off[i + 1] flank row i
+    pivots = [0.0] * n
+    ratios = [0.0] * n
+    z = [0.0] * n
+    replaced = False
+    pivot = 1.0  # row 0 sees a zero coupling to it, and z[-1] = 0.0
+    for i in range(n):
+        r = off[i] / pivot
+        pivot = diag[i] - r * off[i]
+        if not pivot > 0.0:
+            row = abs(diag[i]) + abs(off[i]) + abs(off[i + 1])
+            pivot = max(abs(pivot), 1e-3 * row) or np.inf
+            replaced = True
+        ratios[i] = r
+        pivots[i] = pivot
+        z[i] = rhs[i] - r * z[i - 1]
+    # back substitution, in place: z becomes the solution
+    z[-1] /= pivots[-1]
+    for i in range(n - 2, -1, -1):
+        z[i] = z[i] / pivots[i] - ratios[i + 1] * z[i + 1]
+    return z, replaced
+
+
 def ldl_solve_shifted(diag: list, off: list, rhs: list, shift: float) -> list | None:
     """Solve (T + shift*I) p = rhs by LDL^T, or None at a pivot that is not positive."""
     n = len(diag)
@@ -416,9 +451,9 @@ def ldl_solve_shifted(diag: list, off: list, rhs: list, shift: float) -> list | 
     return z
 
 
-def newton_direction_by_shift(x, g, slope, lo: int, hi: int) -> np.ndarray:
+def newton_direction_by_shift(r, g, slope, lo: int, hi: int) -> np.ndarray:
     """Projected Newton direction, the shift doubled until the factorization succeeds."""
-    diag, off = _hessian_bands(x, slope)
+    diag, off = _hessian_bands(r, slope)
     diag_free = diag[lo:hi].tolist()
     off_free = off[lo:hi - 1].tolist()
     rhs = (-g[lo:hi]).tolist()
@@ -427,7 +462,7 @@ def newton_direction_by_shift(x, g, slope, lo: int, hi: int) -> np.ndarray:
         shift = 2.0 * shift if shift else -1e-3 * float(np.min(off))
         if not np.isfinite(shift):
             raise NoConvergence("Hessian is not finite: particles nearly coincide")
-    p = np.zeros_like(x)
+    p = np.zeros_like(g)
     p[lo:hi] = p_free
     return p
 

@@ -1,5 +1,8 @@
 """Descent oracle: gradient, Hessian, convergence, certificates, multi-start."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import hypothesis
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coulomb_chain import (
     Classification,
@@ -30,9 +34,10 @@ from coulomb_chain import (
     solve_fixed_point,
     uniform_configuration,
 )
-from coulomb_chain import minimizer
-from coulomb_chain.minimizer import _hessian_bands, _ldl_solve
-from reference import coordinate_certificate, ldl_solve_shifted, newton_direction_by_shift
+from coulomb_chain import cli, minimizer
+from coulomb_chain.model import gradient_terms
+from coulomb_chain.minimizer import _hessian_bands, _modified_ldl_solve, _positive_definite
+from reference import coordinate_certificate, ldl_solve, ldl_solve_shifted, newton_direction_by_shift
 
 
 def random_interior_config(rng, n, L=1.0, fill=0.85):
@@ -96,7 +101,7 @@ class TestGradient:
             # stay a step away from the profile's kinks, where F' jumps
             if bx.size and np.min(np.abs(x[:, None] - bx[None, :])) <= 2 * h:
                 continue
-            diag, off = _hessian_bands(x, p.force.slope_at(x))
+            diag, off = _hessian_bands(1.0 / (x[:-1] - x[1:]), p.force.slope_at(x))
             hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             fd = np.empty_like(hess)
             for i in range(n + 1):
@@ -156,14 +161,16 @@ class TestMinimize:
 
         def recording_gradient(x, params):
             iterates.append(np.array(x, dtype=float))
-            return energy_gradient(x, params)
+            return gradient_terms(x, params)
 
-        monkeypatch.setattr(minimizer, "energy_gradient", recording_gradient)
+        monkeypatch.setattr(minimizer, "gradient_terms", recording_gradient)
         minimize(p, start)
         assert len(iterates) > 1
         # every accepted step is a strict decrease, taken at the scale of the move
         for x, trial in zip(iterates, iterates[1:]):
-            assert minimizer._delta_energy(x, trial, p.profile) < 0.0
+            d, _, fv, _ = gradient_terms(x, p)
+            du = minimizer._delta_energy(x, trial, trial - x, d, trial[:-1] - trial[1:], fv, p.profile)
+            assert du < 0.0
 
     @hypothesis.settings(max_examples=25, deadline=None)
     @hypothesis.given(
@@ -435,6 +442,18 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def bits_up_to_nan_signs(values):
+    """``bits`` with every NaN as one pattern: IEEE 754 leaves a NaN result's sign and payload open."""
+    return bits(np.where(np.isnan(values), np.nan, values))
+
+
+def compiled_solve(diag, off, rhs):
+    """The LAPACK route on fresh arrays, as ``ldl_solve`` returns: (solution, replaced)."""
+    p = np.array(rhs, dtype=float)
+    replaced = _modified_ldl_solve(np.array(diag, dtype=float), np.array(off, dtype=float), p)
+    return p, replaced
+
+
 @st.composite
 def tridiagonal_systems(draw):
     """Symmetric tridiagonal (diag, off, rhs) with 1 to 60 rows, definite or not."""
@@ -486,7 +505,7 @@ class TestOnePassDirection:
     @hypothesis.example(system=([1.0, 1.0], [1.0], [0.0, 1.0]))  # singular: second pivot 0.0
     def test_matches_the_shifted_solve_where_it_needed_no_shift(self, system):
         diag, off, rhs = system
-        p, replaced = _ldl_solve(diag, off, rhs)
+        p, replaced = compiled_solve(diag, off, rhs)
         reference = ldl_solve_shifted(diag, off, rhs, 0.0)
         if reference is not None:
             assert not replaced
@@ -510,15 +529,15 @@ class TestOnePassDirection:
         solves, directions = [], []  # directions[k]: solves made before direction k
 
         def counting_solve(diag, off, rhs):
-            p, replaced = _ldl_solve(diag, off, rhs)
+            replaced = _modified_ldl_solve(diag, off, rhs)
             solves.append(replaced)
-            return p, replaced
+            return replaced
 
         def counting_direction(*args):
             directions.append(len(solves))
             return newton_direction(*args)
 
-        monkeypatch.setattr(minimizer, "_ldl_solve", counting_solve)
+        monkeypatch.setattr(minimizer, "_modified_ldl_solve", counting_solve)
         monkeypatch.setattr(minimizer, "_newton_direction", counting_direction)
         params = nonuniqueness_params(1.0, 2.0, 8.0, 51)
         start = minimizer._stratified_start(params, 26, -1.0, np.random.default_rng(0))
@@ -559,3 +578,118 @@ class TestOnePassDirection:
         config = Configuration([-1e-200, -1e-120, -0.5, -1.0])
         with pytest.warns(RuntimeWarning):
             assert not local_minimality_certificate(config, p, 1e300)
+
+
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324)
+
+
+@st.composite
+def banded_systems(draw):
+    """Symmetric tridiagonal (diag, off, rhs) arrays with 1 to 400 rows.
+
+    Definite (strictly diagonally dominant) or not, with up to three zero
+    rows, whose pivot the rule makes infinite, and up to three entries from
+    the float range's edges: signed zeros and infinities, NaN, 1e308 and the
+    smallest subnormal.
+    """
+    n = draw(st.integers(1, 400))
+    entries = st.floats(-100.0, 100.0)
+    diag = draw(arrays(float, n, elements=entries))
+    off = draw(arrays(float, n - 1, elements=entries))
+    rhs = draw(arrays(float, n, elements=entries))
+    if draw(st.booleans()):
+        pad = np.concatenate(([0.0], off, [0.0]))
+        diag = np.abs(diag) + np.abs(pad[:-1]) + np.abs(pad[1:]) + 1.0
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        diag[k] = 0.0
+        off[max(k - 1, 0):k + 1] = 0.0
+    for name, k, value in draw(st.lists(st.tuples(st.sampled_from("dor"), st.integers(0, n - 1),
+                                                  st.sampled_from(_SPECIAL)), max_size=3)):
+        band = {"d": diag, "o": off, "r": rhs}[name]
+        if band.size:
+            band[k % band.size] = value
+    return diag, off, rhs
+
+
+class TestLapackRoute:
+    """The descent's solve and the certificate's factorization run in numpy's bundled LAPACK."""
+
+    def test_numpy_ships_openblas_with_both_symbols(self):
+        # Fails loudly where a numpy build moves or renames its OpenBLAS: the
+        # descent has no other solve.
+        factor, solve = minimizer._lapack()
+        assert (factor.__name__, solve.__name__) == ("scipy_dpttrf_64_", "scipy_dpttrs_64_")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(system=banded_systems())
+    @hypothesis.example(system=(np.array([3.0]), np.array([]), np.array([5.0])))  # 5 * (1 / 3) is an ulp off
+    @hypothesis.example(system=(np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)))  # a zero row
+    @hypothesis.example(system=(np.array([np.inf, 1.0]), np.array([np.inf]), np.ones(2)))  # a NaN pivot
+    def test_matches_the_python_recurrence_bit_for_bit(self, system):
+        diag, off, rhs = system
+        with np.errstate(all="ignore"):
+            expected, expected_replaced = ldl_solve(diag.tolist(), off.tolist(), rhs.tolist())
+            p, replaced = compiled_solve(diag, off, rhs)
+            definite = _positive_definite(diag.copy(), off.copy())
+        assert replaced == expected_replaced
+        np.testing.assert_array_equal(bits_up_to_nan_signs(p), bits_up_to_nan_signs(expected))
+        assert definite is not expected_replaced
+
+    def test_one_row_divides(self):
+        # dpttrs would multiply by 1 / 3, which gives 1.6666666666666665
+        p, replaced = compiled_solve([3.0], [], [5.0])
+        assert p.tolist() == [5.0 / 3.0] == [1.6666666666666667] and not replaced
+        assert 5.0 * (1.0 / 3.0) != 5.0 / 3.0
+
+    def test_resolved_on_the_first_descent_not_at_import(self):
+        code = (
+            "import coulomb_chain, coulomb_chain.cli\n"
+            "from coulomb_chain import minimizer\n"
+            "print(minimizer._lapack.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "0\n"
+
+
+@pytest.fixture
+def openblas_at(monkeypatch):
+    """Point the descent's OpenBLAS lookup at ``pattern``; the real one is resolved again afterwards."""
+
+    def point(pattern):
+        monkeypatch.setattr(minimizer, "_OPENBLAS", (pattern,))
+        minimizer._lapack.cache_clear()
+
+    yield point
+    monkeypatch.undo()
+    minimizer._lapack.cache_clear()
+
+
+class TestWithoutOpenBLAS:
+    def test_the_first_descent_names_the_missing_library(self, openblas_at, tmp_path, capsys):
+        pattern = str(tmp_path / "libscipy_openblas64_*")
+        openblas_at(pattern)
+        p = ModelParams(L=1.0, n_gaps=10, force=Constant(1.0))
+        with pytest.raises(ImportError, match="numpy .* ships none: nothing matches .*libscipy_openblas64_"):
+            minimize(p, uniform_configuration(p))
+        with pytest.raises(ImportError, match="ships none"):
+            local_minimality_certificate(solve_fixed_point(p).config, p)
+        # the routes without a descent keep working
+        for argv in (
+            ["solve", "--n", "10", "--force", "1"],
+            ["critical", "--n", "10"],
+            ["density", "--n", "100", "--force-scaled", "2,1"],
+            ["sweep", "--grid", "100,1,2,1"],
+            ["converge", "--c", "2", "--gamma", "1", "--n-list", "10,100"],
+        ):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+
+    def test_a_library_without_the_symbols_is_named(self, openblas_at):
+        # a shared library that loads but neither exports nor links a LAPACK
+        import _ctypes
+
+        openblas_at(_ctypes.__file__)
+        p = ModelParams(L=1.0, n_gaps=10, force=Constant(1.0))
+        with pytest.raises(ImportError, match="exports no scipy_dpttrf_64_ or scipy_dpttrs_64_"):
+            minimize(p, uniform_configuration(p))
