@@ -105,8 +105,8 @@ class Constant:
         return float(out) if out.ndim == 0 else out
 
     def slope_at(self, x):
-        """Derivative F'(x) = 0, elementwise."""
-        out = np.zeros_like(np.asarray(x, dtype=float))
+        """Derivative F'(x) = 0, elementwise: a read-only broadcast of 0.0, no array of zeros."""
+        out = np.broadcast_to(0.0, np.shape(x))
         return float(out) if out.ndim == 0 else out
 
 
@@ -149,8 +149,12 @@ class PiecewiseLinear:
             kinks = np.diff(slopes, prepend=0.0, append=0.0)
         if not np.all(np.isfinite(kinks)):
             raise ValueError("slopes must be finite: a segment is too narrow for its rise")
-        for arr in (bx, by, slopes, kinks):
+        # slope_at's table: 0.0 left of bx[0], the slopes, 0.0 from bx[-1] on
+        table = np.concatenate(([0.0], slopes, [0.0]))
+        for arr in (bx, by, slopes, kinks, table):
             arr.setflags(write=False)
+        object.__setattr__(self, "_slope_table", table)
+        object.__setattr__(self, "_kink_list", tuple(zip(bx.tolist(), kinks.tolist())))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "breakpoints", bx)
         object.__setattr__(self, "values", by)
@@ -178,8 +182,8 @@ class PiecewiseLinear:
         b = np.asarray(b, dtype=float)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         first, last = lo.min(initial=np.inf), hi.max(initial=-np.inf)
-        bend = np.zeros(np.broadcast(a, b).shape)
-        for p, ds in zip(self.breakpoints.tolist(), self.kinks.tolist()):
+        bend = 0.0  # 0.0 + the first term, bit for bit what an array of zeros gave
+        for p, ds in self._kink_list:
             # A kink at or beyond every point has q = a or q = b throughout,
             # so its term is exactly +-0 while ds (last - first) is finite,
             # and adding it would leave bend as it is.
@@ -195,10 +199,7 @@ class PiecewiseLinear:
 
     def slope_at(self, x):
         """Derivative F'(x); at a breakpoint, the slope of the segment to its right."""
-        bx = self.breakpoints
-        x = np.asarray(x, dtype=float)
-        j = np.searchsorted(bx[1:-1], x, side="right")
-        out = np.where((x >= bx[0]) & (x < bx[-1]), self.slopes[j], 0.0)
+        out = self._slope_table[np.searchsorted(self.breakpoints, x, side="right")]
         return float(out) if out.ndim == 0 else out
 
 

@@ -30,7 +30,10 @@ summation.
 ``non_increasing_on`` and ``min_on`` are the shooting solver's earlier
 admissibility rule, once methods of every force profile.
 ``exact_integral`` integrates a piecewise-linear profile in rational
-arithmetic, one trapezoid per linear piece.  ``configuration_error`` is
+arithmetic, one trapezoid per linear piece.  ``integral_between`` and
+``slope_at`` are the profiles' methods as first written: a kink sum begun
+from an array of zeros over a fresh list of the kinks, a masked segment
+lookup, and an array of zeros as a constant force's slope.  ``configuration_error`` is
 ``Configuration``'s earlier validation, five array passes in a fixed order.
 ``diagnostics_by_diff`` reads a chain's gaps, pressures, residuals and phase
 evidence off its positions by the formulas the library used before it took
@@ -487,6 +490,40 @@ def exact_integral(profile: PiecewiseLinear, a: float, b: float) -> Fraction:
     nodes = [lo] + [p for p, _ in pts if lo < p < hi] + [hi]
     total = sum((x1 - x0) * (force(x0) + force(x1)) / 2 for x0, x1 in zip(nodes, nodes[1:]))
     return total if a <= b else -total
+
+
+def integral_between(profile: PiecewiseLinear, a, b, fa=None):
+    """``PiecewiseLinear.integral_between`` as it was: a sum of kink terms begun from zeros."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    first, last = lo.min(initial=np.inf), hi.max(initial=-np.inf)
+    bend = np.zeros(np.broadcast(a, b).shape)
+    for p, ds in zip(profile.breakpoints.tolist(), profile.kinks.tolist()):
+        # A kink at or beyond every point has q = a or q = b throughout,
+        # so its term is exactly +-0 while ds (last - first) is finite,
+        # and adding it would leave bend as it is.
+        if (p <= first or p >= last) and math.isfinite(ds * (last - first)):
+            continue
+        q = np.minimum(np.maximum(p, lo), hi)
+        bend += ds * (q - a) * (b - q)
+    d = b - a
+    if fa is None:
+        fa = profile.force_at(a)
+    out = 0.5 * (d * (fa + profile.force_at(b)) - np.sign(d) * bend)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def slope_at(profile, x):
+    """``slope_at`` of both profiles as it was: zeros for a constant, a masked segment lookup."""
+    if isinstance(profile, Constant):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        return float(out) if out.ndim == 0 else out
+    bx = profile.breakpoints
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(bx[1:-1], x, side="right")
+    out = np.where((x >= bx[0]) & (x < bx[-1]), profile.slopes[j], 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def configuration_error(positions) -> Exception | None:

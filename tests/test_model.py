@@ -21,7 +21,7 @@ from coulomb_chain import (
     residuals,
     uniform_configuration,
 )
-from reference import configuration_error, exact_integral
+from reference import configuration_error, exact_integral, integral_between, slope_at
 
 
 def chain_from_gaps(gaps):
@@ -142,6 +142,29 @@ class TestForceProfiles:
         np.testing.assert_array_equal(f.integral_between(-3.0, x), [0.0, 4.0, 7.0, 9.5, 12.5])
         np.testing.assert_array_equal(f.integral_between(x[:-1], x[1:]), [4.0, 3.0, 2.5, 3.0])
         np.testing.assert_array_equal(f.integral_between(x, 1.0), [12.5, 8.5, 5.5, 3.0, 0.0])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_integral_and_slope_are_the_first_written_loop_bit_for_bit(self, data):
+        # On a 1/4 grid, so that points fall on breakpoints and beyond every
+        # kink; signed zeros and NaN among the points, a > b as often as not.
+        grid = st.integers(-12, 4).map(lambda k: k / 4)
+        xs = sorted(data.draw(st.sets(grid, min_size=2, max_size=6)))
+        vs = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0, 1e300]), min_size=len(xs), max_size=len(xs)))
+        f = PiecewiseLinear(list(zip(xs, vs)))
+        point = st.one_of(grid, st.sampled_from([0.0, -0.0, math.nan, -1e300]), st.floats(-4.0, 2.0))
+        size = data.draw(st.integers(0, 8))
+        a, b = (data.draw(point if kind is None else st.lists(point, min_size=size, max_size=size))
+                for kind in data.draw(st.sampled_from([(None, None), (None, 1), (1, None), (1, 1)])))
+        fa = f.force_at(a) if data.draw(st.booleans()) else None
+        with np.errstate(all="ignore"):  # 1e300 overflows and NaN is invalid, on both
+            got, ref = f.integral_between(a, b, fa=fa), integral_between(f, a, b, fa=fa)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+        for profile in (f, Constant(2.0)):
+            got, ref = profile.slope_at(b), slope_at(profile, b)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
 
     def test_scaled_resolves_to_constant(self):
         f = Scaled(c=2.0, gamma=1.5)

@@ -204,6 +204,118 @@ class TestShoot:
                 assert gaps[k + 1] > gaps[k]
 
 
+@st.composite
+def monotone_pieces(draw, n, L):
+    """A 2-6 node non-increasing profile with values in [0, 3 F_cr] over [-L, 0]."""
+    fcr = critical_force_exact(n, L)
+    k = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2, unique=True))
+    xs = [-L, *sorted(-L * u for u in inner), 0.0]
+    hypothesis.assume(all(a < b for a, b in zip(xs, xs[1:])))
+    vs = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k)), reverse=True)
+    return PiecewiseLinear([(x, fcr * v) for x, v in zip(xs, vs)])
+
+
+class TestRelaxedShot:
+    def test_accumulate_adds_left_to_right(self):
+        # The relaxed shot is shoot's loop only if accumulate rounds after
+        # each step in order: 15 half-ulps of 1.0 are each rounded away in
+        # turn, while the pairwise sum of np.sum keeps some of them.
+        halves = [1.0] + [2.0 ** -53] * 15
+        assert np.cumsum(halves)[-1] == 1.0
+        assert np.sum(halves) != 1.0
+        assert np.subtract.accumulate([1.0] + [-(2.0 ** -53)] * 15)[-1] == 1.0
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        block=st.sampled_from([1, 2, 5, 64, 4096, 10 ** 6]),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.2, 1.5),
+        data=st.data(),
+    )
+    def test_is_the_shot_bit_for_bit(self, block, log_length, ratio, data):
+        # Blocks of one step and of more than N steps; with up to six nodes
+        # and blocks of 64 or more, pieces change inside a block; forces up
+        # to 3 F_cr at first gaps up to 1.5 L/N collapse many shots.
+        n = data.draw(st.integers(1, 300) if block < 64 else st.one_of(st.integers(1, 20_000), st.integers(8_000, 20_000)))
+        L = 10.0 ** log_length
+        p = params(n, L, data.draw(monotone_pieces(n, L)))
+        d1 = ratio * L / n
+        offset = data.draw(st.one_of(st.none(), st.floats(-15.0, -3.0)))
+        seed = None
+        if offset is not None:
+            seed = shoot(d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset), p).positions
+        if seed is None:
+            seed = np.linspace(0.0, -L, n + 1)
+        ref = shoot(d1, p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shooting, "_BLOCK", block)
+            out = shooting._relaxed_shot(d1, p, seed)
+        assert out.complete == ref.complete
+        if ref.complete:
+            assert out.positions.tobytes() == ref.positions.tobytes()
+            assert bits(out.terminal_slack) == bits(ref.terminal_slack)
+
+    def test_pieces_cross_inside_a_block_and_a_collapse_is_found(self):
+        # Five kinks inside the first block of 4,096 steps, then a first gap
+        # whose shot collapses near its end, seeded from one that completes.
+        n, L = 20_000, 1.0
+        fcr = critical_force_exact(n, L)
+        force = PiecewiseLinear([(-1.0, 3 * fcr), (-0.2, 2 * fcr), (-0.15, fcr), (-0.1, 0.5 * fcr),
+                                 (-0.05, 0.2 * fcr), (0.0, 0.0)])
+        p = params(n, L, force)
+        root = solve_fixed_point(p).delta1
+        seed = shoot(root, p).positions
+        assert np.count_nonzero((seed[:4097] < -0.05) & (seed[:4097] > -0.2)) > 0
+        for d1 in (root * (1 + 1e-13), root * 1.01, root * 1.2):
+            out, ref = shooting._relaxed_shot(d1, p, seed), shoot(d1, p)
+            assert out.complete == ref.complete
+            if ref.complete:
+                assert out.positions.tobytes() == ref.positions.tobytes()
+        assert not shoot(root * 1.2, p).complete
+
+
+def scalar_later_shots(monkeypatch):
+    """Route the relaxed shots of a solve through ``shoot``; return their count."""
+    calls = []
+
+    def scalar(delta1, params, seed):
+        calls.append(delta1)
+        return shoot(delta1, params)
+
+    monkeypatch.setattr(shooting, "_relaxed_shot", scalar)
+    return calls
+
+
+class TestRelaxedSolve:
+    @staticmethod
+    def same_solve(p):
+        """Assert that p solves to the same bits with scalar later shots; return their count."""
+        relaxed = solve_fixed_point(p)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = scalar_later_shots(patch)
+            scalar = solve_fixed_point(p)
+        assert relaxed.config.positions.tobytes() == scalar.config.positions.tobytes()
+        assert relaxed.classification is scalar.classification
+        assert relaxed.iterations == scalar.iterations
+        assert bits(relaxed.max_residual) == bits(scalar.max_residual)
+        assert bits(relaxed.terminal_slack) == bits(scalar.terminal_slack)
+        return len(calls)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=st.integers(1, 20_000), log_length=st.floats(-3.0, 3.0), data=st.data())
+    def test_same_solve_as_with_scalar_shots(self, n, log_length, data):
+        L = 10.0 ** log_length
+        relaxed = self.same_solve(params(n, L, data.draw(monotone_pieces(n, L))))
+        hypothesis.event(f"endgame shots relaxed: {min(relaxed, 3)}{'+' if relaxed >= 3 else ''}")
+
+    def test_gallop_and_bisection_endgame(self):
+        # Item 16's ill-conditioned free end: Newton lands several straddle
+        # widths off the computed root, so the endgame gallops and bisects.
+        p = params(36_691, 42.4, PiecewiseLinear([(-42.4, 1161.0), (-23.8, 0.0), (0.0, 0.0)]))
+        assert self.same_solve(p) >= 10
+
+
 class TestSolveFixedPoint:
     def test_no_force_is_uniform_and_pinned(self):
         for n, L in [(1, 1.0), (7, 2.5), (50, 0.3)]:
