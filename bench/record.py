@@ -2,12 +2,12 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/record.py [--repeats K] [--against DIR]
+    python3 bench/record.py [--against DIR]
     python3 bench/record.py --smoke
 
 It solves the 3-point profile g = 2, 1, 0.25 at x = -1, -0.5, 0 with
 F = c N g on L = 1, pinned (c = 1) and interior (c = 3), at N = 1e5, 1e6
-and 1e7, each solve in a fresh interpreter, K times (default 3).  Every run
+and 1e7, each solve in a fresh interpreter, three times.  Every run
 records the wall time of ``solve_fixed_point``, the same time in perfbench's
 reference seconds (``perfbench/run.py``'s calibration job, timed before and
 after the solve), the shots it took, the scaled residual
@@ -39,6 +39,7 @@ PROFILE = ((-1.0, 2.0), (-0.5, 1.0), (0.0, 0.25))  # (x, g(x)); F = c N g
 COUPLINGS = (1.0, 3.0)  # pinned, interior
 SIZES = (10**5, 10**6, 10**7)
 SMOKE_SIZES = (10**4,)
+REPEATS = 3
 
 
 def child(src: str, n: int, c: float) -> dict:
@@ -114,7 +115,6 @@ def summary(runs: list[dict]) -> list[dict]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--against", metavar="DIR", help="another checkout to alternate with")
     p.add_argument("--smoke", action="store_true", help="N = 1e4 once, printed, not written")
     p.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     import run
 
     os.environ.update(dict.fromkeys(run.THREAD_VARS, "1"))  # for the solves, as perfbench pins them
-    sizes, repeats = (SMOKE_SIZES, 1) if args.smoke else (SIZES, args.repeats)
+    sizes, repeats = (SMOKE_SIZES, 1) if args.smoke else (SIZES, REPEATS)
     trees = {"this": ROOT}
     if args.against:
         trees["against"] = os.path.abspath(args.against)

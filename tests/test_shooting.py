@@ -275,25 +275,13 @@ class TestRelaxedShot:
         assert not shoot(root * 1.2, p).complete
 
 
-def scalar_later_shots(monkeypatch):
-    """Route the relaxed shots of a solve through ``shoot``; return their count."""
-    calls = []
-
-    def scalar(delta1, params, seed):
-        calls.append(delta1)
-        return shoot(delta1, params)
-
-    monkeypatch.setattr(shooting, "_relaxed_shot", scalar)
-    return calls
-
-
 class TestRelaxedSolve:
     @staticmethod
     def same_solve(p):
         """Assert that p solves to the same bits with scalar later shots; return their count."""
-        relaxed = solve_fixed_point(p)
+        relaxed, calls = solve_fixed_point(p), []
         with pytest.MonkeyPatch.context() as patch:
-            calls = scalar_later_shots(patch)
+            patch.setattr(shooting, "_relaxed_shot", lambda d1, model, seed: calls.append(d1) or shoot(d1, model))
             scalar = solve_fixed_point(p)
         assert relaxed.config.positions.tobytes() == scalar.config.positions.tobytes()
         assert relaxed.classification is scalar.classification
