@@ -326,17 +326,17 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     every later shot (that straddle, the gallop, the bisection and the
     re-record below) is relaxed from the latest one, about 1e-13 off: 2-4
     numpy sweeps per block of 4,096 steps, with ``shoot``'s bits, so the
-    result and shot count are the scalar shots'.  It stops at a relative bracket
-    width of ``TOL_REL`` = 1e-14, and spends at most ``MAX_ITER`` = 200
-    shots, lean, recording and relaxed alike (3-7 on most profiles);
-    NoConvergence, carrying the shots spent and the last bracket, when the
-    bracket is not that narrow by then.
+    result and shot count are the scalar shots'.  It stops at a relative
+    bracket width of ``TOL_REL`` = 1e-14, and spends at most
+    ``MAX_ITER`` = 200 shots, lean, recording and relaxed alike (3-7 on
+    most profiles); NoConvergence, carrying the shots spent and the last
+    bracket, when the bracket is not that narrow by then.
 
     The result is the recorded shot of the bracket's h > 0 end (shot once
-    more, recording, should it have been a search shot).  Where the other end crossed
-    the wall or collapsed, the chain (like a pinned constant-force one) is
-    stretched so that x_N = -L exactly; otherwise it is interior.  The
-    stretch spreads the wall correction over all gaps instead of dumping the
+    more, recording, should it have been a search shot).  Where the other
+    end crossed the wall or collapsed, the chain (like a pinned
+    constant-force one) is stretched so that x_N = -L exactly; otherwise it
+    is interior.  The stretch spreads the wall correction over all gaps instead of dumping the
     summation error into the last one.  ``max_residual`` then sits at the
     rounding floor of positions summed from gaps: at most 1.95 N eps times
     the largest pressure in constant-force checks from N = 10 to 10**7 and
@@ -414,17 +414,17 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         else:  # no slope, or a step that leaves the bracket: bisect
             d = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
 
-    positions = lo_out.positions
+    positions, seed = lo_out.positions, None  # release the seed before the residual pass
     # Collapse at the other end means the wall was crossed there too
     # (positions run to -inf before pressures hit zero), so both terminal
     # conditions are unresolved at this width: treat as the tie.  Tie (both
     # crossed) classifies as pinned: equality belongs to the pinned branch
     # of the critical-force dichotomy.
     if hi_x <= -L:
-        positions = positions * (-L / float(positions[-1]))
+        positions *= -L / float(positions[-1])
         positions[-1] = -L
         classification = Classification.BOUNDARY_PINNED
     else:
         classification = Classification.INTERIOR
-    config = Configuration(positions, _owned=True)  # shot or stretched afresh
+    config = Configuration(positions, _owned=True)
     return FixedPointResult.from_residuals(config, residuals(config, params), classification, shots)

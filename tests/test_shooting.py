@@ -302,6 +302,7 @@ class TestRelaxedSolve:
         # widths off the computed root, so the endgame gallops and bisects.
         p = params(36_691, 42.4, PiecewiseLinear([(-42.4, 1161.0), (-23.8, 0.0), (0.0, 0.0)]))
         assert self.same_solve(p) >= 10
+        assert solve_fixed_point(p).iterations == 18  # as with scalar shots: a relaxed one adds none
 
 
 class TestSolveFixedPoint:
