@@ -614,6 +614,7 @@ class TestLengthSymmetry:
         inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2, unique=True))
         ratios = data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
         xs = [-L, *sorted(-L * u for u in inner), 0.0]
+        hypothesis.assume(all(a < b for a, b in zip(xs, xs[1:])))  # two u can round to one x
         points = list(zip(xs, sorted((r * fcr for r in ratios), reverse=True)))
         sol = solve_fixed_point(params(n, L, PiecewiseLinear(points)))
         stretched_force = PiecewiseLinear([(lam * x, v / lam ** 2) for x, v in points])
@@ -742,6 +743,7 @@ def monotone_profiles(draw, fcr, L):
         )
     )
     xs = [-L, *sorted(-L * u for u in inner), 0.0]
+    hypothesis.assume(all(a < b for a, b in zip(xs, xs[1:])))  # two u can round to one x
     return PiecewiseLinear(list(zip(xs, sorted((r * fcr for r in ratios), reverse=True))))
 
 
