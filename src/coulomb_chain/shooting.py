@@ -26,8 +26,11 @@ of a ``PiecewiseLinear`` profile (constant F as the flat [(-L, F), (0, F)]);
 A shot forms its first pressure as (1 / delta_1)**2 and each step as
 1 / sqrt(f), and the search's scales as products and 1 / sqrt: + - * / and
 sqrt, which IEEE 754 rounds correctly everywhere, so a solve's bytes depend
-on its inputs alone, not on the platform's libm pow.  A relaxed shot runs
-the same operations in numpy blocks and returns ``shoot``'s bits.
+on its inputs alone, not on the platform's libm pow.  A shot is of one of
+two kinds, each with the bits of the sequential recursion: Newton's lean
+shot, a scalar loop that carries the tangent in delta_1 and keeps no
+positions, and the recording shot, which relaxes numpy blocks of steps
+until a sweep repeats itself bit for bit (``_relaxed_shot``).
 
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
@@ -98,33 +101,15 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
     Only a ``PiecewiseLinear`` profile is shot (TypeError otherwise).
     Pressure collapse (some f_k <= 0) is a normal outcome, reported as an
     outcome with no positions; ``delta1 <= 0`` is an error, and so is a
-    ``delta1`` below about 2**-512, whose pressure is not finite.
+    ``delta1`` below about 2**-512, whose pressure is not finite.  The shot
+    is ``_relaxed_shot`` with no chain to start from: each block guesses its
+    own, and the result is the sequential recursion's bits.
     """
     if not (delta1 > 0.0):
         raise ValueError(f"first gap must be positive, got {delta1}")
-    profile, n, delta1 = params.profile, params.n_gaps, float(delta1)
-    if not isinstance(profile, PiecewiseLinear):
-        raise TypeError(f"cannot shoot with profile {type(profile).__name__}")
-    r = 1.0 / delta1
-    f = r * r
-    if not f > 0.0:
-        return ShootingOutcome(None, None)
-    if f == math.inf:
-        raise ValueError(f"first gap {delta1} too small for a finite pressure")
-    sqrt = math.sqrt
-    x = -delta1
-    positions = [0.0, x]
-    k = 1
-    for left, x0, v0, s in _pieces(profile):
-        while k < n and x >= left:
-            f -= v0 + s * (x - x0)
-            if f <= 0.0:
-                return ShootingOutcome(None, None)
-            x -= 1.0 / sqrt(f)
-            positions.append(x)
-            k += 1
-    pos = np.array(positions)
-    return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
+    if not isinstance(params.profile, PiecewiseLinear):
+        raise TypeError(f"cannot shoot with profile {type(params.profile).__name__}")
+    return _relaxed_shot(float(delta1), params)
 
 
 def _pieces(profile: PiecewiseLinear) -> list[tuple[float, float, float, float]]:
@@ -168,33 +153,41 @@ def _lean_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, floa
     return x, f, dx, 2.0 * e
 
 
-def _relaxed_shot(delta1: float, params: ModelParams, seed: np.ndarray) -> ShootingOutcome:
-    """``shoot`` bit for bit, relaxed blockwise from ``seed``, a guess of its positions.
+def _relaxed_shot(delta1: float, params: ModelParams, seed: np.ndarray | None = None) -> ShootingOutcome:
+    """The recording shot, relaxed blockwise from ``seed``, a guess of its positions.
 
     A sweep over a block of up to ``_BLOCK`` steps forms each force term at
-    the guessed position before its step (the piece as shoot's loop picks
+    the guessed position before its step (the piece as the recursion picks
     it), then the pressures, 1 / sqrt and the positions in numpy; accumulate
-    runs left to right like that loop.  A sweep that returns its guess bit
-    for bit is shoot's sequence, by induction on the step, and each sweep
-    makes one more step exact, so a block of m steps ends within m + 1
-    sweeps.  Only then is a collapse read off it, at its first f <= 0.
+    runs left to right like a scalar loop.  A sweep that returns its guess
+    bit for bit is the sequential recursion, by induction on the step, and
+    each sweep makes one more step exact, so a block of m steps ends within
+    m + 1 sweeps.  Only then is a collapse read off it, at its first f <= 0.
+    With no seed, each block guesses the constant-force chain from its exact
+    first pressure f_a and position x_a: f_a - j F(x_a), floored at
+    f_a 2**-60 short of a collapse.  The guess sets the sweeps, never the bits.
     """
     profile, n = params.profile, params.n_gaps
     r = 1.0 / delta1
     f = r * r
     if not f > 0.0:
         return ShootingOutcome(None, None)
+    if f == math.inf:
+        raise ValueError(f"first gap {delta1} too small for a finite pressure")
     # piece p = searchsorted(bx, x, "right") up to top: the flat extension, then the segments
     bx, top = profile.breakpoints, profile.breakpoints.size - 1
     lefts, x0, v0, s = np.array(_pieces(profile)[::-1]).T
     ends = [*lefts.tolist(), math.inf]  # piece p spans [ends[p], ends[p + 1])
-    pos = seed.copy()
-    pos[1] = -delta1
+    pos = np.empty(n + 1) if seed is None else seed.copy()
+    pos[0], pos[1] = 0.0, -delta1
     t, fs, xs = np.empty((3, _BLOCK + 1))
     with np.errstate(all="ignore"):  # an unconverged guess may drive some f <= 0
         for a in range(1, n, _BLOCK):
             m = min(_BLOCK, n - a)
             guess, tb, fb, xb = pos[a : a + m], t[: m + 1], fs[: m + 1], xs[: m + 1]
+            if seed is None:  # the constant-force chain from the block's exact start
+                fg = np.maximum(f - float(profile.force_at(guess[0])) * np.arange(1.0, m), f * 2.0 ** -60)
+                guess[1:] = guess[0] - np.cumsum(1.0 / np.sqrt(fg))
             for _ in range(m + 1):
                 j = min(int(np.searchsorted(bx, guess[0], "right")), top)
                 if not ends[j] <= guess[-1] < ends[j + 1]:  # else so is all of a monotone guess
@@ -322,14 +315,15 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     q (1 - 0.4 ``TOL_REL``) at the Newton estimate q, recording, then
     gallops away from it on the side the sign of h points to, the distance
     doubling, and bisects once the sign has turned; q (1 + 0.4 ``TOL_REL``)
-    mostly closes the bracket.  Once a shot has recorded a complete chain,
-    every later shot (that straddle, the gallop, the bisection and the
-    re-record below) is relaxed from the latest one, about 1e-13 off: 2-4
-    numpy sweeps per block of 4,096 steps, with ``shoot``'s bits, so the
-    result and shot count are the scalar shots'.  It stops at a relative
-    bracket width of ``TOL_REL`` = 1e-14, and spends at most
-    ``MAX_ITER`` = 200 shots, lean, recording and relaxed alike (3-7 on
-    most profiles); NoConvergence, carrying the shots spent and the last
+    mostly closes the bracket.  Every recording shot is relaxed in numpy
+    blocks of 4,096 steps with the scalar recursion's bits: the first from
+    its blocks' own constant-force guesses, and once a shot has recorded a
+    complete chain, every later one (that straddle, the gallop, the
+    bisection and the re-record below) from the latest chain, about 1e-13
+    off, in 2-4 sweeps per block.  So the result and shot count are those
+    of scalar shots.  It stops at a relative bracket width of ``TOL_REL`` =
+    1e-14, and spends at most ``MAX_ITER`` = 200 shots, lean and recording
+    alike (3-7 on most profiles); NoConvergence, carrying the shots spent and the last
     bracket, when the bracket is not that narrow by then.
 
     The result is the recorded shot of the bracket's h > 0 end (shot once
@@ -383,7 +377,7 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
             )
         shots += 1
         if record or seed is not None:
-            out = shoot(d, params) if seed is None else _relaxed_shot(d, params, seed)
+            out = _relaxed_shot(d, params, seed)
             x, slack, dx, dslack = _COLLAPSED
             if out.complete:
                 x, slack, seed = float(out.positions[-1]), out.terminal_slack, out.positions

@@ -6,7 +6,8 @@
 shooting solver's earlier search: plain bisection on the terminal predicate,
 refined to float exhaustion on the pinned branch, where only the last
 position is snapped to -L; it shoots constant force with ``shoot_constant``,
-which the library no longer has.  ``shoot_constant`` is the constant-force
+which the library no longer has, and a piecewise one with ``shoot_piecewise``,
+so it uses no shot of the library.  ``shoot_constant`` is the constant-force
 shot as first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
 the piecewise shot as first written, one segment lookup per particle, with
 the library's step 1 / sqrt(f).  ``render_csv_rows`` is
@@ -82,7 +83,6 @@ from coulomb_chain import (
     PiecewiseLinear,
     c_critical,
     residuals,
-    shoot,
 )
 from coulomb_chain.minimizer import _hessian_bands
 from coulomb_chain.shooting import ShootingOutcome
@@ -220,7 +220,7 @@ def bisect_fixed_point(
             return shoot_constant(d1, profile.value, n)
     else:
         def shoot_at(d1):
-            return shoot(d1, params)
+            return shoot_piecewise(d1, profile, n)
 
     def predicate(out) -> bool:
         return out.complete and out.positions[-1] > -L and out.terminal_slack > 0.0

@@ -242,13 +242,17 @@ class TestRelaxedShot:
         L = 10.0 ** log_length
         p = params(n, L, data.draw(monotone_pieces(n, L)))
         d1 = ratio * L / n
-        offset = data.draw(st.one_of(st.none(), st.floats(-15.0, -3.0)))
+        # seeds: none (each block guesses its own), the uniform chain, or a shot 1e-15 to 1e-3 off
+        offset = data.draw(st.one_of(st.none(), st.just("uniform"), st.floats(-15.0, -3.0)))
         seed = None
-        if offset is not None:
-            seed = shoot(d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset), p).positions
-        if seed is None:
+        if offset == "uniform":
             seed = np.linspace(0.0, -L, n + 1)
-        ref = shoot(d1, p)
+        elif offset is not None:
+            near = d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset)
+            seed = shoot_piecewise(near, p.profile, n).positions
+            if seed is None:
+                seed = np.linspace(0.0, -L, n + 1)
+        ref = shoot_piecewise(d1, p.profile, n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shooting, "_BLOCK", block)
             out = shooting._relaxed_shot(d1, p, seed)
@@ -259,31 +263,34 @@ class TestRelaxedShot:
 
     def test_pieces_cross_inside_a_block_and_a_collapse_is_found(self):
         # The first block of 4,096 steps crosses the kink at -0.05, and the
-        # shots 1 % and 20 % above the root collapse in a later block; all
-        # are seeded with the root's chain.
+        # shots 1 % and 20 % above the root collapse in a later block; each
+        # is relaxed from the root's chain and from its own blocks' guesses.
         n, L = 20_000, 1.0
         fcr = critical_force_exact(n, L)
         force = PiecewiseLinear([(-1.0, 3 * fcr), (-0.2, 2 * fcr), (-0.15, fcr), (-0.1, 0.5 * fcr),
                                  (-0.05, 0.2 * fcr), (0.0, 0.0)])
         p = params(n, L, force)
         root = solve_fixed_point(p).delta1
-        seed = shoot(root, p).positions
+        seed = shoot_piecewise(root, force, n).positions
         assert seed[4096] < -0.05 < seed[1]
         for d1 in (root * (1 + 1e-13), root * 1.01, root * 1.2):
-            out, ref = shooting._relaxed_shot(d1, p, seed), shoot(d1, p)
-            assert out.complete == ref.complete
-            if ref.complete:
-                assert out.positions.tobytes() == ref.positions.tobytes()
-        assert not shoot(root * 1.01, p).complete and not shoot(root * 1.2, p).complete
+            ref = shoot_piecewise(d1, force, n)
+            for out in (shooting._relaxed_shot(d1, p, seed), shooting._relaxed_shot(d1, p)):
+                assert out.complete == ref.complete
+                if ref.complete:
+                    assert out.positions.tobytes() == ref.positions.tobytes()
+        assert not shoot_piecewise(root * 1.01, force, n).complete
+        assert not shoot_piecewise(root * 1.2, force, n).complete
 
 
 class TestRelaxedSolve:
     @staticmethod
     def same_solve(p):
-        """Assert that p solves to the same bits with scalar later shots; return their count."""
+        """Assert that p solves to the same bits with the reference's recording shots; return their count."""
         relaxed, calls = solve_fixed_point(p), []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shooting, "_relaxed_shot", lambda d1, model, seed: calls.append(d1) or shoot(d1, model))
+            patch.setattr(shooting, "_relaxed_shot", lambda d1, model, seed=None: calls.append(d1)
+                          or shoot_piecewise(d1, model.profile, model.n_gaps))
             scalar = solve_fixed_point(p)
         assert relaxed.config.positions.tobytes() == scalar.config.positions.tobytes()
         assert relaxed.classification is scalar.classification
@@ -297,7 +304,7 @@ class TestRelaxedSolve:
     def test_same_solve_as_with_scalar_shots(self, n, log_length, data):
         L = 10.0 ** log_length
         relaxed = self.same_solve(params(n, L, data.draw(monotone_pieces(n, L))))
-        hypothesis.event(f"endgame shots relaxed: {min(relaxed, 3)}{'+' if relaxed >= 3 else ''}")
+        hypothesis.event(f"recording shots: {min(relaxed, 3)}{'+' if relaxed >= 3 else ''}")
 
     def test_gallop_and_bisection_endgame(self):
         # An ill-conditioned free end: Newton lands several straddle widths
