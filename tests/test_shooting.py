@@ -242,16 +242,12 @@ class TestRelaxedShot:
         L = 10.0 ** log_length
         p = params(n, L, data.draw(monotone_pieces(n, L)))
         d1 = ratio * L / n
-        # seeds: none (each block guesses its own), the uniform chain, or a shot 1e-15 to 1e-3 off
+        # seeds: the uniform chain, a shot 1e-15 to 1e-3 off, or none (each block guesses its own)
         offset = data.draw(st.one_of(st.none(), st.just("uniform"), st.floats(-15.0, -3.0)))
-        seed = None
-        if offset == "uniform":
-            seed = np.linspace(0.0, -L, n + 1)
-        elif offset is not None:
+        seed = np.linspace(0.0, -L, n + 1) if offset == "uniform" else None
+        if isinstance(offset, float):  # a collapsed shot leaves no seed
             near = d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset)
             seed = shoot_piecewise(near, p.profile, n).positions
-            if seed is None:
-                seed = np.linspace(0.0, -L, n + 1)
         ref = shoot_piecewise(d1, p.profile, n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shooting, "_BLOCK", block)
@@ -622,6 +618,7 @@ class TestLengthSymmetry:
         ratios = data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
         xs = [-L, *sorted(-L * u for u in inner), 0.0]
         hypothesis.assume(all(a < b for a, b in zip(xs, xs[1:])))  # two u can round to one x
+        hypothesis.assume(all(lam * a < lam * b for a, b in zip(xs, xs[1:])))  # and so can two lam x
         points = list(zip(xs, sorted((r * fcr for r in ratios), reverse=True)))
         sol = solve_fixed_point(params(n, L, PiecewiseLinear(points)))
         stretched_force = PiecewiseLinear([(lam * x, v / lam ** 2) for x, v in points])
