@@ -14,8 +14,8 @@ object; a stdout closed early exits 1 with no more output; usage errors exit 2.
 
 The solvers' budgets and tolerances are fixed, not flags: a shooting solve
 under a piecewise force stops at a relative first-gap bracket of
-``shooting.TOL_REL`` = 1e-14 within ``shooting.MAX_ITER`` = 200 shots, lean
-(Newton's tangent shots) and recording ones alike, which its ``iterations``
+``shooting.TOL_REL`` = 1e-14 within ``shooting.MAX_ITER`` = 200 shots,
+Newton's tangent shots and recording ones alike, which its ``iterations``
 counts (none is needed under constant force); a descent at
 ``minimizer.default_settings`` within ``minimizer.MAX_ITER`` = 500,000
 steps.  ``oracle`` descends from the uniform chain; ``nonunique`` runs 8

@@ -26,11 +26,11 @@ of a ``PiecewiseLinear`` profile (constant F as the flat [(-L, F), (0, F)]);
 A shot forms its first pressure as (1 / delta_1)**2 and each step as
 1 / sqrt(f), and the search's scales as products and 1 / sqrt: + - * / and
 sqrt, which IEEE 754 rounds correctly everywhere, so a solve's bytes depend
-on its inputs alone, not on the platform's libm pow.  A shot is of one of
-two kinds, each with the bits of the sequential recursion: Newton's lean
-shot, a scalar loop that carries the tangent in delta_1 and keeps no
-positions, and the recording shot, which relaxes numpy blocks of steps
-until a sweep repeats itself bit for bit (``_relaxed_shot``).
+on its inputs alone, not on the platform's libm pow.  Every shot is of
+one kind, with the bits of the sequential recursion: it relaxes numpy
+blocks of steps until a sweep repeats itself bit for bit
+(``_relaxed_shot``), and Newton's shots then relax the tangent in delta_1
+on each block the same way.
 
 Positions are the cumulative sum of the gaps, so they carry a rounding error
 of about N eps L, and ``max_residual`` of a solve sits at that floor: at
@@ -71,9 +71,8 @@ MAX_ITER = 200
 # positive, large enough that delta**-2 stays below overflow.
 _TINY_DELTA1 = 1e-150
 
-# A collapsed shot's x_N, f_N (or slack) and their derivatives in delta_1:
-# positions run to -inf, and there is no slope.
-_COLLAPSED = (-math.inf, -math.inf, math.nan, math.nan)
+# A collapsed shot's x_N and slack: positions run to -inf.
+_COLLAPSED = (-math.inf, -math.inf)
 
 # Steps per block of a relaxed shot; 4,096 was the fastest of 512-8,192.
 _BLOCK = 4096
@@ -109,78 +108,65 @@ def shoot(delta1: float, params: ModelParams) -> ShootingOutcome:
         raise ValueError(f"first gap must be positive, got {delta1}")
     if not isinstance(params.profile, PiecewiseLinear):
         raise TypeError(f"cannot shoot with profile {type(params.profile).__name__}")
-    return _relaxed_shot(float(delta1), params)
+    return _relaxed_shot(float(delta1), params)[0]
 
 
-def _pieces(profile: PiecewiseLinear) -> list[tuple[float, float, float, float]]:
-    """The pieces of a shot, each (left end, anchor, value at anchor, slope).
-
-    x only moves left, so they are visited right to left: segment j while
-    x >= bx[j], then the flat extension left of bx[0].
-    """
-    bx, by, slopes = profile.breakpoints.tolist(), profile.values.tolist(), profile.slopes.tolist()
-    pieces = [(bx[j], bx[j], by[j], slopes[j]) for j in range(len(bx) - 2, -1, -1)]
-    pieces.append((-math.inf, bx[0], by[0], 0.0))
-    return pieces
-
-
-def _lean_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, float] | None:
-    """(x_N, f_N) of ``shoot`` bit for bit, and their derivatives (dx_N, df_N) in delta1.
-
-    Keeps no positions, and returns None where ``shoot`` collapses.
-    """
-    r = 1.0 / delta1
-    f = r * r
-    if not f > 0.0:
-        return None
-    sqrt = math.sqrt
-    # e = df / 2 saves a product per step; halving is exact, so df is unchanged
-    x, dx, e = -delta1, -1.0, -f / delta1
-    steps = iter(range(1, n))  # shared by the pieces, like shoot's k
-    for left, x0, v0, s in pieces:
-        half_s = 0.5 * s
-        if x >= left:
-            for _ in steps:
-                f -= v0 + s * (x - x0)
-                if f <= 0.0:
-                    return None
-                e -= half_s * dx
-                g = 1.0 / sqrt(f)
-                x -= g
-                dx += g * g * g * e
-                if x < left:
-                    break
-    return x, f, dx, 2.0 * e
-
-
-def _relaxed_shot(delta1: float, params: ModelParams, seed: np.ndarray | None = None) -> ShootingOutcome:
-    """The recording shot, relaxed blockwise from ``seed``, a guess of its positions.
+def _relaxed_shot(
+    delta1: float, params: ModelParams, seed: np.ndarray | None = None, dx: np.ndarray | None = None
+) -> tuple[ShootingOutcome, float, float]:
+    """The shot, relaxed blockwise in place in ``seed``, a guess of its positions.
 
     A sweep over a block of up to ``_BLOCK`` steps forms each force term at
     the guessed position before its step (the piece as the recursion picks
     it), then the pressures, 1 / sqrt and the positions in numpy; accumulate
-    runs left to right like a scalar loop.  A sweep that returns its guess
-    bit for bit is the sequential recursion, by induction on the step, and
-    each sweep makes one more step exact, so a block of m steps ends within
-    m + 1 sweeps.  Only then is a collapse read off it, at its first f <= 0.
-    With no seed, each block guesses the constant-force chain from its exact
-    first pressure f_a and position x_a: f_a - j F(x_a), floored at
-    f_a 2**-60 short of a collapse.  The guess sets the sweeps, never the bits.
+    runs left to right like a scalar loop.  By induction on the step, a
+    sweep's positions are the sequential recursion's up to the first that
+    differs from its guess bit for bit, that one included; the next sweep
+    starts there, so a block of m steps ends within m sweeps, at the one
+    that returns its guess.  Only then is a collapse read off it, at its
+    first f <= 0.  With no seed, each block guesses the constant-force chain
+    from its exact first pressure f_a and position x_a: f_a - j F(x_a),
+    floored at f_a 2**-60 short of a collapse.  The guess sets the sweeps,
+    never the bits.
+
+    Given ``dx``, N + 1 values that guess the tangent dx_k of x_k in
+    delta_1 (with no seed, each block guesses dx_a throughout), a block whose
+    positions have repeated then relaxes the tangent in place the same way,
+    its g = 1 / sqrt(f) now final: e = df / 2 is the subtract.accumulate of
+    e_a and (s_k / 2) dx_k, s_k the slope of x_k's piece, and dx the
+    add.accumulate of dx_a and g g g e, in the scalar loop's order of
+    operations, until dx repeats.  Returns the outcome and (dx_N, df_N),
+    nan without ``dx`` or where the shot collapses.
     """
     profile, n = params.profile, params.n_gaps
     r = 1.0 / delta1
     f = r * r
     if not f > 0.0:
-        return ShootingOutcome(None, None)
+        return ShootingOutcome(None, None), math.nan, math.nan
     if f == math.inf:
         raise ValueError(f"first gap {delta1} too small for a finite pressure")
-    # piece p = searchsorted(bx, x, "right") up to top: the flat extension, then the segments
-    bx, top = profile.breakpoints, profile.breakpoints.size - 1
-    lefts, x0, v0, s = np.array(_pieces(profile)[::-1]).T
-    ends = [*lefts.tolist(), math.inf]  # piece p spans [ends[p], ends[p + 1])
-    pos = np.empty(n + 1) if seed is None else seed.copy()
+    # piece p = searchsorted(bx, x, "right") up to top: the flat extension, then segment p - 1
+    bx, by, top = profile.breakpoints, profile.values, profile.breakpoints.size - 1
+    x0, v0, s = np.append(bx[0], bx[:-1]), np.append(by[0], by[:-1]), np.append(0.0, profile.slopes)
+    half_s, ends = 0.5 * s, [-math.inf, *x0[1:].tolist(), math.inf]  # p spans [ends[p], ends[p + 1])
+    pos = np.empty(n + 1) if seed is None else seed
     pos[0], pos[1] = 0.0, -delta1
-    t, fs, xs = np.empty((3, _BLOCK + 1))
+    e = -f / delta1  # df / 2, which is exact
+    if dx is not None:
+        dx[0], dx[1] = 0.0, -1.0
+    t, fs, xs, es = np.empty((4, _BLOCK + 1))
+
+    def piece(x):  # of each of a monotone run of positions: one, where its ends share it
+        j = min(int(bx.searchsorted(x[0], "right")), top)
+        return j if ends[j] <= x[-1] < ends[j + 1] else np.minimum(bx.searchsorted(x, "right"), top)
+
+    def settle(chain, a, new, k):
+        """Write new[k + 1:] over chain[a + k + 1:]; the next exact chain[a + k], or None if it repeats."""
+        m = new.size - 1
+        miss = new[k + 1 : m].view(np.int64) != chain[a + k + 1 : a + m].view(np.int64)
+        chain[a + k + 1 : a + m + 1] = new[k + 1 :]
+        return k + 1 + int(miss.argmax()) if miss.any() else None
+
     with np.errstate(all="ignore"):  # an unconverged guess may drive some f <= 0
         for a in range(1, n, _BLOCK):
             m = min(_BLOCK, n - a)
@@ -188,24 +174,39 @@ def _relaxed_shot(delta1: float, params: ModelParams, seed: np.ndarray | None = 
             if seed is None:  # the constant-force chain from the block's exact start
                 fg = np.maximum(f - float(profile.force_at(guess[0])) * np.arange(1.0, m), f * 2.0 ** -60)
                 guess[1:] = guess[0] - np.cumsum(1.0 / np.sqrt(fg))
-            for _ in range(m + 1):
-                j = min(int(np.searchsorted(bx, guess[0], "right")), top)
-                if not ends[j] <= guess[-1] < ends[j + 1]:  # else so is all of a monotone guess
-                    j = np.minimum(np.searchsorted(bx, guess, "right"), top)
-                np.add(v0[j], s[j] * (guess - x0[j]), out=tb[1:])
-                tb[0] = f
-                np.subtract.accumulate(tb, out=fb)
-                tb[0] = guess[0]
-                np.divide(1.0, np.sqrt(fb[1:], out=tb[1:]), out=tb[1:])
-                np.subtract.accumulate(tb, out=xb)
-                same = np.array_equal(xb[1:m].view(np.int64), guess[1:].view(np.int64))
-                pos[a + 1 : a + m + 1] = xb[1:]
-                if same:
-                    break
+            k, fb[0] = 0, f
+            while k is not None:
+                g = guess[k:]
+                j = piece(g)
+                np.add(v0[j], s[j] * (g - x0[j]), out=tb[k + 1 :])
+                tb[k] = fb[k]
+                np.subtract.accumulate(tb[k:], out=fb[k:])
+                tb[k] = g[0]
+                np.divide(1.0, np.sqrt(fb[k + 1 :], out=tb[k + 1 :]), out=tb[k + 1 :])
+                np.subtract.accumulate(tb[k:], out=xb[k:])
+                k = settle(pos, a, xb, k)
             if (fb[1:] <= 0.0).any():
-                return ShootingOutcome(None, None)
+                return ShootingOutcome(None, None), math.nan, math.nan
             f = float(fb[m])
-    return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
+            if dx is None:
+                continue
+            hs, g3 = np.broadcast_to(half_s[piece(guess)], m), np.divide(1.0, np.sqrt(fb[1:]))
+            g3 *= g3 * g3
+            guess, eb = dx[a : a + m], es[: m + 1]
+            if seed is None:
+                guess[1:] = guess[0]
+            k, eb[0] = 0, e
+            while k is not None:
+                np.multiply(hs[k:], guess[k:], out=tb[k + 1 :])
+                tb[k] = eb[k]
+                np.subtract.accumulate(tb[k:], out=eb[k:])
+                np.multiply(g3[k:], eb[k + 1 :], out=tb[k + 1 :])
+                tb[k] = guess[k]
+                np.add.accumulate(tb[k:], out=xb[k:])
+                k = settle(dx, a, xb, k)
+            e = float(eb[m])
+    out = ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
+    return (out, float(dx[-1]), 2.0 * e) if dx is not None else (out, math.nan, math.nan)
 
 
 def _validate_monotone(profile: Constant | PiecewiseLinear, L: float) -> float:
@@ -299,9 +300,9 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     ``_constant_chain``.  A ``PiecewiseLinear`` one takes safeguarded Newton
     (rtsafe, Numerical Recipes 9.4) on the terminal function h of the module
     docstring, over the first gap, from the continuum first gap (under 0.3/N
-    off the root).  Its shots are lean: they carry the tangent (dx_k, df_k)
-    of (x_k, f_k) in delta_1 and keep no positions, and h' is dx_N / L on the
-    wall branch, (df_N - F'(x_N) dx_N) / (N/L)**2 on the slack branch.  A
+    off the root).  Its shots carry the tangent (dx_k, df_k) of (x_k, f_k)
+    in delta_1, and h' is dx_N / L on the wall branch,
+    (df_N - F'(x_N) dx_N) / (N/L)**2 on the slack branch.  A
     sign bracket starts at the rigorous ends: h > 0 at a machine-tiny gap,
     and h <= 0 at min(L/N, (N F(0))**-0.5) * (1 + 1e-9), as gaps never
     shrink along the chain (so x_N <= -N delta_1) and no force term is below
@@ -315,15 +316,23 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     q (1 - 0.4 ``TOL_REL``) at the Newton estimate q, recording, then
     gallops away from it on the side the sign of h points to, the distance
     doubling, and bisects once the sign has turned; q (1 + 0.4 ``TOL_REL``)
-    mostly closes the bracket.  Every recording shot is relaxed in numpy
-    blocks of 4,096 steps with the scalar recursion's bits: the first from
-    its blocks' own constant-force guesses, and once a shot has recorded a
-    complete chain, every later one (that straddle, the gallop, the
-    bisection and the re-record below) from the latest chain, about 1e-13
-    off, in 2-4 sweeps per block.  So the result and shot count are those
-    of scalar shots.  It stops at a relative bracket width of ``TOL_REL`` =
-    1e-14, and spends at most ``MAX_ITER`` = 200 shots, lean and recording
-    alike (3-7 on most profiles); NoConvergence, carrying the shots spent and the last
+    mostly closes the bracket.  Every shot is relaxed in numpy blocks of
+    4,096 steps with the scalar recursion's bits, from a guess of its chain
+    that sets only its sweeps: the first shot, and each after a bisection,
+    from its blocks' own constant-force guesses and a tangent guess of dx_a
+    throughout; a Newton step's shot from the last chain corrected to first
+    order, x + (d - d_prev) dx, and the last tangent; the endgame's shots
+    (that straddle, the gallop, the bisection and the re-record below) from
+    the latest chain, about 1e-13 off, in 2-4 sweeps per block, and without
+    the tangent.  A far guess converges slowly, so no bisection's shot
+    inherits a chain.  A shot relaxes in place in the chain it is given,
+    which is copied only where it is the recorded shot kept below (a
+    collapse leaves no chain), and Newton's shots in one tangent array of
+    N + 1 values, dropped when the endgame starts.  So the result and shot
+    count are those of scalar shots.  It stops at a
+    relative bracket width of ``TOL_REL`` = 1e-14, and spends at most
+    ``MAX_ITER`` = 200 shots, tangent and recording alike (3-7 on most
+    profiles); NoConvergence, carrying the shots spent and the last
     bracket, when the bracket is not that narrow by then.
 
     The result is the recorded shot of the bracket's h > 0 end (shot once
@@ -358,16 +367,15 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     # h > 0 at lo, with its recorded shot once there is one; h <= 0 at hi,
     # with x_N there, -inf while hi is unshot or collapsed
     lo, lo_out, hi_x = _TINY_DELTA1, None, -math.inf
-    pieces = _pieces(profile)
     d = _continuum_first_gap(profile, L, n)
     if not lo < d < hi:
         d = math.sqrt(lo * hi)
-    shots, gap, record, seed = 0, 0.0, False, None
+    shots, gap, record, seed, dx, d_prev = 0, 0.0, False, None, np.empty(n + 1), math.nan
     while True:
         narrow = hi - lo <= TOL_REL * hi
         if narrow and lo_out is not None:
             break
-        if narrow:  # the h > 0 end ran lean: shoot it again, recording
+        if narrow:  # the h > 0 end was not recorded: shoot it again, recording
             d, record = lo, True
         if shots >= MAX_ITER:
             raise NoConvergence(
@@ -376,17 +384,18 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
                 iterations=shots, bracket=(lo, hi),
             )
         shots += 1
-        if record or seed is not None:
-            out = _relaxed_shot(d, params, seed)
-            x, slack, dx, dslack = _COLLAPSED
-            if out.complete:
-                x, slack, seed = float(out.positions[-1]), out.terminal_slack, out.positions
-            out = out if record else None
-        else:
-            out, (x, f, dx, df) = None, _lean_shot(d, n, pieces) or _COLLAPSED
-            slack, dslack = f - profile.force_at(x), df - profile.slope_at(x) * dx
+        if lo_out is not None and seed is lo_out.positions:
+            seed = seed.copy()
+        elif not record and dx is not None and seed is not None:  # a Newton step: last chain, to first order
+            with np.errstate(all="ignore"):
+                seed += (d - d_prev) * dx
+        out, dx_n, df_n = _relaxed_shot(d, params, seed, None if record else dx)
+        seed = out.positions
+        x, slack = (float(seed[-1]), out.terminal_slack) if out.complete else _COLLAPSED
+        dslack = df_n - profile.slope_at(x) * dx_n
+        out = out if record else None
         wall, slack = (x + L) / L, slack / pressure_scale
-        h, slope = (wall, dx / L) if wall <= slack else (slack, dslack / pressure_scale)
+        h, slope = (wall, dx_n / L) if wall <= slack else (slack, dslack / pressure_scale)
         if h > 0.0:
             lo, lo_out = d, out
         else:
@@ -400,15 +409,15 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
             continue
         step = -h / slope if -math.inf < slope < 0.0 else math.nan
         if abs(step) < 1e-8 * d and abs(h) < 1e-4:
-            gap = 0.4 * TOL_REL * (d + step)
+            gap, dx = 0.4 * TOL_REL * (d + step), None
             d, record = min(max(d + step - gap, lo + gap), hi - gap), True
             continue
         if lo < d + step < hi:
-            d += step
-        else:  # no slope, or a step that leaves the bracket: bisect
-            d = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+            d, d_prev = d + step, d
+        else:  # no slope, or a step that leaves the bracket: bisect, and guess afresh
+            d, seed = (math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)), None
 
-    positions, seed = lo_out.positions, None  # release the seed before the residual pass
+    positions, seed, dx = lo_out.positions, None, None  # release seed and tangent before the residual pass
     # Collapse at the other end means the wall was crossed there too
     # (positions run to -inf before pressures hit zero), so both terminal
     # conditions are unresolved at this width: treat as the tie.  Tie (both

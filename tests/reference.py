@@ -10,7 +10,9 @@ which the library no longer has, and a piecewise one with ``shoot_piecewise``,
 so it uses no shot of the library.  ``shoot_constant`` is the constant-force
 shot as first vectorized, one fresh array per intermediate, and ``shoot_piecewise``
 the piecewise shot as first written, one segment lookup per particle, with
-the library's step 1 / sqrt(f).  ``render_csv_rows`` is
+the library's step 1 / sqrt(f).  ``tangent_shot`` is Newton's shot as the
+shooting solver first ran it, a scalar loop over ``shot_pieces`` that
+carries the tangent (dx_k, df_k) in the first gap and keeps no positions.  ``render_csv_rows`` is
 the CLI's earlier row-wise CSV renderer: ``csv.writer`` over one list per
 row, and ``render_json`` its earlier unchunked JSON renderer: one
 ``json.dumps`` of the whole payload in one process.
@@ -339,6 +341,47 @@ def shoot_piecewise(delta1: float, profile: PiecewiseLinear, n: int) -> Shooting
         positions.append(x)
     pos = np.array(positions)
     return ShootingOutcome(pos, f - float(profile.force_at(pos[-1])))
+
+
+def shot_pieces(profile: PiecewiseLinear) -> list[tuple[float, float, float, float]]:
+    """The pieces of a shot, each (left end, anchor, value at anchor, slope).
+
+    x only moves left, so they are visited right to left: segment j while
+    x >= bx[j], then the flat extension left of bx[0].
+    """
+    bx, by, slopes = profile.breakpoints.tolist(), profile.values.tolist(), profile.slopes.tolist()
+    pieces = [(bx[j], bx[j], by[j], slopes[j]) for j in range(len(bx) - 2, -1, -1)]
+    pieces.append((-math.inf, bx[0], by[0], 0.0))
+    return pieces
+
+
+def tangent_shot(delta1: float, n: int, pieces) -> tuple[float, float, float, float] | None:
+    """(x_N, f_N) of ``shoot`` bit for bit, and their derivatives (dx_N, df_N) in delta1.
+
+    Keeps no positions, and returns None where ``shoot`` collapses.
+    """
+    r = 1.0 / delta1
+    f = r * r
+    if not f > 0.0:
+        return None
+    sqrt = math.sqrt
+    # e = df / 2 saves a product per step; halving is exact, so df is unchanged
+    x, dx, e = -delta1, -1.0, -f / delta1
+    steps = iter(range(1, n))  # shared by the pieces, like shoot's k
+    for left, x0, v0, s in pieces:
+        half_s = 0.5 * s
+        if x >= left:
+            for _ in steps:
+                f -= v0 + s * (x - x0)
+                if f <= 0.0:
+                    return None
+                e -= half_s * dx
+                g = 1.0 / sqrt(f)
+                x -= g
+                dx += g * g * g * e
+                if x < left:
+                    break
+    return x, f, dx, 2.0 * e
 
 
 def table_rows(columns) -> list[list]:

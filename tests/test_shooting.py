@@ -1,5 +1,7 @@
 """Shooting recursion, the fixed-point root-find and the wall-departure force."""
 
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from reference import (
     min_on,
     non_increasing_on,
     shoot_piecewise,
+    shot_pieces,
+    tangent_shot,
     wall_force,
 )
 
@@ -134,14 +138,14 @@ class TestShoot:
         if isinstance(force, Constant):  # the constant route takes no shot
             force = flat(force.value, L)
         p, d1 = params(n, L, force), ratio * L / n
-        pieces = shooting._pieces(force)
-        lean, out = shooting._lean_shot(d1, n, pieces), shoot(d1, p)
-        assert (lean is None) is (not out.complete)
-        if lean is None:
+        (tangent, dx, df), out = shooting._relaxed_shot(d1, p, None, np.empty(n + 1)), shoot(d1, p)
+        assert tangent.complete is out.complete
+        if not out.complete:
             return
-        x, f, dx, df = lean
-        assert x.hex() == float(out.positions[-1]).hex()
-        assert (f - force.force_at(x)).hex() == out.terminal_slack.hex()
+        assert tangent.positions.tobytes() == out.positions.tobytes()
+        assert bits(tangent.terminal_slack) == bits(out.terminal_slack)
+        x = float(out.positions[-1])
+        f = out.terminal_slack + force.force_at(x)
         # The tangent against a central difference of two recorded shots,
         # where both complete, no x_k crosses a breakpoint between them
         # (F' jumps there) and f_N keeps its sign well inside the step.
@@ -251,42 +255,103 @@ class TestRelaxedShot:
         ref = shoot_piecewise(d1, p.profile, n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shooting, "_BLOCK", block)
-            out = shooting._relaxed_shot(d1, p, seed)
+            out, _, _ = shooting._relaxed_shot(d1, p, seed)
         assert out.complete == ref.complete
         if ref.complete:
             assert out.positions.tobytes() == ref.positions.tobytes()
             assert bits(out.terminal_slack) == bits(ref.terminal_slack)
 
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        block=st.sampled_from([1, 2, 5, 64, 4096, 10 ** 6]),
+        log_length=st.floats(-3.0, 3.0),
+        ratio=st.floats(0.2, 1.5),
+        data=st.data(),
+    )
+    def test_tangent_is_the_scalar_tangent_bit_for_bit(self, block, log_length, ratio, data):
+        # As above, with the seeds of Newton's shots: none (each block
+        # guesses its own chain, and dx_a throughout), or a reference shot
+        # 1e-15 to 1e-3 off with its tangent, its chain as it is or
+        # corrected to first order.
+        sizes = st.one_of(st.integers(1, 20_000), st.integers(8_000, 20_000))
+        n = data.draw(st.integers(1, 300) if block < 64 else sizes)
+        L = 10.0 ** log_length
+        p = params(n, L, data.draw(monotone_pieces(n, L)))
+        d1, seed, dx = ratio * L / n, None, np.empty(n + 1)
+        offset = data.draw(st.one_of(st.none(), st.floats(-15.0, -3.0)))
+        if offset is not None:  # a collapsed shot leaves no seed
+            near = d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset)
+            seed = shoot_piecewise(near, p.profile, n).positions
+            shooting._relaxed_shot(near, p, None, dx)
+            if seed is not None and data.draw(st.booleans()):
+                seed += (d1 - near) * dx
+        ref = tangent_shot(d1, n, shot_pieces(p.profile))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shooting, "_BLOCK", block)
+            out, dx_n, df_n = shooting._relaxed_shot(d1, p, seed, dx)
+        assert out.complete is (ref is not None)
+        if ref is not None:
+            assert_tangent_is(ref, out, dx_n, df_n, p.profile)
+
     def test_pieces_cross_inside_a_block_and_a_collapse_is_found(self):
         # The first block of 4,096 steps crosses the kink at -0.05, and the
         # shots 1 % and 20 % above the root collapse in a later block; each
-        # is relaxed from the root's chain and from its own blocks' guesses.
+        # is relaxed from the root's chain and from its own blocks' guesses,
+        # and with its tangent from its own guesses and from the root's
+        # chain and tangent, corrected to first order.
         n, L = 20_000, 1.0
         fcr = critical_force_exact(n, L)
         force = PiecewiseLinear([(-1.0, 3 * fcr), (-0.2, 2 * fcr), (-0.15, fcr), (-0.1, 0.5 * fcr),
                                  (-0.05, 0.2 * fcr), (0.0, 0.0)])
         p = params(n, L, force)
         root = solve_fixed_point(p).delta1
-        seed = shoot_piecewise(root, force, n).positions
+        seed, dx = shoot_piecewise(root, force, n).positions, np.empty(n + 1)
+        shooting._relaxed_shot(root, p, None, dx)
         assert seed[4096] < -0.05 < seed[1]
         for d1 in (root * (1 + 1e-13), root * 1.01, root * 1.2):
-            ref = shoot_piecewise(d1, force, n)
-            for out in (shooting._relaxed_shot(d1, p, seed), shooting._relaxed_shot(d1, p)):
+            ref, lean = shoot_piecewise(d1, force, n), tangent_shot(d1, n, shot_pieces(force))
+            shots = [shooting._relaxed_shot(d1, p, seed.copy()), shooting._relaxed_shot(d1, p),
+                     shooting._relaxed_shot(d1, p, None, np.empty(n + 1)),
+                     shooting._relaxed_shot(d1, p, seed + (d1 - root) * dx, dx.copy())]
+            for out, dx_n, df_n in shots:
                 assert out.complete == ref.complete
                 if ref.complete:
                     assert out.positions.tobytes() == ref.positions.tobytes()
+            assert (lean is not None) is ref.complete
+            for out, dx_n, df_n in shots[2:] if ref.complete else []:
+                assert_tangent_is(lean, out, dx_n, df_n, force)
         assert not shoot_piecewise(root * 1.01, force, n).complete
         assert not shoot_piecewise(root * 1.2, force, n).complete
+
+
+def assert_tangent_is(lean, out, dx_n, df_n, profile):
+    """A relaxed tangent shot has the scalar tangent shot's x_N, f_N, dx_N and df_N, hex for hex."""
+    x, f, dx, df = lean
+    assert float(out.positions[-1]).hex() == x.hex()
+    assert out.terminal_slack.hex() == (f - profile.force_at(x)).hex()
+    assert (dx_n.hex(), df_n.hex()) == (dx.hex(), df.hex())
 
 
 class TestRelaxedSolve:
     @staticmethod
     def same_solve(p):
-        """Assert that p solves to the same bits with the reference's recording shots; return their count."""
+        """Assert that p solves to the same bits with the reference's shots; return the recording ones' count."""
         relaxed, calls = solve_fixed_point(p), []
+
+        def reference_shot(d1, model, seed=None, dx=None):
+            # a tangent shot's chain is the recording reference's: the next seed
+            out = shoot_piecewise(d1, model.profile, model.n_gaps)
+            if dx is None:
+                calls.append(d1)
+                return out, math.nan, math.nan
+            lean = tangent_shot(d1, model.n_gaps, shot_pieces(model.profile))
+            if lean is None:
+                return shooting.ShootingOutcome(None, None), math.nan, math.nan
+            x, f, dx_n, df_n = lean
+            return shooting.ShootingOutcome(out.positions, f - model.profile.force_at(x)), dx_n, df_n
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shooting, "_relaxed_shot", lambda d1, model, seed=None: calls.append(d1)
-                          or shoot_piecewise(d1, model.profile, model.n_gaps))
+            patch.setattr(shooting, "_relaxed_shot", reference_shot)
             scalar = solve_fixed_point(p)
         assert relaxed.config.positions.tobytes() == scalar.config.positions.tobytes()
         assert relaxed.classification is scalar.classification
@@ -823,6 +888,34 @@ class TestContinuumSeed:
             assert sol.classification is ref.classification
             gap = np.max(np.abs(sol.config.positions - ref.config.positions))
             assert gap <= 1e-8 * L / n
+
+    @pytest.mark.parametrize("first_gap", [0.0, math.nan, 1e300])
+    def test_no_shot_after_a_bisection_is_given_a_chain(self, first_gap):
+        # A chain far off the shot converges slowly, so where a hint off the
+        # bracket makes the search bisect, each bisection's shot guesses its
+        # own blocks.
+        n, L = 2000, 1.0
+        profile = PiecewiseLinear([(-1.0, 6.0 * n), (-0.5, 3.0 * n), (0.0, 0.0)])
+        p, relaxed, shots = params(n, L, profile), shooting._relaxed_shot, []
+
+        def spy(d1, model, seed=None, dx=None):
+            out = relaxed(d1, model, seed, dx)
+            above = out[0].complete and out[0].positions[-1] > -L and out[0].terminal_slack > 0.0  # h > 0
+            shots.append((d1, seed is not None, dx is not None, above))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shooting, "_continuum_first_gap", lambda *args: first_gap)
+            patch.setattr(shooting, "_relaxed_shot", spy)
+            sol = solve_fixed_point(p)
+        lo, hi, bisections = shooting._TINY_DELTA1, L / n * (1.0 + 1e-9), 0  # F(0) = 0: hi is L/N
+        for (d1, _, _, above), (d_next, seeded, tangent, _) in zip(shots, shots[1:]):
+            lo, hi = (d1, hi) if above else (lo, d1)
+            if tangent and d_next == (math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)):
+                bisections += 1
+                assert not seeded
+        assert bisections >= 1
+        assert sol.classification is solve_fixed_point(p).classification
 
 
 class TestWallForce:
