@@ -2,9 +2,9 @@
 
 Subcommands map one-to-one onto the library surface: ``solve`` (shooting
 solver), ``critical`` (exact wall-departure force), ``density`` (histogram
-plus asymptotic prediction), ``sweep`` and ``converge`` (analysis tables),
-``oracle`` (descent minimizer) and ``nonunique`` (multi-start search on the
-tent profile).  Output is compact JSON or CSV, byte for byte as ``json.dumps``
+plus asymptotic prediction), ``sweep`` (analysis table), ``oracle``
+(descent minimizer) and ``nonunique`` (multi-start search on the tent
+profile).  Output is compact JSON or CSV, byte for byte as ``json.dumps``
 and ``csv.writer`` write it.  Float arrays and the CSV row index take their
 digits from one ``orjson`` call per chunk, and only the layouts in which
 orjson and repr differ are rewritten.  Both formats stream: the text is
@@ -15,14 +15,12 @@ object; a stdout closed early exits 1 with no more output; usage errors exit 2.
 The solvers' budgets and tolerances are fixed, not flags: a shooting solve
 under a piecewise force stops at a relative first-gap bracket of
 ``shooting.TOL_REL`` = 1e-14 within ``shooting.MAX_ITER`` = 200 shots,
-Newton's tangent shots and recording ones alike, which its ``iterations``
-counts (none is needed under constant force); a descent at
-``minimizer.default_settings`` within ``minimizer.MAX_ITER`` = 500,000
-steps.  ``oracle`` descends from the uniform chain; ``nonunique`` runs 8
-stratified starts per coupling, jittered by ``--seed``.  ``sweep``
+which its ``iterations`` counts (none is needed under constant force); a
+descent at ``minimizer.default_settings`` within ``minimizer.MAX_ITER`` =
+500,000 steps.  ``oracle`` descends from the uniform chain; ``nonunique``
+runs 8 stratified starts per coupling, jittered by ``--seed``.  ``sweep``
 classifies each point on round(sqrt(N)) histogram bins; only ``density``
-takes ``--bins``.  ``converge`` is a ``sweep`` over its N list at one
-(L, c, gamma), so both tables have the fields of ``SweepRow`` as columns,
+takes ``--bins``.  Its table has the fields of ``SweepRow`` as columns,
 in order, and every row is a function of its grid point.
 """
 
@@ -139,13 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,L,C,GAMMA;...",
         help="semicolon-separated grid points",
     )
-
-    p = sub.add_parser(
-        "converge", parents=[length, output], help="sweep of one (L, c, gamma) over increasing N"
-    )
-    p.add_argument("--c", type=float, required=True, help="force coefficient")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--n-list", required=True, metavar="N1,N2,...")
 
     sub.add_parser("oracle", parents=solver, help="projected Newton energy minimization")
 
@@ -434,21 +425,6 @@ def _cmd_density(args):
     return payload, table
 
 
-def _sweep_table(grid):
-    """Payload and CSV table of a grid's sweep rows, one column per ``SweepRow`` field."""
-    rows = sweep(grid)
-    header = [f.name for f in dataclasses.fields(SweepRow)]
-    columns = [[getattr(r, name) for r in rows] for name in header]
-    payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
-    return payload, lambda: (header, columns)
-
-
-def _grid_n(n: float) -> int:
-    if not n.is_integer():
-        raise ValueError(f"grid point N must be an integer, got {n}")
-    return int(n)
-
-
 def _cmd_sweep(args):
     grid = []
     for chunk in args.grid.split(";"):
@@ -456,13 +432,14 @@ def _cmd_sweep(args):
         if not chunk:
             continue
         n, L, c, gamma = (float(part) for part in chunk.split(","))
-        grid.append((_grid_n(n), L, c, gamma))
-    return _sweep_table(grid)
-
-
-def _cmd_converge(args):
-    n_list = [_grid_n(float(part)) for part in args.n_list.split(",") if part.strip()]
-    return _sweep_table([(n, args.length, args.c, args.gamma) for n in n_list])
+        if not n.is_integer():
+            raise ValueError(f"grid point N must be an integer, got {n}")
+        grid.append((int(n), L, c, gamma))
+    rows = sweep(grid)
+    header = [f.name for f in dataclasses.fields(SweepRow)]
+    columns = [[getattr(r, name) for r in rows] for name in header]
+    payload = {"columns": header, "rows": [list(row) for row in zip(*columns)]}
+    return payload, lambda: (header, columns)
 
 
 def _cmd_oracle(args):
@@ -530,7 +507,6 @@ _COMMANDS = {
     "critical": _cmd_critical,
     "density": _cmd_density,
     "sweep": _cmd_sweep,
-    "converge": _cmd_converge,
     "oracle": _cmd_oracle,
     "nonunique": _cmd_nonunique,
 }

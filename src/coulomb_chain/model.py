@@ -338,8 +338,7 @@ class FixedPointResult:
     """A solved configuration plus classification and solve diagnostics.
 
     ``delta1`` is read off ``config``.  ``iterations`` counts shots
-    (piecewise force: tangent and recording shots alike), Z evaluations
-    (constant force) or descent steps.
+    (piecewise force), Z evaluations (constant force) or descent steps.
     """
 
     config: Configuration

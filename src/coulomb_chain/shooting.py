@@ -123,8 +123,10 @@ def _relaxed_shot(
     sweep's positions are the sequential recursion's up to the first that
     differs from its guess bit for bit, that one included; the next sweep
     starts there, so a block of m steps ends within m sweeps, at the one
-    that returns its guess.  Only then is a collapse read off it, at its
-    first f <= 0.  With no seed, each block guesses the constant-force chain
+    that returns its guess.  After each sweep, the pressures it made exact
+    (up to that first change, or to the block's end once it repeats) are
+    read for a collapse, which ends the shot at the first f <= 0.  With no
+    seed, each block guesses the constant-force chain
     from its exact first pressure f_a and position x_a: f_a - j F(x_a),
     floored at f_a 2**-60 short of a collapse.  The guess sets the sweeps,
     never the bits.
@@ -161,11 +163,11 @@ def _relaxed_shot(
         return j if ends[j] <= x[-1] < ends[j + 1] else np.minimum(bx.searchsorted(x, "right"), top)
 
     def settle(chain, a, new, k):
-        """Write new[k + 1:] over chain[a + k + 1:]; the next exact chain[a + k], or None if it repeats."""
+        """Write new[k + 1:] over chain[a + k + 1:]; the next k, its first change, or m if it repeats."""
         m = new.size - 1
         miss = new[k + 1 : m].view(np.int64) != chain[a + k + 1 : a + m].view(np.int64)
         chain[a + k + 1 : a + m + 1] = new[k + 1 :]
-        return k + 1 + int(miss.argmax()) if miss.any() else None
+        return k + 1 + int(miss.argmax()) if miss.any() else m
 
     with np.errstate(all="ignore"):  # an unconverged guess may drive some f <= 0
         for a in range(1, n, _BLOCK):
@@ -175,7 +177,7 @@ def _relaxed_shot(
                 fg = np.maximum(f - float(profile.force_at(guess[0])) * np.arange(1.0, m), f * 2.0 ** -60)
                 guess[1:] = guess[0] - np.cumsum(1.0 / np.sqrt(fg))
             k, fb[0] = 0, f
-            while k is not None:
+            while k < m:
                 g = guess[k:]
                 j = piece(g)
                 np.add(v0[j], s[j] * (g - x0[j]), out=tb[k + 1 :])
@@ -184,9 +186,9 @@ def _relaxed_shot(
                 tb[k] = g[0]
                 np.divide(1.0, np.sqrt(fb[k + 1 :], out=tb[k + 1 :]), out=tb[k + 1 :])
                 np.subtract.accumulate(tb[k:], out=xb[k:])
-                k = settle(pos, a, xb, k)
-            if (fb[1:] <= 0.0).any():
-                return ShootingOutcome(None, None), math.nan, math.nan
+                start, k = k, settle(pos, a, xb, k)
+                if (fb[start + 1 : k + 1] <= 0.0).any():  # a collapse among the pressures now exact
+                    return ShootingOutcome(None, None), math.nan, math.nan
             f = float(fb[m])
             if dx is None:
                 continue
@@ -196,7 +198,7 @@ def _relaxed_shot(
             if seed is None:
                 guess[1:] = guess[0]
             k, eb[0] = 0, e
-            while k is not None:
+            while k < m:
                 np.multiply(hs[k:], guess[k:], out=tb[k + 1 :])
                 tb[k] = eb[k]
                 np.subtract.accumulate(tb[k:], out=eb[k:])
@@ -313,30 +315,32 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     its ends differ by more than a factor 2).  Once a Newton step is below
     1e-8 relative at |h| < 1e-4 (far off, where rounding flattens F but not
     its slope, the step alone can be tiny), the endgame shoots
-    q (1 - 0.4 ``TOL_REL``) at the Newton estimate q, recording, then
-    gallops away from it on the side the sign of h points to, the distance
-    doubling, and bisects once the sign has turned; q (1 + 0.4 ``TOL_REL``)
-    mostly closes the bracket.  Every shot is relaxed in numpy blocks of
-    4,096 steps with the scalar recursion's bits, from a guess of its chain
-    that sets only its sweeps: the first shot, and each after a bisection,
-    from its blocks' own constant-force guesses and a tangent guess of dx_a
-    throughout; a Newton step's shot from the last chain corrected to first
-    order, x + (d - d_prev) dx, and the last tangent; the endgame's shots
-    (that straddle, the gallop, the bisection and the re-record below) from
-    the latest chain, about 1e-13 off, in 2-4 sweeps per block, and without
-    the tangent.  A far guess converges slowly, so no bisection's shot
-    inherits a chain.  A shot relaxes in place in the chain it is given,
-    which is copied only where it is the recorded shot kept below (a
-    collapse leaves no chain), and Newton's shots in one tangent array of
+    q (1 - 0.4 ``TOL_REL``) at the Newton estimate q, then gallops away
+    from it on the side the sign of h points to, the distance doubling, and
+    bisects once the sign has turned; q (1 + 0.4 ``TOL_REL``) mostly closes
+    the bracket.  Every shot is relaxed in numpy blocks of 4,096 steps with
+    the scalar recursion's bits, from a guess of its chain that sets only
+    its sweeps: the first shot, and each after a bisection, from its
+    blocks' own constant-force guesses and a tangent guess of dx_a
+    throughout; a Newton step's shot from the last chain x corrected to
+    first order, x + (d + x_1) dx (its first gap is -x_1 exactly), and the
+    last tangent; the endgame's shots (that straddle, the gallop and the
+    bisection) from the latest chain, about 1e-13 off, in 2-4 sweeps per
+    block, and without the tangent.  A far guess converges slowly, so no
+    bisection's shot inherits a chain.  Every complete shot with h > 0
+    becomes the chain of the bracket's h > 0 end, and no shot relaxes inside
+    that one: a Newton guess is formed in a fresh array, an endgame shot
+    given a copy.  Other shots relax in place in the chain they are given
+    (a collapse leaves no chain), and Newton's shots in one tangent array of
     N + 1 values, dropped when the endgame starts.  So the result and shot
-    count are those of scalar shots.  It stops at a
-    relative bracket width of ``TOL_REL`` = 1e-14, and spends at most
-    ``MAX_ITER`` = 200 shots, tangent and recording alike (3-7 on most
-    profiles); NoConvergence, carrying the shots spent and the last
-    bracket, when the bracket is not that narrow by then.
+    count are those of scalar shots.  It stops at a relative bracket width
+    of ``TOL_REL`` = 1e-14, and spends at most ``MAX_ITER`` = 200 shots
+    (3-7 on most profiles); NoConvergence, carrying the shots spent and the
+    last bracket, when the bracket is not that narrow by then.  A bracket
+    that closes with no chain at its h > 0 end has closed on its floor, so
+    the root's first gap is not above 1e-150: ValueError, naming that floor.
 
-    The result is the recorded shot of the bracket's h > 0 end (shot once
-    more, recording, should it have been a search shot).  Where the other
+    The result is the chain of the bracket's h > 0 end.  Where the other
     end crossed the wall or collapsed, the chain (like a pinned
     constant-force one) is stretched so that x_N = -L exactly; otherwise it
     is interior.  The stretch spreads the wall correction over all gaps instead of dumping the
@@ -364,19 +368,14 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
     if _TINY_DELTA1 >= hi:
         bound = f"L/N = {L / n}" if L / n <= force_bound else f"N F(0) = {n * force_min}"
         raise ValueError(f"{bound} leaves no first gap above {_TINY_DELTA1} to bracket")
-    # h > 0 at lo, with its recorded shot once there is one; h <= 0 at hi,
-    # with x_N there, -inf while hi is unshot or collapsed
-    lo, lo_out, hi_x = _TINY_DELTA1, None, -math.inf
+    # h > 0 at lo, with its chain once shot there; h <= 0 at hi, with x_N
+    # there, -inf while hi is unshot or collapsed
+    lo, chain, hi_x = _TINY_DELTA1, None, -math.inf
     d = _continuum_first_gap(profile, L, n)
     if not lo < d < hi:
         d = math.sqrt(lo * hi)
-    shots, gap, record, seed, dx, d_prev = 0, 0.0, False, None, np.empty(n + 1), math.nan
-    while True:
-        narrow = hi - lo <= TOL_REL * hi
-        if narrow and lo_out is not None:
-            break
-        if narrow:  # the h > 0 end was not recorded: shoot it again, recording
-            d, record = lo, True
+    shots, gap, seed, dx = 0, 0.0, None, np.empty(n + 1)
+    while hi - lo > TOL_REL * hi:
         if shots >= MAX_ITER:
             raise NoConvergence(
                 f"first-gap search did not reach TOL_REL={TOL_REL} "
@@ -384,23 +383,17 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
                 iterations=shots, bracket=(lo, hi),
             )
         shots += 1
-        if lo_out is not None and seed is lo_out.positions:
+        if seed is chain is not None:  # no shot relaxes inside lo's chain
             seed = seed.copy()
-        elif not record and dx is not None and seed is not None:  # a Newton step: last chain, to first order
-            with np.errstate(all="ignore"):
-                seed += (d - d_prev) * dx
-        out, dx_n, df_n = _relaxed_shot(d, params, seed, None if record else dx)
-        seed = out.positions
-        x, slack = (float(seed[-1]), out.terminal_slack) if out.complete else _COLLAPSED
+        (seed, slack), dx_n, df_n = _relaxed_shot(d, params, seed, dx)
+        x, slack = (float(seed[-1]), slack) if seed is not None else _COLLAPSED
         dslack = df_n - profile.slope_at(x) * dx_n
-        out = out if record else None
         wall, slack = (x + L) / L, slack / pressure_scale
         h, slope = (wall, dx_n / L) if wall <= slack else (slack, dslack / pressure_scale)
         if h > 0.0:
-            lo, lo_out = d, out
+            lo, chain = d, seed
         else:
             hi, hi_x = d, x
-        record = False
         if gap:  # endgame: gallop away from q on the side h points to, then bisect
             gap *= 2.0
             d = lo + gap if h > 0.0 else hi - gap
@@ -410,14 +403,19 @@ def solve_fixed_point(params: ModelParams) -> FixedPointResult:
         step = -h / slope if -math.inf < slope < 0.0 else math.nan
         if abs(step) < 1e-8 * d and abs(h) < 1e-4:
             gap, dx = 0.4 * TOL_REL * (d + step), None
-            d, record = min(max(d + step - gap, lo + gap), hi - gap), True
-            continue
-        if lo < d + step < hi:
-            d, d_prev = d + step, d
+            d = min(max(d + step - gap, lo + gap), hi - gap)
+        elif lo < d + step < hi:  # Newton: the last chain to first order (its first gap is -last[1]), afresh
+            d, last = d + step, seed
+            with np.errstate(all="ignore"):
+                seed = np.multiply(dx, d + last[1])
+                seed += last
+            del last
         else:  # no slope, or a step that leaves the bracket: bisect, and guess afresh
             d, seed = (math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)), None
+    if chain is None:
+        raise ValueError(f"the fixed point's first gap lies at or below the bracket's floor {_TINY_DELTA1}")
 
-    positions, seed, dx = lo_out.positions, None, None  # release seed and tangent before the residual pass
+    positions, seed, dx = chain, None, None  # release seed and tangent before the residual pass
     # Collapse at the other end means the wall was crossed there too
     # (positions run to -inf before pressures hit zero), so both terminal
     # conditions are unresolved at this width: treat as the tie.  Tie (both

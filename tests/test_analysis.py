@@ -211,7 +211,7 @@ class TestSweep:
 
 
 class TestSweepOverN:
-    # One (L, c, gamma) at increasing N, as the ``converge`` command sweeps it.
+    # One (L, c, gamma) at increasing N, as ``sweep --grid`` takes it.
     def test_sublinear_force_deviation_decreases(self):
         rows = sweep([(n, 1.0, 1.0, 0.5) for n in (100, 1000, 10000)])
         devs = [r.n_max_gap_dev for r in rows]

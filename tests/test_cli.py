@@ -312,11 +312,9 @@ class TestTableCommands:
         code, cout = run_cli(capsys, *args, "--format", "csv")
         assert code == 0 and ",detached," in cout and "Phase" not in cout
 
-    def test_converge_table(self, capsys):
-        # c = 0 is no scaling, and each N gets an error row, as in sweep
-        code, out = run_cli(
-            capsys, "converge", "--c", "0", "--gamma", "1", "--n-list", "10,20"
-        )
+    def test_zero_coupling_is_an_error_row_at_each_n(self, capsys):
+        # c = 0 is no scaling, and each N gets an error row
+        code, out = run_cli(capsys, "sweep", "--grid", "10,1,0,1;20,1,0,1")
         assert code == 0
         payload = json.loads(out)
         assert payload["columns"] == [f.name for f in dataclasses.fields(SweepRow)]
@@ -324,18 +322,24 @@ class TestTableCommands:
         assert [row[-1] for row in payload["rows"]] == ["ValueError: scaled force needs c > 0 and gamma > 0"] * 2
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_converge_prints_the_sweep_of_its_n_list(self, capsys, fmt):
-        code, converged = run_cli(capsys, "converge", "--c", "16", "--gamma", "1", "--length", "2",
-                                  "--n-list", "100,1000", "--format", fmt)
-        assert code == 0
+    def test_a_sweep_over_n_prints_the_rows_of_its_points(self, capsys, fmt):
+        # one (L, c, gamma) at increasing N: each row is its point's own sweep row
         code, swept = run_cli(capsys, "sweep", "--grid", "100,2,16,1;1000,2,16,1", "--format", fmt)
         assert code == 0
-        assert converged == swept
+        code, first = run_cli(capsys, "sweep", "--grid", "100,2,16,1", "--format", fmt)
+        assert code == 0
+        code, second = run_cli(capsys, "sweep", "--grid", "1000,2,16,1", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = [json.loads(out)["rows"] for out in (swept, first, second)]
+            assert rows[0] == rows[1] + rows[2] and len(rows[0]) == 2
+        else:
+            assert swept == first + second.split("\n", 1)[1]
 
     @pytest.mark.parametrize("length", ["1e160", "1e200"])
-    def test_converge_records_a_pressure_underflow_as_an_error_row(self, capsys, length):
-        # (N/L)**2 is subnormal or zero: as in sweep, the row says why and the run exits 0
-        code = main(["converge", "--c", "1", "--n-list", "10", "--length", length])
+    def test_sweep_records_a_pressure_underflow_as_an_error_row(self, capsys, length):
+        # (N/L)**2 is subnormal or zero: the row says why and the run exits 0
+        code = main(["sweep", "--grid", f"10,{length},1,1"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
         payload = json.loads(out)
@@ -343,12 +347,12 @@ class TestTableCommands:
         assert row["error"].startswith("ValueError: N/L = ") and row["detected"] is None
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--grid", "{n},1,16,1"], ["converge", "--c", "16", "--n-list", "{n}"],
-    ], ids=["sweep", "converge"])
-    def test_n_is_read_the_same_way_by_both_tables(self, capsys, argv):
+        ["sweep", "--grid", "{n},1,16,1"], ["sweep", "--grid", "10,1,16,1;{n},1,16,1"],
+    ], ids=["one-point", "later-point"])
+    def test_n_is_read_the_same_way_at_every_grid_point(self, capsys, argv):
         code, out = run_cli(capsys, *(arg.format(n="1e3") for arg in argv))
         assert code == 0
-        assert [row[0] for row in json.loads(out)["rows"]] == [1000]
+        assert [row[0] for row in json.loads(out)["rows"]][-1:] == [1000]
         code, out = run_cli(capsys, *(arg.format(n="10.5") for arg in argv))
         assert code == 1
         assert json.loads(out)["error"] == {
@@ -483,10 +487,9 @@ FLAG_RUNS = {
         ["--n", "100", "--force-scaled", "2,1"],
         ["--n", "100", "--force-piecewise=-1:3,0:1"],
     ],
-    "sweep": [["--grid", "100,1,2,1", "--format", "csv", "--output", "{out}"]],
-    "converge": [
-        ["--c", "2", "--gamma", "1", "--length", "2", "--n-list", "10,20",
-         "--format", "csv", "--output", "{out}"],
+    "sweep": [
+        ["--grid", "100,1,2,1", "--format", "csv", "--output", "{out}"],
+        ["--grid", "10,2,2,1;20,2,2,1", "--format", "csv", "--output", "{out}"],
     ],
     "oracle": [
         ["--n", "8", "--length", "2", "--force", "40", "--format", "csv", "--output", "{out}"],
@@ -524,7 +527,7 @@ def test_every_flag_passed_is_read(command, tmp_path, capsys, monkeypatch):
     ["density", "--n", "10", "--force", "0", "--max-iter", "5"],
     ["sweep", "--grid", "10,1,2,1", "--max-iter", "5"],
     ["sweep", "--grid", "10,1,2,1", "--bins", "5"],
-    ["converge", "--c", "2", "--n-list", "10", "--max-iter", "5"],
+    ["converge", "--c", "2", "--n-list", "10"],  # the command is gone, with its flags
     ["oracle", "--n", "8", "--force", "40", "--max-iter", "5"],
     ["oracle", "--n", "8", "--force", "40", "--grad-tol", "1e-6"],
     ["oracle", "--n", "8", "--force", "40", "--jitter", "0.3"],
@@ -666,7 +669,7 @@ COMMAND_TABLES = {
     "density-constant": (["density", "--n", "50", "--force", "10"], density_rows),
     "sweep": (["sweep", "--grid", "200,1,2,1;200,1,16,1"], listed_rows),
     "sweep-errors": (["sweep", "--grid", "200,1,0,1;50,0,2,1"], listed_rows),
-    "converge": (["converge", "--c", "16", "--n-list", "10,40"], listed_rows),
+    "sweep-over-n": (["sweep", "--grid", "10,1,16,1;40,1,16,1"], listed_rows),
     "oracle": (
         ["oracle", "--n", "8", "--force", "40"],
         lambda p: solution_rows(p, extra=("energy",)),

@@ -681,7 +681,7 @@ class TestWithoutOpenBLAS:
             ["critical", "--n", "10"],
             ["density", "--n", "100", "--force-scaled", "2,1"],
             ["sweep", "--grid", "100,1,2,1"],
-            ["converge", "--c", "2", "--gamma", "1", "--n-list", "10,100"],
+            ["sweep", "--grid", "10,1,2,1;100,1,2,1"],
         ):
             assert cli.main(argv) == 0, argv
         capsys.readouterr()

@@ -50,6 +50,11 @@ def flat(F, L=1.0):
     return PiecewiseLinear([(-L, F), (0.0, F)])
 
 
+# An ill-conditioned free end: Newton lands several straddle widths off the
+# computed root, so the endgame gallops and bisects.
+GALLOP = params(36_691, 42.4, PiecewiseLinear([(-42.4, 1161.0), (-23.8, 0.0), (0.0, 0.0)]))
+
+
 def random_monotone_piecewise(rng, L, scale):
     k = int(rng.integers(2, 7))
     xs = np.concatenate(([-L], np.sort(rng.uniform(-L, 0.0, size=k - 2)), [0.0]))
@@ -246,12 +251,17 @@ class TestRelaxedShot:
         L = 10.0 ** log_length
         p = params(n, L, data.draw(monotone_pieces(n, L)))
         d1 = ratio * L / n
-        # seeds: the uniform chain, a shot 1e-15 to 1e-3 off, or none (each block guesses its own)
-        offset = data.draw(st.one_of(st.none(), st.just("uniform"), st.floats(-15.0, -3.0)))
-        seed = np.linspace(0.0, -L, n + 1) if offset == "uniform" else None
-        if isinstance(offset, float):  # a collapsed shot leaves no seed
+        # seeds: the uniform chain over L or 2 L, a shot 1e-15 to 1e-3 off, or
+        # none (each block guesses its own); a guess left of the chain reads
+        # larger forces, so its pressures can reach zero where the shot's do not
+        far = {"uniform": L, "stretched": 2.0 * L}
+        offset = data.draw(st.one_of(st.none(), st.sampled_from(sorted(far)), st.floats(-15.0, -3.0)))
+        seed = np.linspace(0.0, -far[offset], n + 1) if offset in far else None
+        if isinstance(offset, float):
             near = d1 * (1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** offset)
             seed = shoot_piecewise(near, p.profile, n).positions
+            if seed is None:  # a collapsed shot leaves no chain: the far, uniform one
+                seed = np.linspace(0.0, -L, n + 1)
         ref = shoot_piecewise(d1, p.profile, n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shooting, "_BLOCK", block)
@@ -335,11 +345,11 @@ def assert_tangent_is(lean, out, dx_n, df_n, profile):
 class TestRelaxedSolve:
     @staticmethod
     def same_solve(p):
-        """Assert that p solves to the same bits with the reference's shots; return the recording ones' count."""
+        """Assert that p solves to the same bits with the reference's shots; return the tangent-free ones' count."""
         relaxed, calls = solve_fixed_point(p), []
 
         def reference_shot(d1, model, seed=None, dx=None):
-            # a tangent shot's chain is the recording reference's: the next seed
+            # a tangent shot's chain is the reference's shot: the next seed
             out = shoot_piecewise(d1, model.profile, model.n_gaps)
             if dx is None:
                 calls.append(d1)
@@ -365,14 +375,60 @@ class TestRelaxedSolve:
     def test_same_solve_as_with_scalar_shots(self, n, log_length, data):
         L = 10.0 ** log_length
         relaxed = self.same_solve(params(n, L, data.draw(monotone_pieces(n, L))))
-        hypothesis.event(f"recording shots: {min(relaxed, 3)}{'+' if relaxed >= 3 else ''}")
+        hypothesis.event(f"tangent-free shots: {min(relaxed, 3)}{'+' if relaxed >= 3 else ''}")
 
     def test_gallop_and_bisection_endgame(self):
-        # An ill-conditioned free end: Newton lands several straddle widths
-        # off the computed root, so the endgame gallops and bisects.
-        p = params(36_691, 42.4, PiecewiseLinear([(-42.4, 1161.0), (-23.8, 0.0), (0.0, 0.0)]))
-        assert self.same_solve(p) >= 10
-        assert solve_fixed_point(p).iterations == 18  # as with scalar shots: a relaxed one adds none
+        assert self.same_solve(GALLOP) >= 10
+        assert solve_fixed_point(GALLOP).iterations == 17  # as with scalar shots: a relaxed one adds none
+
+
+@st.composite
+def piecewise_params(draw):
+    """A chain of N <= 2e4 under a ``monotone_pieces`` profile."""
+    n, L = draw(st.integers(1, 20_000)), 10.0 ** draw(st.floats(-3.0, 3.0))
+    return params(n, L, draw(monotone_pieces(n, L)))
+
+
+def shot_log(patch):
+    """Log in the returned list the first gap of every shot that solves under
+    ``patch`` take, and check that the chain of the latest shot with h > 0,
+    the one kept at the bracket's h > 0 end, is neither a later shot's seed
+    nor written to."""
+    relaxed, gaps, kept = shooting._relaxed_shot, [], None
+
+    def spy(d1, model, seed=None, dx=None):
+        nonlocal kept
+        assert kept is None or (seed is not kept[0] and kept[0].tobytes() == kept[1])
+        gaps.append(d1)
+        out = relaxed(d1, model, seed, dx)
+        positions, slack = out[0]
+        L, n = model.L, model.n_gaps
+        if positions is not None and min((positions[-1] + L) / L, slack / ((n / L) * (n / L))) > 0.0:
+            kept = positions, positions.tobytes()
+        return out
+
+    patch.setattr(shooting, "_relaxed_shot", spy)
+    return gaps
+
+
+class TestEveryShotKeepsItsChain:
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(p=piecewise_params())
+    @hypothesis.example(p=GALLOP)
+    @hypothesis.example(p=params(10, force=PiecewiseLinear([(-1.0, 1e200), (0.0, 0.0)])))
+    @hypothesis.example(p=params(3, 1e100, PiecewiseLinear([(-1e100, 1.0), (0.0, 0.0)])))
+    @hypothesis.example(p=params(2, force=PiecewiseLinear([(-1.0, 1e300), (-0.999, 0.0), (0.0, 0.0)])))
+    @hypothesis.example(p=params(1000, force=PiecewiseLinear([(-1.0, 1900.0), (0.0, 0.0)])))
+    def test_no_first_gap_is_shot_twice(self, p):
+        # The ill-conditioned free end and the float-range edges, where the
+        # search gallops or bisects, end on a bracket whose h > 0 end a
+        # tangent-free shot set: its chain is the result, not shot again.
+        # At N = 1000 under F_cr / 2 the first shot lands below the root and
+        # the Newton step after it starts from that kept chain.
+        with pytest.MonkeyPatch.context() as patch:
+            gaps = shot_log(patch)
+            sol = solve_fixed_point(p)
+        assert len(set(gaps)) == len(gaps) == sol.iterations
 
 
 class TestSolveFixedPoint:
@@ -475,6 +531,18 @@ class TestSolveFixedPoint:
         # lose digits or divide by zero, and a residual would check nothing
         with pytest.raises(ValueError, match=r"^N/L = "):
             solve_fixed_point(params(10, L=L, force=force))
+
+    @pytest.mark.parametrize("r", [1e-15, 1e-12, 1e-10])
+    @pytest.mark.parametrize("n", [10, 10 ** 5])
+    def test_a_root_below_the_floor_names_it(self, n, r, monkeypatch):
+        # F = 0: the root L/N lies just below the first-gap floor 1e-150 and
+        # hi = L/N (1 + 1e-9) just above it, so every shot has h <= 0 and the
+        # bracket closes on the floor with no chain at its h > 0 end
+        L = n * 1e-150 / (1.0 + 1e-9) * (1.0 + r)
+        gaps = shot_log(monkeypatch)
+        with pytest.raises(ValueError, match=r"floor 1e-150$"):
+            solve_fixed_point(params(n, L, flat(0.0, L)))
+        assert len(gaps) <= 20
 
     def test_iteration_budget_enforced(self, monkeypatch):
         # Newton needs 3-5 shots on most profiles.  This root sits at the
