@@ -20,9 +20,14 @@ that gradient, which every route calls.
 :mod:`coulomb_chain.analysis` turns solutions into densities and classified
 sweep rows, and :mod:`coulomb_chain.cli` exposes everything as the
 ``coulomb-chain`` command.
+
+These names load on first use, so a process that never calls them skips
+their modules: ``SweepRow``, ``classify_phase``, ``histogram`` and ``sweep``
+(analysis); ``MinimizeSettings``, ``default_settings``, ``minimize``,
+``local_minimality_certificate``, ``multi_start_fixed_points`` and
+``nonuniqueness_params`` (minimizer).
 """
 
-from .analysis import SweepRow, classify_phase, histogram, sweep
 from .closed_form import (
     Phase,
     asymptotic_density,
@@ -36,14 +41,6 @@ from .errors import (
     DegenerateConfigurationError,
     MonotonicityViolation,
     NoConvergence,
-)
-from .minimizer import (
-    MinimizeSettings,
-    default_settings,
-    local_minimality_certificate,
-    minimize,
-    multi_start_fixed_points,
-    nonuniqueness_params,
 )
 from .model import (
     Classification,
@@ -62,6 +59,25 @@ from .model import (
 from .shooting import shoot, solve_fixed_point
 
 __version__ = "0.1.0"
+
+_LAZY = {  # the names that load on first use, by module
+    **dict.fromkeys(("SweepRow", "classify_phase", "histogram", "sweep"), "analysis"),
+    **dict.fromkeys(("MinimizeSettings", "default_settings", "local_minimality_certificate", "minimize",
+                     "multi_start_fixed_points", "nonuniqueness_params"), "minimizer"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module("." + _LAZY[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "Classification",

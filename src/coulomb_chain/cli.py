@@ -12,6 +12,13 @@ formatted and written a chunk at a time, in one process.  Model errors, and an `
 path that cannot be written, exit 1 with a machine-readable JSON error
 object; a stdout closed early exits 1 with no more output; usage errors exit 2.
 
+``solve`` and ``critical`` import neither ``analysis`` nor ``minimizer``, and
+``main`` registers ``gc.freeze`` at exit, once per process: the final
+collections skip every live object, about 20 ms of a CSV solve at N = 1.5e5.
+No output waits on them: ``--output`` is closed before ``main`` returns, the
+interpreter flushes stdout explicitly, and a caller in the same process sees
+the collector unchanged until it exits.
+
 The solvers' budgets and tolerances are fixed, not flags: a shooting solve
 under a piecewise force stops at a relative first-gap bracket of
 ``shooting.TOL_REL`` = 1e-14 within ``shooting.MAX_ITER`` = 200 shots,
@@ -27,8 +34,10 @@ in order, and every row is a function of its grid point.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -39,15 +48,8 @@ import tempfile
 import numpy as np
 import orjson
 
-from .analysis import SweepRow, histogram, sweep
 from .closed_form import Phase, asymptotic_density, c_critical, critical_force_exact
 from .errors import CoulombChainError
-from .minimizer import (
-    default_settings,
-    minimize,
-    multi_start_fixed_points,
-    nonuniqueness_params,
-)
 from .model import (
     Constant,
     FixedPointResult,
@@ -402,6 +404,8 @@ def _cmd_critical(args):
 
 
 def _cmd_density(args):
+    from .analysis import histogram
+
     force = _parse_force(args)
     params = ModelParams(L=args.length, n_gaps=args.n, force=force)
     result = solve_fixed_point(params)
@@ -426,6 +430,8 @@ def _cmd_density(args):
 
 
 def _cmd_sweep(args):
+    from .analysis import SweepRow, sweep
+
     grid = []
     for chunk in args.grid.split(";"):
         chunk = chunk.strip()
@@ -443,6 +449,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_oracle(args):
+    from .minimizer import minimize
+
     params = ModelParams(L=args.length, n_gaps=args.n, force=_parse_force(args))
     result = minimize(params, uniform_configuration(params))
     payload = _solution_payload(params, result)
@@ -451,6 +459,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_nonunique(args):
+    from .minimizer import default_settings, multi_start_fixed_points, nonuniqueness_params
+
     c_grid = [float(part) for part in args.c_grid.split(",") if part.strip()]
     counts_by_c = []
     c_found = None
@@ -513,6 +523,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    atexit.unregister(gc.freeze)  # one exit hook per process, however often main runs
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

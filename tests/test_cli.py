@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -898,13 +899,17 @@ def test_writing_stops_on_an_interrupt(interrupt, fmt, tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_reader_that_stops_early_ends_the_run_quietly(fmt):
+def test_a_reader_that_stops_early_ends_the_run_quietly(fmt, capsys):
     # The reader closes after 100 of 786,306 (JSON) or 1,684,307 (CSV) bytes,
-    # many pipe buffers long.
+    # many pipe buffers long.  A reader that reads on gets the in-process
+    # rendering byte for byte, flushed at exit past the exit hook.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     argv = [sys.executable, "-m", "coulomb_chain.cli", "solve", "--n", "12287", "--force", "0",
             "--format", fmt]
     env = {**os.environ, "PYTHONPATH": src}
+    full = subprocess.run(argv, env=env, capture_output=True)
+    assert (full.returncode, full.stderr) == (0, b"")
+    assert full.stdout == run_cli(capsys, *argv[3:])[1].encode()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -947,17 +952,68 @@ def test_output_bytes_do_not_depend_on_simd_dispatch(command):
     assert default.stdout == baseline.stdout
 
 
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` on this package in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
     # scipy is a test reference only: importing its LAPACK from the package
     # would double the peak memory of every coulomb-chain process.  Output is
     # formatted in the one process, so no pool from multiprocessing or
     # concurrent.futures is imported either, whose imports every process
-    # would pay for.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = (
-        "import sys, coulomb_chain.cli; "
-        "print(sorted({'scipy', 'mpmath', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    )
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # would pay for.  Nor do solve and critical load the analysis or the
+    # descent, which only the other commands call.
+    for call in ["pass", "cli.main(['solve', '--n', '100', '--force', '0'])", "cli.main(['critical', '--n', '100'])"]:
+        code = (
+            f"import sys; from coulomb_chain import cli; {call}; "
+            "print(sorted({'scipy', 'mpmath', 'multiprocessing', 'concurrent.futures', "
+            "'coulomb_chain.analysis', 'coulomb_chain.minimizer'} & set(sys.modules)), file=sys.stderr)"
+        )
+        assert run_child(code).stderr.strip() == "[]", call
+
+
+@pytest.mark.parametrize("code", [
+    # every public name by attribute, and the same object by a star import
+    "import coulomb_chain as cc; ns = {}; exec('from coulomb_chain import *', ns); "
+    "assert all(getattr(cc, name) is ns[name] for name in cc.__all__)",
+    # each lazy name is its module's own, and dir lists it before it loads
+    "import sys, coulomb_chain as cc; assert set(cc.__all__) <= set(dir(cc)); "
+    "assert 'coulomb_chain.minimizer' not in sys.modules and 'coulomb_chain.analysis' not in sys.modules; "
+    "assert cc.minimize is cc.minimizer.minimize and cc.sweep is cc.analysis.sweep",
+    # the submodules import by name, as the benchmark's workloads import them
+    "from coulomb_chain import analysis, minimizer; assert analysis.sweep and minimizer.minimize",
+], ids=["star-import", "dir", "submodules"])
+def test_public_names_load_on_first_use(code):
+    run_child(code)
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    import coulomb_chain
+
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        coulomb_chain.no_such_name
+
+
+def test_main_leaves_the_collector_alone_until_exit(capsys):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for _ in range(2):
+        assert run_cli(capsys, "critical", "--n", "10")[0] == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_two_mains_freeze_the_collector_once_at_exit():
+    # Hooks run last registered first, so the printing one runs after main's.
+    code = """
+import atexit, gc
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+from coulomb_chain import cli
+for _ in range(2):
+    cli.main(["critical", "--n", "10"])
+print(len(calls), gc.get_freeze_count() > 0)
+"""
+    assert run_child(code).stdout.splitlines()[2:] == ["0 False", "1 True"]
